@@ -287,10 +287,26 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     }
     path = os.fspath(path)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=2)
+            f.write("\n")
+        os.replace(tmp, path)
+    except OSError as e:
+        raise CheckpointError(f"cannot write checkpoint {path!r}: {e.strerror or e}") from e
+
+
+def _check_checkpoint_writable(path) -> None:
+    """Fail before any compute if a checkpoint could not be saved at ``path``."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise CheckpointError(f"cannot write checkpoint {path!r}: it is a directory")
+    tmp = f"{path}.tmp"  # the file save_checkpoint writes first
+    try:
+        open(tmp, "w", encoding="utf-8").close()
+        os.remove(tmp)
+    except OSError as e:
+        raise CheckpointError(f"cannot write checkpoint {path!r}: {e.strerror or e}") from e
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -413,6 +429,8 @@ def run_census(
         total = ClassCounts(map_kind, 1, cp.next_n - 1, dict(cp.counts))
     else:
         total = ClassCounts.empty(map_kind, at=1)
+    if checkpoint_path is not None:
+        _check_checkpoint_writable(checkpoint_path)
 
     bound = max(2, min(config.cache_bound, s + 1))
     try:

@@ -14,6 +14,12 @@ number's class. Two routes compute it:
   :class:`ResidueCache`; numbers above the bound only iterate until they
   descend into it.
 
+The cache build and the vectorized descent above the bound share one
+kernel, :func:`_descend_residues`. It moves whole arrays of values k base
+steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
+3^c(r)*q + d(r) under ``pdcr``, and hands the rare lane that would outgrow
+uint64 or the step budget to the exact big-int descent.
+
 The residue rule is derived engineering, so ``verify_range`` cross-checks
 the two routes; the test suite runs it over substantial ranges.
 """
@@ -21,6 +27,7 @@ the two routes; the test suite runs it over substantial ranges.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +44,11 @@ from .kernel import (
     validate_nat,
 )
 
-# largest value for which 3x+1 fits in uint64; rarer, larger transients are
-# promoted to exact big-int arithmetic
-_U64_ODD_MAX = (2**64 - 2) // 3
-
-_SCALAR_WARMUP = 4096      # table prefix built scalar before vector blocks
-_MAX_BLOCK = 1 << 22       # cap on vector block length
+# pdcr steps per jump. Odd, so that a lane on the 1 <-> 2 cycle lands on 1:
+# with an even count a lane sitting on 2 would land on 2 forever and never
+# fall below a floor of 2.
+_JUMP_BITS = 13
+_MAX_BLOCK = 1 << 20       # cap on vector block length
 
 
 class ClassLabel(enum.IntEnum):
@@ -195,9 +201,16 @@ def _pack_residues(res: np.ndarray) -> np.ndarray:
     ).astype(np.uint8)
 
 
-def _descend_scalar(basis, start, x, steps, floor, scalar_entry, modulus, max_steps):
-    """Exact big-int descent used for the rare values that outgrow uint64."""
+def _descend_scalar(basis, start, floor, scalar_entry, max_steps):
+    """Exact big-int descent of one start until it drops below ``floor``.
+
+    Counts base-map steps from ``start``: more than ``max_steps`` of them
+    raise :class:`StepBudgetExceeded`, a value beyond 128 bits raises
+    :class:`NatOverflowError`, both naming ``start``.
+    """
     step = step_function(basis)
+    x = start
+    steps = 0
     while x >= floor:
         if steps >= max_steps:
             raise StepBudgetExceeded(start, max_steps)
@@ -208,53 +221,97 @@ def _descend_scalar(basis, start, x, steps, floor, scalar_entry, modulus, max_st
                 start, f"trajectory of {start} exceeded the 128-bit limit at value {e.n}"
             ) from None
         steps += 1
-    return (steps + scalar_entry(x)) % modulus
+    return (steps + scalar_entry(x)) % basis_modulus(basis)
+
+
+@functools.cache
+def _jump_tables(basis):
+    """Terras' k-step tables for one basis, indexed by r in [0, 2^k).
+
+    With k = ``_JUMP_BITS``, k applications of ``pdcr`` send 2^k*q + r to
+    3^c(r)*q + d(r), where c(r) counts the odd steps among them. Returns
+    ``mult`` (3^c(r)), ``add`` (d(r)), ``limit`` (the largest q for which the
+    result still fits in uint64) and ``advance``: the residue advance of the
+    jump, k + c(r) mod 3 for ``cr`` (each odd ``pdcr`` step is 3x+1 and a
+    halving) or k mod 2 for ``pdcr``. Built on first use.
+    """
+    modulus = basis_modulus(basis)
+    k = _JUMP_BITS
+    one = np.uint64(1)
+    add = np.arange(1 << k, dtype=np.uint64)
+    odd_steps = np.zeros(1 << k, dtype=np.int64)
+    for _ in range(k):
+        odd = (add & one).astype(bool)
+        add = np.where(odd, (np.uint64(3) * add + one) >> one, add >> one)
+        odd_steps += odd
+    mult = np.uint64(3) ** odd_steps.astype(np.uint64)
+    limit = (np.uint64(2**64 - 1) - add) // mult
+    steps = k + odd_steps if basis is MapKind.CR else np.full(1 << k, k)
+    tables = (mult, add, limit, (steps % modulus).astype(np.uint8))
+    for t in tables:  # shared by every caller and thread
+        t.setflags(write=False)
+    return tables
 
 
 def _descend_residues(basis, starts, floor, vec_lookup, scalar_entry, max_steps):
     """Stopping-time residues for an array of starts, all >= floor.
 
-    Walks every start under the base map in lockstep until its value drops
-    below ``floor``, where ``vec_lookup`` supplies the residue of the landing
-    value; the steps taken are added modulo the basis cycle length. Lanes
-    whose 3x+1 would no longer fit in uint64 are finished in exact scalar
-    arithmetic.
+    Moves every start in lockstep by k ``pdcr`` steps at a time through
+    :func:`_jump_tables` until its value lands below ``floor``, where
+    ``vec_lookup`` supplies the residue of the landing value; each lane
+    carries the residue advance of its jumps. Residues stay additive even
+    when a jump passes through 1, because the terminal cycle is as long as
+    the modulus.
+
+    A lane whose next jump would leave uint64, and every lane still
+    descending once one more jump could exceed ``max_steps`` base steps, is
+    finished by :func:`_descend_scalar` from its start, in ascending order
+    of start. Every lane the vector loop retires took at most ``max_steps``
+    steps and stayed within 128 bits, so the accept/reject decision and the
+    error (naming the smallest failing start) are those of the exact descent.
     """
     modulus = basis_modulus(basis)
+    k = _JUMP_BITS
+    mult, add, limit, advance = _jump_tables(basis)
+    max_advance = 2 * k if basis is MapKind.CR else k
+    mask = np.uint64((1 << k) - 1)
+    shift = np.uint64(k)
+    q_safe = limit.min()  # no lane with q at or below this can overflow
+
     out = np.empty(len(starts), dtype=np.uint8)
     x = starts.astype(np.uint64, copy=True)
-    pos = np.arange(len(starts), dtype=np.int64)
-    is_cr = basis is MapKind.CR
-    one = np.uint64(1)
-    three = np.uint64(3)
-    steps = 0
+    pos = np.arange(len(starts), dtype=np.intp)
+    acc = np.zeros(len(starts), dtype=np.uint8)
+    fallback = []
+    jumps = 0
     while x.size:
-        if steps >= max_steps:
-            raise StepBudgetExceeded(int(starts[pos].min()), max_steps)
-        odd = (x & one).astype(bool)
-        big = odd & (x > _U64_ODD_MAX)
-        if big.any():
-            for p in np.flatnonzero(big):
-                out[pos[p]] = _descend_scalar(
-                    basis, int(starts[pos[p]]), int(x[p]), steps, floor,
-                    scalar_entry, modulus, max_steps,
-                )
-            keep = ~big
-            x = x[keep]
-            pos = pos[keep]
-            odd = odd[keep]
-        if is_cr:
-            x = np.where(odd, x * three + one, x >> one)
-        else:
-            x = np.where(odd, (x * three + one) >> one, x >> one)
-        steps += 1
+        if (jumps + 1) * max_advance > max_steps:
+            fallback.append(pos)
+            break
+        r = (x & mask).view(np.int64)
+        x >>= shift
+        if x.max() > q_safe:
+            over = x > limit[r]
+            if over.any():
+                fallback.append(pos[over])
+                keep = ~over
+                x, pos, acc, r = x[keep], pos[keep], acc[keep], r[keep]
+        x *= mult[r]
+        x += add[r]
+        acc += advance[r]
+        jumps += 1
+        if jumps % 64 == 0:  # keeps acc far below the uint8 wrap
+            acc %= np.uint8(modulus)
         below = x < floor
         if below.any():
-            carry = steps % modulus
-            out[pos[below]] = (vec_lookup(x[below]) + carry) % modulus
+            out[pos[below]] = (vec_lookup(x[below]) + acc[below]) % modulus
             keep = ~below
-            x = x[keep]
-            pos = pos[keep]
+            x, pos, acc = x[keep], pos[keep], acc[keep]
+
+    if fallback:
+        lanes = np.concatenate(fallback)
+        for p in lanes[np.argsort(starts[lanes], kind="stable")]:
+            out[p] = _descend_scalar(basis, int(starts[p]), floor, scalar_entry, max_steps)
     return out
 
 
@@ -263,42 +320,24 @@ def build_residue_cache(
 ) -> ResidueCache:
     """Precompute stopping-time residues for every n in [1, bound).
 
-    Built in ascending blocks: each entry walks the base map only until its
-    value drops below already-computed territory, then extends that entry by
-    the steps taken (the stopping time is additive along a trajectory).
-    Trajectories are free to climb far above ``bound`` in the process.
+    Built in ascending blocks [a, b) with b <= 2a: each entry descends
+    through :func:`_descend_residues` only until its value drops below a,
+    into already-computed territory, then extends that entry by the steps
+    taken (the stopping time is additive along a trajectory). Trajectories
+    are free to climb far above ``bound`` in the process.
     """
     basis_modulus(basis)  # validates the basis
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 2:
         raise ValueError(f"cache bound must be an integer >= 2, got {bound!r}")
-    modulus = basis_modulus(basis)
-    step = step_function(basis)
     res = np.zeros(bound, dtype=np.uint8)
-
-    # scalar prefix: evens extend n/2 directly, odds descend below n
-    for n in range(2, min(bound, _SCALAR_WARMUP)):
-        if n & 1 == 0:
-            res[n] = (1 + res[n >> 1]) % modulus
-            continue
-        x = n
-        k = 0
-        while x >= n:
-            if k >= max_steps:
-                raise StepBudgetExceeded(n, max_steps)
-            x = step(x)
-            k += 1
-        res[n] = (k + res[x]) % modulus
-
-    # vector blocks; b <= 2a keeps every even retiring after a single halving
-    a = _SCALAR_WARMUP
+    a = 2
     while a < bound:
         b = min(bound, 2 * a, a + _MAX_BLOCK)
-        starts = np.arange(a, b, dtype=np.uint64)
         res[a:b] = _descend_residues(
             basis,
-            starts,
+            np.arange(a, b, dtype=np.uint64),
             floor=a,
-            vec_lookup=lambda v: res[v.astype(np.int64)],
+            vec_lookup=lambda v: res[v.view(np.int64)],
             scalar_entry=lambda v: int(res[v]),
             max_steps=max_steps,
         )
@@ -327,20 +366,7 @@ def classify_fast(
     if n < cache.bound:
         residue = cache.entry(n)
     else:
-        step = step_function(basis)
-        x = n
-        k = 0
-        while x >= cache.bound:
-            if k >= max_steps:
-                raise StepBudgetExceeded(n, max_steps)
-            try:
-                x = step(x)
-            except NatOverflowError as e:
-                raise NatOverflowError(
-                    n, f"trajectory of {n} exceeded the 128-bit limit at value {e.n}"
-                ) from None
-            k += 1
-        residue = (k + cache.entry(x)) % cache.modulus
+        residue = _descend_scalar(basis, n, cache.bound, cache.entry, max_steps)
     return ClassificationOutcome(residue_to_label(map_kind, residue), None, "fast")
 
 

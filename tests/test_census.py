@@ -24,6 +24,8 @@ from collatz_census import (
     run_series,
     save_checkpoint,
 )
+from collatz_census import census as census_module
+from collatz_census import classifier
 from oracles import oracle_census, oracle_label
 
 
@@ -79,6 +81,26 @@ class TestCensusChunk:
         expected = {1: 0, 2: 0, 4: 0}
         for n in range(lo, hi + 1):
             expected[int(classify_direct(MapKind.CR3, n).label)] += 1
+        assert counts_as_ints(chunk.counts) == expected
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_uint64_guard_lanes_near_2_63(self, map_kind, cr_cache, pdcr_cache, monkeypatch):
+        # 2^63 - 1 ends in thirteen 1 bits, so its first jump would leave uint64
+        calls = []
+        exact = classifier._descend_scalar
+
+        def counting(*args):
+            calls.append(args[1])
+            return exact(*args)
+
+        monkeypatch.setattr(classifier, "_descend_scalar", counting)
+        cache = cr_cache if map_kind is MapKind.CR3 else pdcr_cache
+        lo, hi = 2**63 - 8, 2**63 + 7
+        chunk = census_chunk(map_kind, lo, hi, cache)
+        assert calls
+        expected = {int(label): 0 for label in chunk.counts}
+        for n in range(lo, hi + 1):
+            expected[int(classify_direct(map_kind, n).label)] += 1
         assert counts_as_ints(chunk.counts) == expected
 
     def test_cache_mismatch(self, pdcr_cache):
@@ -203,6 +225,21 @@ class TestRunCensus:
         assert small.engine.cache_bound == 2
         assert large.engine.cache_bound == 3001  # never built past S+1
 
+    def test_minimal_cache_bound_pdcr2(self):
+        # every member descends all the way to 1 through the jump kernel
+        result = run_census(MapKind.PDCR2, 3000, CensusConfig(cache_bound=2))
+        assert counts_as_ints(result.counts.counts) == oracle_census(3000, "pdcr2")
+
+    def test_unwritable_checkpoint_fails_before_compute(self, tmp_path, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("cache built before the checkpoint path was checked")
+
+        monkeypatch.setattr(census_module, "build_residue_cache", no_build)
+        with pytest.raises(CheckpointError):
+            run_census(MapKind.CR3, 100, checkpoint_path=tmp_path / "missing" / "cp.json")
+        with pytest.raises(CheckpointError):
+            run_census(MapKind.CR3, 100, checkpoint_path=tmp_path)
+
     def test_rejects_base_map(self):
         with pytest.raises(ValueError):
             run_census(MapKind.CR, 10)
@@ -223,6 +260,10 @@ class TestCheckpointFile:
         path = tmp_path / "census.ckpt"
         save_checkpoint(self.checkpoint(), path)
         assert load_checkpoint(path) == self.checkpoint()
+
+    def test_write_failure_is_checkpoint_error(self, tmp_path):
+        with pytest.raises(CheckpointError):
+            save_checkpoint(self.checkpoint(), tmp_path / "missing" / "census.ckpt")
 
     def test_version_field(self, tmp_path):
         path = tmp_path / "census.ckpt"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_census import (
+    DEFAULT_STEP_BUDGET,
     ClassLabel,
     MapKind,
     NatOverflowError,
@@ -20,7 +21,9 @@ from collatz_census import (
     stopping_time,
     verify_range,
 )
-from oracles import oracle_label, oracle_stopping
+from collatz_census import classifier
+from collatz_census.classifier import _descend_residues
+from oracles import oracle_label, oracle_step, oracle_stopping
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +265,94 @@ class TestVerifyRange:
     def test_failing_member_is_reported(self, cr_cache):
         # a budget every member blows through turns the whole range into mismatches
         assert verify_range(MapKind.CR3, 27, 27, cr_cache, max_steps=0) == [27]
+
+
+def _steps_below(basis, n, floor):
+    """Base steps from n until the value first drops below floor."""
+    steps = 0
+    while n >= floor:
+        n = oracle_step(n, basis.value)
+        steps += 1
+    return steps
+
+
+def _descend(basis, starts, floor, max_steps=DEFAULT_STEP_BUDGET):
+    cache = build_residue_cache(basis, floor)
+    return _descend_residues(
+        basis,
+        np.array(starts, dtype=np.uint64),
+        floor=floor,
+        vec_lookup=cache.entries,
+        scalar_entry=cache.entry,
+        max_steps=max_steps,
+    )
+
+
+class TestJumpTables:
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_jump_equals_k_pdcr_steps(self, basis):
+        k = classifier._JUMP_BITS
+        mult, add, limit, advance = classifier._jump_tables(basis)
+        assert len(mult) == len(add) == len(limit) == len(advance) == 1 << k
+        for r in range(1 << k):
+            lim = int(limit[r])
+            for q in (0, 1, 12345, lim - 1, lim):
+                if q == 0 and r == 0:
+                    continue
+                x, odd = (q << k) | r, 0
+                for _ in range(k):
+                    odd += x & 1
+                    x = pdcr_step(x)
+                assert int(mult[r]) * q + int(add[r]) == x
+                assert int(mult[r]) == 3**odd
+                steps = k + odd if basis is MapKind.CR else k
+                assert int(advance[r]) == steps % (3 if basis is MapKind.CR else 2)
+
+    def test_limit_is_exact_uint64_guard(self):
+        mult, add, limit, _ = classifier._jump_tables(MapKind.CR)
+        for m, d, lim in zip(mult.tolist(), add.tolist(), limit.tolist()):
+            assert m * lim + d <= 2**64 - 1 < m * (lim + 1) + d
+
+
+class TestDescentKernel:
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize("n", [27, 97, 703, 9663, 77671, 2**40 + 27])
+    @pytest.mark.parametrize("floor", [2, 5, 16, 27])
+    def test_budget_boundary_matches_stepwise_descent(self, basis, n, floor):
+        t = _steps_below(basis, n, floor)
+        expected = stopping_time(basis, n).residue
+        for budget in (t, t + 1):
+            assert _descend(basis, [n], floor, budget).tolist() == [expected]
+        with pytest.raises(StepBudgetExceeded) as exc:
+            _descend(basis, [n], floor, t - 1)
+        assert exc.value.n == n
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_budget_names_smallest_failing_start(self, basis):
+        starts = list(range(40, 140))
+        budget = 60
+        failing = [n for n in starts if _steps_below(basis, n, 16) > budget]
+        assert failing
+        with pytest.raises(StepBudgetExceeded) as exc:
+            _descend(basis, starts, 16, budget)
+        assert exc.value.n == min(failing)
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_floor_two_finishes_without_fallback(self, basis, monkeypatch):
+        # pins the odd jump length: a lane on 2 must land on 1, not on 2 again
+        def no_fallback(*args):
+            raise AssertionError(f"start {args[1]} fell back to the exact descent")
+
+        monkeypatch.setattr(classifier, "_descend_scalar", no_fallback)
+        starts = np.arange(2, 1001, dtype=np.uint64)
+        residues = _descend_residues(
+            basis,
+            starts,
+            floor=2,
+            vec_lookup=lambda v: np.zeros(len(v), dtype=np.uint8),
+            scalar_entry=lambda v: 0,
+            max_steps=DEFAULT_STEP_BUDGET,
+        )
+        assert residues.tolist() == [
+            stopping_time(basis, n).residue for n in range(2, 1001)
+        ]

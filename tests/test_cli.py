@@ -151,6 +151,14 @@ class TestCensusCommand:
         assert code == 1
         assert "S=" in err
 
+    def test_unwritable_checkpoint_dir_is_anomaly(self, capsys, tmp_path):
+        path = tmp_path / "missing_dir" / "cp.json"
+        code, out, err = run_cli(capsys, "census", "1000", "--checkpoint", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write checkpoint")
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_is_anomaly(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "census", "100", "--checkpoint", str(tmp_path / "no.ckpt"), "--resume"
