@@ -5,9 +5,9 @@ Two independent routes. The direct route iterates cr3 (or pdcr2) until the
 value repeats. The fast route never touches the composite map: once a base
 trajectory reaches 1 it cycles with period 3 (1, 4, 2), so the
 eventually-constant cr3 value is determined by the number of base steps to
-reach 1, taken mod 3 (0 -> 1, 1 -> 2, 2 -> 4). A packed table of those
-residues for all n below a bound lets any trajectory stop as soon as it
-dips below the bound.
+reach 1, taken mod 3 (0 -> 1, 1 -> 2, 2 -> 4). A table of those residues,
+one byte per n below a bound, lets any trajectory stop as soon as it dips
+below the bound.
 """
 
 from collatz_census import (
@@ -31,7 +31,7 @@ for n in (1, 3, 5, 8, 27):
 
 print("\nfast route: one shared table, O(1) below its bound")
 cache = build_residue_cache(MapKind.CR, 1 << 16)
-print(f"  cache: {cache!r}, {cache.nbytes} bytes packed")
+print(f"  cache: {cache!r}, {cache.nbytes} bytes (one per n)")
 for n in (27, 97, 703, 2**40 + 1):
     outcome = classify_fast(MapKind.CR3, n, cache)
     print(f"  {n} -> class {outcome.label} via {outcome.path} path")

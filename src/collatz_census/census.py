@@ -7,17 +7,23 @@ the per-chunk counts are merged in ascending range order. Counting is exact
 integer arithmetic, so the result is identical for every chunk size and
 worker count.
 
+``run_census`` and ``run_series`` share that engine: a series is a census
+whose sample points are forced chunk cuts.
+
 Long runs can periodically write a checkpoint file (a small versioned JSON
-document covering the completed contiguous prefix); a run resumed from a
-checkpoint finishes with byte-identical counts.
+document covering the completed contiguous prefix, fsync'd and renamed into
+place); a run resumed from a checkpoint finishes with byte-identical counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import numbers
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -28,7 +34,6 @@ import numpy as np
 from .classifier import (
     ClassLabel,
     ResidueCache,
-    _descend_residues,
     basis_for,
     build_residue_cache,
     classify_fast,
@@ -39,6 +44,7 @@ from .kernel import (
     MapKind,
     NatOverflowError,
     StepBudgetExceeded,
+    _validate_budget,
     validate_nat,
 )
 
@@ -177,16 +183,8 @@ def census_chunk(
             residues = cache.entries(ns[cached])
             residue_totals += np.bincount(residues, minlength=modulus)
         if not cached.all():
-            above = ns[~cached]
             try:
-                residues = _descend_residues(
-                    basis,
-                    above,
-                    floor=cache.bound,
-                    vec_lookup=cache.entries,
-                    scalar_entry=cache.entry,
-                    max_steps=max_steps,
-                )
+                residues = cache.descend(ns[~cached], max_steps)
             except (NatOverflowError, StepBudgetExceeded) as e:
                 raise CensusAbortError(e.n, e) from e
             residue_totals += np.bincount(residues, minlength=modulus)
@@ -275,7 +273,10 @@ _CHECKPOINT_FIELDS = {
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Write a checkpoint atomically (temp file + rename)."""
+    """Write a checkpoint atomically and durably (temp file, fsync, rename).
+
+    The temp file is per process, so runs sharing a path never share it.
+    """
     doc = {
         "format_version": checkpoint.version,
         "map": checkpoint.map_kind.value,
@@ -286,13 +287,17 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "created_at": checkpoint.created_at,
     }
     path = os.fspath(path)
-    tmp = f"{path}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2)
             f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())  # the rename must never expose unwritten data
         os.replace(tmp, path)
     except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise CheckpointError(f"cannot write checkpoint {path!r}: {e.strerror or e}") from e
 
 
@@ -301,7 +306,7 @@ def _check_checkpoint_writable(path) -> None:
     path = os.fspath(path)
     if os.path.isdir(path):
         raise CheckpointError(f"cannot write checkpoint {path!r}: it is a directory")
-    tmp = f"{path}.tmp"  # the file save_checkpoint writes first
+    tmp = f"{path}.{os.getpid()}.tmp"  # the file save_checkpoint writes first
     try:
         open(tmp, "w", encoding="utf-8").close()
         os.remove(tmp)
@@ -379,19 +384,66 @@ class CensusConfig:
     progress: Callable[[int, int], None] | None = None  # (done_through, target)
 
 
-def _validate_config(config: CensusConfig) -> int:
-    if config.chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {config.chunk_size}")
-    if config.cache_bound < 2:
-        raise ValueError(f"cache_bound must be >= 2, got {config.cache_bound}")
+def _resolve_config(config: CensusConfig, s: int) -> tuple[int, int]:
+    """Check every field before any compute; return the worker count and the
+    cache bound for a run over [1, s] (never built past s + 1)."""
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {config.workers}")
-    return workers
+    for name, value, least in (
+        ("chunk_size", config.chunk_size, 1),
+        ("cache_bound", config.cache_bound, 2),
+        ("workers", workers, 1),
+    ):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    _validate_budget(config.max_steps)
+    interval = config.checkpoint_interval
+    if not isinstance(interval, numbers.Real) or isinstance(interval, bool) or not interval >= 0:
+        raise ValueError(f"checkpoint_interval must be a number >= 0, got {interval!r}")
+    if config.progress is not None and not callable(config.progress):
+        raise ValueError(f"progress must be callable or None, got {config.progress!r}")
+    return workers, max(2, min(config.cache_bound, s + 1))
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).replace(microsecond=0).isoformat()
+
+
+def _tally(map_kind, config, workers, bound, start, cuts, absorb) -> None:
+    """The ordered-absorb engine under :func:`run_census` and :func:`run_series`.
+
+    Builds the cache below ``bound``, then classifies [start, cuts[-1]] on
+    ``workers`` threads in lazily generated chunks that end at or before
+    each cut, and hands their counts to ``absorb`` in range order. At most
+    4 x ``workers`` chunks are in flight and the oldest is collected first,
+    so an abort names the same n for every worker count. Any error
+    cancels the queued chunks and joins the pool before it propagates.
+    """
+    try:
+        cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
+    except (NatOverflowError, StepBudgetExceeded) as e:
+        raise CensusAbortError(e.n, e) from e
+
+    size = config.chunk_size
+    chunks = (
+        (lo, min(lo + size - 1, cut))
+        for first, cut in zip([start, *(c + 1 for c in cuts)], cuts)
+        for lo in range(first, cut + 1, size)
+    )
+    in_flight = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for lo, hi in chunks:
+                in_flight.append(
+                    pool.submit(census_chunk, map_kind, lo, hi, cache, config.max_steps)
+                )
+                if len(in_flight) == 4 * workers:
+                    absorb(in_flight.popleft().result())
+            while in_flight:
+                absorb(in_flight.popleft().result())
+        except BaseException:
+            for fut in in_flight:
+                fut.cancel()
+            raise
 
 
 def run_census(
@@ -413,7 +465,7 @@ def run_census(
     config = config or CensusConfig()
     labels = labels_for(map_kind)
     validate_nat(s)
-    workers = _validate_config(config)
+    workers, bound = _resolve_config(config, s)
     started = time.perf_counter()
 
     if resume:
@@ -432,26 +484,13 @@ def run_census(
     if checkpoint_path is not None:
         _check_checkpoint_writable(checkpoint_path)
 
-    bound = max(2, min(config.cache_bound, s + 1))
-    try:
-        cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
-    except (NatOverflowError, StepBudgetExceeded) as e:
-        raise CensusAbortError(e.n, e) from e
-
-    chunk = config.chunk_size
-    start_n = total.hi + 1
-    chunks = [(lo, min(lo + chunk - 1, s)) for lo in range(start_n, s + 1, chunk)]
-
     last_write = time.monotonic()
-    wrote_any = False
 
     def write_checkpoint() -> None:
-        nonlocal wrote_any
         save_checkpoint(
             Checkpoint(map_kind, s, total.hi + 1, dict(total.counts), bound, _utc_now()),
             checkpoint_path,
         )
-        wrote_any = True
 
     def absorb(part: ClassCounts) -> None:
         nonlocal total, last_write
@@ -465,35 +504,7 @@ def run_census(
         if config.progress is not None:
             config.progress(total.hi, s)
 
-    if workers == 1 or len(chunks) <= 1:
-        for lo, hi in chunks:
-            absorb(census_chunk(map_kind, lo, hi, cache, config.max_steps))
-    else:
-        window = 4 * workers
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending: dict = {}
-            ready: dict[int, ClassCounts] = {}
-            next_merge = 0
-            submitted = 0
-            try:
-                while next_merge < len(chunks):
-                    while submitted < len(chunks) and len(pending) < window:
-                        lo, hi = chunks[submitted]
-                        fut = pool.submit(
-                            census_chunk, map_kind, lo, hi, cache, config.max_steps
-                        )
-                        pending[fut] = submitted
-                        submitted += 1
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        ready[pending.pop(fut)] = fut.result()
-                    while next_merge in ready:
-                        absorb(ready.pop(next_merge))
-                        next_merge += 1
-            except BaseException:
-                for fut in pending:
-                    fut.cancel()
-                raise
+    _tally(map_kind, config, workers, bound, total.hi + 1, [s], absorb)
 
     if total.lo != 1 or total.hi != s:
         raise RuntimeError(f"census covered [{total.lo}, {total.hi}], expected [1, {s}]")
@@ -504,7 +515,7 @@ def run_census(
 
     fractions = {label: Fraction(total.counts[label], s) for label in labels}
     engine = EngineInfo(
-        chunk_size=chunk,
+        chunk_size=config.chunk_size,
         workers=workers,
         cache_bound=bound,
         max_steps=config.max_steps,
@@ -537,7 +548,8 @@ def run_series(
 ) -> list[SeriesPoint]:
     """Cumulative class fractions at sample points up to s_max.
 
-    One ascending pass; the final point always lands on s_max and carries
+    One ascending pass on the census engine, with every sample point a
+    forced chunk cut; the final point always lands on s_max and carries
     exactly the counts :func:`run_census` would report there. Log spacing
     collapses duplicate sample points, so fewer than ``points`` entries can
     come back for small ranges.
@@ -549,21 +561,18 @@ def run_series(
         raise ValueError(f"points must be a positive integer, got {points!r}")
     if s_max < points:
         raise ValueError(f"need s_max >= points, got s_max={s_max}, points={points}")
-    _validate_config(config)
+    workers, bound = _resolve_config(config, s_max)
     samples = _series_samples(s_max, points, spacing)
-
-    bound = max(2, min(config.cache_bound, s_max + 1))
-    try:
-        cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
-    except (NatOverflowError, StepBudgetExceeded) as e:
-        raise CensusAbortError(e.n, e) from e
 
     total = ClassCounts.empty(map_kind, at=1)
     out = []
-    for sample in samples:
-        for lo in range(total.hi + 1, sample + 1, config.chunk_size):
-            hi = min(sample, lo + config.chunk_size - 1)
-            total = merge(total, census_chunk(map_kind, lo, hi, cache, config.max_steps))
-        fractions = {label: Fraction(total.counts[label], sample) for label in labels}
-        out.append(SeriesPoint(sample, dict(total.counts), fractions))
+
+    def absorb(part: ClassCounts) -> None:
+        nonlocal total
+        total = merge(total, part)
+        if total.hi == samples[len(out)]:
+            fractions = {label: Fraction(total.counts[label], total.hi) for label in labels}
+            out.append(SeriesPoint(total.hi, dict(total.counts), fractions))
+
+    _tally(map_kind, config, workers, bound, 1, samples, absorb)
     return out

@@ -10,15 +10,16 @@ number's class. Two routes compute it:
   base trajectory reaches 1, the values cycle with period 3 (1, 4, 2) under
   ``cr`` or period 2 (1, 2) under ``pdcr``, so the eventually-constant
   composite value is a fixed function of the stopping time modulo the cycle
-  length. The residues for all n below a bound are precomputed into a packed
-  :class:`ResidueCache`; numbers above the bound only iterate until they
-  descend into it.
+  length. The residues for all n below a bound are precomputed into a
+  :class:`ResidueCache`, one uint8 per n; numbers above the bound only
+  iterate until they descend into it.
 
-The cache build and the vectorized descent above the bound share one
-kernel, :func:`_descend_residues`. It moves whole arrays of values k base
-steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
-3^c(r)*q + d(r) under ``pdcr``, and hands the rare lane that would outgrow
-uint64 or the step budget to the exact big-int descent.
+The cache build and the descent above the bound (:meth:`ResidueCache.descend`)
+share one kernel, :func:`_descend_residues`. It moves whole arrays of values k
+base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
+3^c(r)*q + d(r) under ``pdcr``, reads landing residues from the uint8 table,
+and hands the rare lane that would outgrow uint64 or the step budget to the
+exact big-int descent.
 
 The residue rule is derived engineering, so ``verify_range`` cross-checks
 the two routes; the test suite runs it over substantial ranges.
@@ -150,63 +151,54 @@ def classify_direct(
 
 
 class ResidueCache:
-    """Packed 2-bit stopping-time residues for every n below ``bound``.
+    """Stopping-time residues for every n below ``bound``, one uint8 per n.
 
     A ``cr``-basis cache stores the stopping time mod 3, a ``pdcr``-basis
-    cache the stopping time mod 2. Immutable once built; share it freely
-    across threads. Build with :func:`build_residue_cache`.
+    cache the stopping time mod 2. It wraps the build's own array, read-only
+    and uncopied; share it freely. Build with :func:`build_residue_cache`.
     """
 
-    __slots__ = ("basis", "bound", "modulus", "_packed")
+    __slots__ = ("basis", "bound", "modulus", "_residues")
 
-    def __init__(self, basis: MapKind, bound: int, packed: np.ndarray):
+    def __init__(self, basis: MapKind, bound: int, residues: np.ndarray):
         self.basis = basis
         self.bound = bound
         self.modulus = basis_modulus(basis)
-        packed.setflags(write=False)
-        self._packed = packed
+        residues.setflags(write=False)
+        self._residues = residues
 
     @property
     def nbytes(self) -> int:
-        return self._packed.nbytes
+        return self._residues.nbytes
 
     def entry(self, n: int) -> int:
         """Stopping-time residue of a single cached n."""
         if not 1 <= n < self.bound:
             raise ValueError(f"n={n} outside cache range [1, {self.bound})")
-        return int((self._packed[n >> 2] >> ((n & 3) << 1)) & 3)
+        return int(self._residues[n])
 
     def entries(self, ns: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`entry` for an array of cached n."""
         if ns.size and not (1 <= int(ns.min()) and int(ns.max()) < self.bound):
             raise ValueError(f"values outside cache range [1, {self.bound})")
-        idx = ns.astype(np.int64, copy=False)
-        shift = ((idx & 3) << 1).astype(np.uint8)
-        return (self._packed[idx >> 2] >> shift) & np.uint8(3)
+        return self._residues[ns.astype(np.int64, copy=False)]
+
+    def descend(self, starts: np.ndarray, max_steps: int) -> np.ndarray:
+        """Residues of an array of starts, all >= ``bound``, that descend
+        into the cache through :func:`_descend_residues`."""
+        return _descend_residues(self.basis, starts, self.bound, self._residues, max_steps)
 
     def __repr__(self) -> str:
         return f"ResidueCache(basis={self.basis.value}, bound={self.bound})"
 
 
-def _pack_residues(res: np.ndarray) -> np.ndarray:
-    pad = (-len(res)) % 4
-    if pad:
-        res = np.concatenate([res, np.zeros(pad, dtype=np.uint8)])
-    quads = res.reshape(-1, 4)
-    return (
-        quads[:, 0]
-        | (quads[:, 1] << 2)
-        | (quads[:, 2] << 4)
-        | (quads[:, 3] << 6)
-    ).astype(np.uint8)
-
-
-def _descend_scalar(basis, start, floor, scalar_entry, max_steps):
+def _descend_scalar(basis, start, floor, residues, max_steps):
     """Exact big-int descent of one start until it drops below ``floor``.
 
-    Counts base-map steps from ``start``: more than ``max_steps`` of them
-    raise :class:`StepBudgetExceeded`, a value beyond 128 bits raises
-    :class:`NatOverflowError`, both naming ``start``.
+    The uint8 array ``residues`` holds the residue of every v below
+    ``floor`` at index v. Counts base-map steps from ``start``: more than
+    ``max_steps`` of them raise :class:`StepBudgetExceeded`, a value beyond
+    128 bits raises :class:`NatOverflowError`, both naming ``start``.
     """
     step = step_function(basis)
     x = start
@@ -221,7 +213,7 @@ def _descend_scalar(basis, start, floor, scalar_entry, max_steps):
                 start, f"trajectory of {start} exceeded the 128-bit limit at value {e.n}"
             ) from None
         steps += 1
-    return (steps + scalar_entry(x)) % basis_modulus(basis)
+    return (steps + int(residues[x])) % basis_modulus(basis)
 
 
 @functools.cache
@@ -253,13 +245,13 @@ def _jump_tables(basis):
     return tables
 
 
-def _descend_residues(basis, starts, floor, vec_lookup, scalar_entry, max_steps):
+def _descend_residues(basis, starts, floor, residues, max_steps):
     """Stopping-time residues for an array of starts, all >= floor.
 
     Moves every start in lockstep by k ``pdcr`` steps at a time through
-    :func:`_jump_tables` until its value lands below ``floor``, where
-    ``vec_lookup`` supplies the residue of the landing value; each lane
-    carries the residue advance of its jumps. Residues stay additive even
+    :func:`_jump_tables` until its value v lands below ``floor``, then adds
+    ``residues[v]`` (a uint8 array covering [0, floor)) to the residue
+    advance the lane carried through its jumps. Residues stay additive even
     when a jump passes through 1, because the terminal cycle is as long as
     the modulus.
 
@@ -304,14 +296,14 @@ def _descend_residues(basis, starts, floor, vec_lookup, scalar_entry, max_steps)
             acc %= np.uint8(modulus)
         below = x < floor
         if below.any():
-            out[pos[below]] = (vec_lookup(x[below]) + acc[below]) % modulus
+            out[pos[below]] = (residues[x[below].view(np.int64)] + acc[below]) % modulus
             keep = ~below
             x, pos, acc = x[keep], pos[keep], acc[keep]
 
     if fallback:
         lanes = np.concatenate(fallback)
         for p in lanes[np.argsort(starts[lanes], kind="stable")]:
-            out[p] = _descend_scalar(basis, int(starts[p]), floor, scalar_entry, max_steps)
+            out[p] = _descend_scalar(basis, int(starts[p]), floor, residues, max_steps)
     return out
 
 
@@ -333,16 +325,9 @@ def build_residue_cache(
     a = 2
     while a < bound:
         b = min(bound, 2 * a, a + _MAX_BLOCK)
-        res[a:b] = _descend_residues(
-            basis,
-            np.arange(a, b, dtype=np.uint64),
-            floor=a,
-            vec_lookup=lambda v: res[v.view(np.int64)],
-            scalar_entry=lambda v: int(res[v]),
-            max_steps=max_steps,
-        )
+        res[a:b] = _descend_residues(basis, np.arange(a, b, dtype=np.uint64), a, res, max_steps)
         a = b
-    return ResidueCache(basis, bound, _pack_residues(res))
+    return ResidueCache(basis, bound, res)
 
 
 def classify_fast(
@@ -366,7 +351,7 @@ def classify_fast(
     if n < cache.bound:
         residue = cache.entry(n)
     else:
-        residue = _descend_scalar(basis, n, cache.bound, cache.entry, max_steps)
+        residue = _descend_scalar(basis, n, cache.bound, cache._residues, max_steps)
     return ClassificationOutcome(residue_to_label(map_kind, residue), None, "fast")
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -209,9 +212,23 @@ class TestRunCensus:
         config = CensusConfig(chunk_size=chunk_size, workers=workers)
         result = run_census(MapKind.CR3, 2000, config)
         assert counts_as_ints(result.counts.counts) == {1: 665, 2: 669, 4: 666}
+        points = run_series(MapKind.CR3, 2000, points=4, spacing="linear", config=config)
+        assert [p.s for p in points] == [500, 1000, 1500, 2000]
+        assert counts_as_ints(points[-1].counts) == {1: 665, 2: 669, 4: 666}
 
     def test_small_matrix_expectation_from_oracle(self):
         assert oracle_census(2000, "cr3") == {1: 665, 2: 669, 4: 666}
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_abort_names_first_failing_n_for_every_worker_count(self, workers):
+        # several chunks fail; the one collected first must be the lowest
+        config = CensusConfig(cache_bound=2**10, max_steps=150, chunk_size=1000, workers=workers)
+        named = set()
+        for _ in range(10):
+            with pytest.raises(CensusAbortError) as exc:
+                run_census(MapKind.CR3, 2 * 10**5, config)
+            named.add(exc.value.n)
+        assert named == {7023}
 
     def test_abort_propagates_from_build(self):
         with pytest.raises(CensusAbortError) as exc:
@@ -245,6 +262,101 @@ class TestRunCensus:
             run_census(MapKind.CR, 10)
 
 
+def record_chunks(monkeypatch, delay=0.0):
+    """Wrap census_chunk so every classified [lo, hi] is recorded."""
+    calls = []
+    exact = census_module.census_chunk
+
+    def recording(map_kind, lo, hi, *args):
+        calls.append((lo, hi))
+        time.sleep(delay)
+        return exact(map_kind, lo, hi, *args)
+
+    monkeypatch.setattr(census_module, "census_chunk", recording)
+    return calls
+
+
+class TestEngine:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_census_chunks_tile_from_resume_point(self, workers, tmp_path, monkeypatch):
+        path = tmp_path / "census.ckpt"
+        prefix = run_census(MapKind.CR3, 100).counts.counts
+        save_checkpoint(
+            Checkpoint(MapKind.CR3, 1000, 101, dict(prefix), 1001, "2026-01-01T00:00:00+00:00"),
+            path,
+        )
+        calls = record_chunks(monkeypatch)
+        config = CensusConfig(chunk_size=64, workers=workers)
+        result = run_census(MapKind.CR3, 1000, config, checkpoint_path=path, resume=True)
+        assert sorted(calls) == [(lo, min(lo + 63, 1000)) for lo in range(101, 1001, 64)]
+        assert counts_as_ints(result.counts.counts) == oracle_census(1000, "cr3")
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_series_chunks_cut_at_every_sample(self, workers, monkeypatch):
+        samples = census_module._series_samples(1000, 7, "log")
+        calls = record_chunks(monkeypatch)
+        config = CensusConfig(chunk_size=64, workers=workers)
+        points = run_series(MapKind.CR3, 1000, points=7, spacing="log", config=config)
+        calls.sort()
+        assert [lo for lo, _ in calls] == [1] + [hi + 1 for _, hi in calls[:-1]]
+        assert calls[-1][1] == 1000
+        for lo, hi in calls:
+            assert hi - lo < 64
+            assert not any(lo <= sample < hi for sample in samples)
+        assert [p.s for p in points] == samples
+        for point in points:
+            assert point.counts == run_census(MapKind.CR3, point.s).counts.counts
+
+    def test_failing_progress_cancels_and_joins_the_pool(self, monkeypatch):
+        class Interrupt(RuntimeError):
+            pass
+
+        def interrupt(done_through, target):
+            raise Interrupt
+
+        # slow chunks: the first result arrives while most of the window is queued
+        calls = record_chunks(monkeypatch, delay=0.05)
+        before = threading.active_count()
+        config = CensusConfig(chunk_size=100, workers=4, progress=interrupt)
+        with pytest.raises(Interrupt):
+            run_census(MapKind.CR3, 100_000, config)
+        assert threading.active_count() == before
+        assert len(calls) < 4 * 4  # the queued chunks were cancelled, not run
+
+
+_BAD_CONFIGS = [
+    {"chunk_size": 2.5},
+    {"chunk_size": True},
+    {"chunk_size": 0},
+    {"workers": 2.5},
+    {"workers": 0},
+    {"cache_bound": 2.5},
+    {"cache_bound": 1},
+    {"max_steps": -1},
+    {"max_steps": 1.5},
+    {"checkpoint_interval": "10"},
+    {"checkpoint_interval": -1.0},
+    {"checkpoint_interval": float("nan")},
+    {"progress": 5},
+]
+
+
+@pytest.mark.parametrize("route", ["census", "series"])
+@pytest.mark.parametrize("fields", _BAD_CONFIGS, ids=str)
+def test_bad_config_rejected_before_compute(route, fields, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("cache built before the config was checked")
+
+    monkeypatch.setattr(census_module, "build_residue_cache", no_build)
+    config = CensusConfig(**fields)
+    field = next(iter(fields))
+    with pytest.raises(ValueError, match="step budget" if field == "max_steps" else field):
+        if route == "census":
+            run_census(MapKind.CR3, 100, config)
+        else:
+            run_series(MapKind.CR3, 100, points=2, config=config)
+
+
 class TestCheckpointFile:
     def checkpoint(self):
         return Checkpoint(
@@ -264,6 +376,35 @@ class TestCheckpointFile:
     def test_write_failure_is_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_checkpoint(self.checkpoint(), tmp_path / "missing" / "census.ckpt")
+
+    def test_fsync_before_replace(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(src)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(census_module.os, "fsync", fsync)
+        monkeypatch.setattr(census_module.os, "replace", replace)
+        path = tmp_path / "census.ckpt"
+        save_checkpoint(self.checkpoint(), path)
+        assert events == ["fsync", ("replace", f"census.ckpt.{os.getpid()}.tmp")]
+        assert load_checkpoint(path) == self.checkpoint()
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_sync_or_rename_failure_is_checkpoint_error(self, failing, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(census_module.os, failing, fail)
+        with pytest.raises(CheckpointError, match="Input/output error"):
+            save_checkpoint(self.checkpoint(), tmp_path / "census.ckpt")
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no stray temp file
 
     def test_version_field(self, tmp_path):
         path = tmp_path / "census.ckpt"

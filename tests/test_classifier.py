@@ -165,7 +165,7 @@ class TestResidueCache:
 
     def test_immutable_after_build(self, cr_cache):
         with pytest.raises(ValueError):
-            cr_cache._packed[0] = 0
+            cr_cache._residues[0] = 0
 
     def test_sampled_entries_match_stopping_times(self, cr_cache, pdcr_cache):
         rng = random.Random(20260809)
@@ -279,12 +279,7 @@ def _steps_below(basis, n, floor):
 def _descend(basis, starts, floor, max_steps=DEFAULT_STEP_BUDGET):
     cache = build_residue_cache(basis, floor)
     return _descend_residues(
-        basis,
-        np.array(starts, dtype=np.uint64),
-        floor=floor,
-        vec_lookup=cache.entries,
-        scalar_entry=cache.entry,
-        max_steps=max_steps,
+        basis, np.array(starts, dtype=np.uint64), floor, cache._residues, max_steps
     )
 
 
@@ -346,12 +341,7 @@ class TestDescentKernel:
         monkeypatch.setattr(classifier, "_descend_scalar", no_fallback)
         starts = np.arange(2, 1001, dtype=np.uint64)
         residues = _descend_residues(
-            basis,
-            starts,
-            floor=2,
-            vec_lookup=lambda v: np.zeros(len(v), dtype=np.uint8),
-            scalar_entry=lambda v: 0,
-            max_steps=DEFAULT_STEP_BUDGET,
+            basis, starts, 2, np.zeros(2, dtype=np.uint8), DEFAULT_STEP_BUDGET
         )
         assert residues.tolist() == [
             stopping_time(basis, n).residue for n in range(2, 1001)
