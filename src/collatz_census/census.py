@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .classifier import (
+    _U64_LIMIT,
     ClassLabel,
     ResidueCache,
     basis_for,
@@ -51,7 +52,6 @@ from .kernel import (
 CHECKPOINT_VERSION = 1
 
 _VECTOR_SPAN = 1 << 20  # cap on arange size inside a chunk
-_U64_LIMIT = 2**64      # members at or above this bypass the vector sweep
 
 
 class CensusAbortError(RuntimeError):

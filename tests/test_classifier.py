@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -22,7 +23,7 @@ from collatz_census import (
     verify_range,
 )
 from collatz_census import classifier
-from collatz_census.classifier import _descend_residues
+from collatz_census.classifier import _descend_residues, _direct_block
 from oracles import oracle_label, oracle_step, oracle_stopping
 
 
@@ -265,6 +266,118 @@ class TestVerifyRange:
     def test_failing_member_is_reported(self, cr_cache):
         # a budget every member blows through turns the whole range into mismatches
         assert verify_range(MapKind.CR3, 27, 27, cr_cache, max_steps=0) == [27]
+
+    def test_rejects_cache_of_other_basis(self, pdcr_cache):
+        with pytest.raises(ValueError, match="basis"):
+            verify_range(MapKind.CR3, 1, 10, pdcr_cache)
+
+    def test_reports_a_wrong_census_residue(self, monkeypatch):
+        # the fast side is the census's own descent: corrupting it must show
+        cache = build_residue_cache(MapKind.CR, 1 << 10)
+        descend = classifier.ResidueCache.descend
+
+        def corrupted(self, starts, max_steps):
+            out = descend(self, starts, max_steps).copy()
+            out[starts == 5000] += 1
+            return out % self.modulus
+
+        monkeypatch.setattr(classifier.ResidueCache, "descend", corrupted)
+        assert verify_range(MapKind.CR3, 4000, 6000, cache) == [5000]
+
+
+def _verify_range_scalar(map_kind, lo, hi, cache, max_steps=DEFAULT_STEP_BUDGET):
+    """The per-n loop ``verify_range`` replaced, kept as its reference."""
+    mismatches = []
+    for n in range(lo, hi + 1):
+        try:
+            fast = classify_fast(map_kind, n, cache, max_steps)
+            direct = classify_direct(map_kind, n, max_steps)
+        except (NatOverflowError, StepBudgetExceeded):
+            mismatches.append(n)
+            continue
+        if fast.label is not direct.label:
+            mismatches.append(n)
+    return mismatches
+
+
+@functools.cache
+def _cache(basis, bound):
+    return build_residue_cache(basis, bound)
+
+
+_U64_ODD_STEP_MAX = (2**64 - 2) // 3
+
+
+class TestVerifyRangeMatchesScalarLoop:
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("bound", [2, 17, 1 << 10])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (1, 3000),
+            (2**63 - 40, 2**63 + 40),
+            (_U64_ODD_STEP_MAX - 30, _U64_ODD_STEP_MAX + 30),  # uint64 odd-step guard
+            (2**64 - 60, 2**64 + 20),  # straddles uint64
+            (2**100, 2**100 + 5),
+        ],
+        ids=["small", "2^63", "odd-step-guard", "straddles-2^64", "2^100"],
+    )
+    def test_grid(self, map_kind, bound, lo, hi):
+        cache = _cache(classifier.basis_for(map_kind), bound)
+        for budget in (0, 1, 3, 10, 40, 60, 150, DEFAULT_STEP_BUDGET):
+            expected = _verify_range_scalar(map_kind, lo, hi, cache, budget)
+            assert verify_range(map_kind, lo, hi, cache, budget) == expected, budget
+
+    def test_direct_budget_boundary(self):
+        # the cache covers 27, so only the direct route's budget can fail
+        cache = _cache(MapKind.CR, 1 << 10)
+        t = classify_direct(MapKind.CR3, 27).composite_steps
+        for budget, expected in ((t - 1, [27]), (t, []), (t + 1, [])):
+            assert _verify_range_scalar(MapKind.CR3, 27, 27, cache, budget) == expected
+            assert verify_range(MapKind.CR3, 27, 27, cache, budget) == expected
+
+
+class TestDirectBlock:
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_matches_oracle_without_any_cache(self, map_kind, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the direct route used the fast route's machinery")
+
+        for name in (
+            "ResidueCache",
+            "build_residue_cache",
+            "_jump_tables",
+            "_descend_residues",
+            "_descend_scalar",
+            "residue_to_label",
+            "classify_fast",
+        ):
+            monkeypatch.setattr(classifier, name, forbidden)
+        starts = np.arange(1, 20_001, dtype=np.uint64)
+        labels = _direct_block(map_kind, starts, DEFAULT_STEP_BUDGET)
+        assert labels.tolist() == [oracle_label(n, map_kind.value) for n in range(1, 20_001)]
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_verify_through_cache_descent(self, map_kind):
+        cache = _cache(classifier.basis_for(map_kind), 1 << 10)
+        assert verify_range(map_kind, 1, 50_000, cache) == []
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("budget", [2.5, True, -1, "x", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: classify_direct(MapKind.CR3, 5, max_steps=b),
+            lambda b: classify_fast(MapKind.CR3, 5, _cache(MapKind.CR, 16), max_steps=b),
+            lambda b: build_residue_cache(MapKind.CR, 16, max_steps=b),
+            lambda b: verify_range(MapKind.CR3, 1, 10, _cache(MapKind.CR, 16), max_steps=b),
+        ],
+        ids=["classify_direct", "classify_fast", "build_residue_cache", "verify_range"],
+    )
+    def test_rejected_before_compute(self, call, budget):
+        with pytest.raises(ValueError, match="step budget"):
+            call(budget)
 
 
 def _steps_below(basis, n, floor):
