@@ -1,9 +1,10 @@
 """Exhaustive class censuses over [1, S].
 
 A census counts, for every class of a composite map, how many n in [1, S]
-belong to it. The range is cut into fixed-size chunks, chunks are classified
-on a pool of worker threads against a shared read-only residue cache, and
-the per-chunk counts are merged in ascending range order. Counting is exact
+belong to it. The residue cache is built on a pool of worker threads, the
+range is cut into fixed-size chunks, chunks are classified on the same pool
+against the shared read-only cache, and the per-chunk counts are merged in
+ascending range order. Counting is exact
 integer arithmetic, so the result is identical for every chunk size and
 worker count.
 
@@ -156,9 +157,9 @@ def census_chunk(
 ) -> ClassCounts:
     """Classify every n in [lo, hi] and tally the classes.
 
-    Members below the cache bound are table lookups; the rest descend into
-    the cache in a vectorized sweep. Any member that fails aborts the chunk
-    with the offending n.
+    Members below the cache bound are counted straight from a slice of the
+    cache; the rest descend into the cache in a vectorized sweep. Any member
+    that fails aborts the chunk with the offending n.
     """
     labels = labels_for(map_kind)
     basis = basis_for(map_kind)
@@ -173,21 +174,19 @@ def census_chunk(
 
     modulus = cache.modulus
     residue_totals = np.zeros(modulus, dtype=np.int64)
+    cached_hi = min(hi + 1, cache.bound)
+    if lo < cached_hi:
+        residue_totals += cache.tally(lo, cached_hi)
     vector_hi = min(hi, _U64_LIMIT - 1)
-    for a in range(lo, vector_hi + 1, _VECTOR_SPAN):
+    for a in range(max(lo, cache.bound), vector_hi + 1, _VECTOR_SPAN):
         b = min(vector_hi, a + _VECTOR_SPAN - 1)
         # built as offset + iota: an arange stop of exactly 2**64 would not fit
         ns = np.uint64(a) + np.arange(b - a + 1, dtype=np.uint64)
-        cached = ns < cache.bound
-        if cached.any():
-            residues = cache.entries(ns[cached])
-            residue_totals += np.bincount(residues, minlength=modulus)
-        if not cached.all():
-            try:
-                residues = cache.descend(ns[~cached], max_steps)
-            except (NatOverflowError, StepBudgetExceeded) as e:
-                raise CensusAbortError(e.n, e) from e
-            residue_totals += np.bincount(residues, minlength=modulus)
+        try:
+            residues = cache.descend(ns, max_steps)
+        except (NatOverflowError, StepBudgetExceeded) as e:
+            raise CensusAbortError(e.n, e) from e
+        residue_totals += np.bincount(residues, minlength=modulus)
     # members beyond uint64 range classify one by one in exact arithmetic
     for n in range(max(lo, _U64_LIMIT), hi + 1):
         try:
@@ -411,18 +410,16 @@ def _utc_now() -> str:
 def _tally(map_kind, config, workers, bound, start, cuts, absorb) -> None:
     """The ordered-absorb engine under :func:`run_census` and :func:`run_series`.
 
-    Builds the cache below ``bound``, then classifies [start, cuts[-1]] on
-    ``workers`` threads in lazily generated chunks that end at or before
-    each cut, and hands their counts to ``absorb`` in range order. At most
-    4 x ``workers`` chunks are in flight and the oldest is collected first,
-    so an abort names the same n for every worker count. Any error
-    cancels the queued chunks and joins the pool before it propagates.
+    Builds the cache below ``bound`` on a pool of ``workers`` threads, then
+    classifies [start, cuts[-1]] on the same pool in lazily generated chunks
+    that end at or before each cut, and hands their counts to ``absorb`` in
+    range order. At most 4 x ``workers`` chunks are in flight and the oldest
+    is collected first, so an abort names the same n for every worker
+    count. Any error cancels the queued work and joins the pool before it
+    propagates. With nothing left to classify it builds nothing.
     """
-    try:
-        cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
-    except (NatOverflowError, StepBudgetExceeded) as e:
-        raise CensusAbortError(e.n, e) from e
-
+    if start > cuts[-1]:
+        return
     size = config.chunk_size
     chunks = (
         (lo, min(lo + size - 1, cut))
@@ -431,6 +428,12 @@ def _tally(map_kind, config, workers, bound, start, cuts, absorb) -> None:
     )
     in_flight = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            cache = build_residue_cache(
+                basis_for(map_kind), bound, config.max_steps, pool=pool
+            )
+        except (NatOverflowError, StepBudgetExceeded) as e:
+            raise CensusAbortError(e.n, e) from e
         try:
             for lo, hi in chunks:
                 in_flight.append(

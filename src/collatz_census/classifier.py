@@ -19,7 +19,10 @@ share one kernel, :func:`_descend_residues`. It moves whole arrays of values k
 base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
 3^c(r)*q + d(r) under ``pdcr``, reads landing residues from the uint8 table,
 and hands the rare lane that would outgrow uint64 or the step budget to the
-exact big-int descent.
+exact big-int descent. The build cuts each of its blocks into pieces that
+share the block's floor and may run on any ``concurrent.futures`` executor
+passed as ``pool``: the pieces read only entries already built and write
+disjoint slices, so the cache is the same with or without a pool.
 
 The residue rule is derived engineering, so ``verify_range`` cross-checks
 the two routes in blocks of at most 2^14 numbers. Its direct side,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +61,9 @@ from .kernel import (
 # fall below a floor of 2.
 _JUMP_BITS = 13
 _MAX_BLOCK = 1 << 20       # cap on vector block length
+# lanes per cache-build piece: 2^18 measured +7.5% peak RSS on a census with
+# a 2^20 cache bound, 2^16 a slower census 10^7
+_BUILD_PIECE = 1 << 17
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
 _U64_LIMIT = 2**64         # members at or above this bypass the vector blocks
@@ -197,6 +204,12 @@ class ResidueCache:
             raise ValueError(f"values outside cache range [1, {self.bound})")
         return self._residues[ns.astype(np.int64, copy=False)]
 
+    def tally(self, lo: int, hi: int) -> np.ndarray:
+        """How many n in [lo, hi), all cached, have each residue 0, 1, ..."""
+        if not 1 <= lo <= hi <= self.bound:
+            raise ValueError(f"[{lo}, {hi}) outside cache range [1, {self.bound})")
+        return np.bincount(self._residues[lo:hi], minlength=self.modulus)
+
     def descend(self, starts: np.ndarray, max_steps: int) -> np.ndarray:
         """Residues of an array of starts, all >= ``bound``, that descend
         into the cache through :func:`_descend_residues`."""
@@ -322,7 +335,11 @@ def _descend_residues(basis, starts, floor, residues, max_steps):
 
 
 def build_residue_cache(
-    basis: MapKind, bound: int, max_steps: int = DEFAULT_STEP_BUDGET
+    basis: MapKind,
+    bound: int,
+    max_steps: int = DEFAULT_STEP_BUDGET,
+    *,
+    pool: Executor | None = None,
 ) -> ResidueCache:
     """Precompute stopping-time residues for every n in [1, bound).
 
@@ -331,16 +348,40 @@ def build_residue_cache(
     into already-computed territory, then extends that entry by the steps
     taken (the stopping time is additive along a trajectory). Trajectories
     are free to climb far above ``bound`` in the process.
+
+    Each block is cut into pieces of at most ``_BUILD_PIECE`` lanes that
+    share the block's floor a. The pieces of a block read only entries below
+    a and write disjoint slices, so they run on ``pool`` when one is given
+    (inline otherwise) and the residues do not depend on the pool. They are
+    collected in ascending order, so a budget or overflow error names the
+    same start as a serial build: the smallest failing one.
     """
     basis_modulus(basis)  # validates the basis
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 2:
         raise ValueError(f"cache bound must be an integer >= 2, got {bound!r}")
     _validate_budget(max_steps)
     res = np.zeros(bound, dtype=np.uint8)
+
+    def piece(lo, hi, floor):
+        starts = np.arange(lo, hi, dtype=np.uint64)
+        res[lo:hi] = _descend_residues(basis, starts, floor, res, max_steps)
+
     a = 2
     while a < bound:
         b = min(bound, 2 * a, a + _MAX_BLOCK)
-        res[a:b] = _descend_residues(basis, np.arange(a, b, dtype=np.uint64), a, res, max_steps)
+        pieces = [(lo, min(b, lo + _BUILD_PIECE), a) for lo in range(a, b, _BUILD_PIECE)]
+        if pool is None:
+            for args in pieces:
+                piece(*args)
+        else:
+            futures = [pool.submit(piece, *args) for args in pieces]
+            try:
+                for fut in futures:
+                    fut.result()
+            except BaseException:
+                for fut in futures:
+                    fut.cancel()
+                raise
         a = b
     return ResidueCache(basis, bound, res)
 

@@ -230,6 +230,18 @@ class TestRunCensus:
             named.add(exc.value.n)
         assert named == {7023}
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_build_abort_names_the_serial_start_and_joins_the_pool(self, workers, monkeypatch):
+        # 64-lane pieces: the failing block runs as many pieces on the pool
+        monkeypatch.setattr(classifier, "_BUILD_PIECE", 64)
+        config = CensusConfig(max_steps=150, workers=workers)
+        before = threading.active_count()
+        for _ in range(5):
+            with pytest.raises(CensusAbortError) as exc:
+                run_census(MapKind.CR3, 2 * 10**5, config)
+            assert exc.value.n == 10087
+            assert threading.active_count() == before
+
     def test_abort_propagates_from_build(self):
         with pytest.raises(CensusAbortError) as exc:
             run_census(MapKind.CR3, 100, CensusConfig(max_steps=5))
@@ -504,6 +516,25 @@ class TestResume:
         first = run_census(MapKind.CR3, 100, checkpoint_path=path)
         again = run_census(MapKind.CR3, 100, checkpoint_path=path, resume=True)
         assert again.counts == first.counts
+
+
+    def test_resume_from_complete_checkpoint_builds_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "census.ckpt"
+        first = run_census(MapKind.CR3, 100, checkpoint_path=path)
+        os.remove(path)
+        save_checkpoint(
+            Checkpoint(MapKind.CR3, 100, 101, dict(first.counts.counts), 101, "then"), path
+        )
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("cache built with nothing left to classify")
+
+        monkeypatch.setattr(census_module, "build_residue_cache", no_build)
+        again = run_census(MapKind.CR3, 100, checkpoint_path=path, resume=True)
+        assert again.counts == first.counts
+        saved = load_checkpoint(path)
+        assert saved.next_n == 101
+        assert saved.created_at != "then"  # the final checkpoint was written
 
 
 class TestRunSeries:

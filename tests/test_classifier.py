@@ -1,5 +1,7 @@
 import functools
 import random
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -163,6 +165,17 @@ class TestResidueCache:
     def test_vector_gather_range_checked(self, cr_cache):
         with pytest.raises(ValueError):
             cr_cache.entries(np.array([cr_cache.bound], dtype=np.uint64))
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, 1 << 16), (777, 40_001)])
+    def test_tally_counts_a_slice(self, lo, hi, cr_cache):
+        ns = np.arange(lo, hi, dtype=np.uint64)
+        expected = np.bincount(cr_cache.entries(ns), minlength=3)
+        assert cr_cache.tally(lo, hi).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 10), (10, 9), (1, (1 << 16) + 1)])
+    def test_tally_range_checked(self, lo, hi, cr_cache):
+        with pytest.raises(ValueError):
+            cr_cache.tally(lo, hi)
 
     def test_immutable_after_build(self, cr_cache):
         with pytest.raises(ValueError):
@@ -459,3 +472,94 @@ class TestDescentKernel:
         assert residues.tolist() == [
             stopping_time(basis, n).residue for n in range(2, 1001)
         ]
+
+
+def _unpieced_build(basis, bound):
+    """Residues built one whole block at a time: the build before it was cut
+    into pieces."""
+    res = np.zeros(bound, dtype=np.uint8)
+    a = 2
+    while a < bound:
+        b = min(bound, 2 * a, a + classifier._MAX_BLOCK)
+        starts = np.arange(a, b, dtype=np.uint64)
+        res[a:b] = _descend_residues(basis, starts, a, res, DEFAULT_STEP_BUDGET)
+        a = b
+    return res
+
+
+class TestPooledBuild:
+    @pytest.mark.parametrize(
+        "basis, bound, piece",
+        [
+            (MapKind.CR, 2**21 + 12345, None),
+            (MapKind.PDCR, 2**21 + 12345, None),
+            (MapKind.CR, 2**21 + 12345, 1000),
+            (MapKind.PDCR, 2**21 + 12345, 1000),
+            (MapKind.CR, 2 * 10**5 + 17, 64),
+            (MapKind.PDCR, 2 * 10**5 + 17, 64),
+        ],
+    )
+    def test_residues_independent_of_pool_and_piece(self, basis, bound, piece, monkeypatch):
+        if piece is not None:
+            monkeypatch.setattr(classifier, "_BUILD_PIECE", piece)
+        expected = _unpieced_build(basis, bound)
+        assert np.array_equal(build_residue_cache(basis, bound)._residues, expected)
+        for workers in (1, 2, 8):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                cache = build_residue_cache(basis, bound, pool=pool)
+            assert np.array_equal(cache._residues, expected), workers
+
+    @pytest.mark.parametrize(
+        "basis, budget, first_failing",
+        [
+            (MapKind.CR, 100, 27),
+            (MapKind.CR, 150, 10087),
+            (MapKind.PDCR, 60, 27),
+            (MapKind.PDCR, 90, 10087),
+        ],
+    )
+    def test_budget_error_names_the_serial_start(self, basis, budget, first_failing, monkeypatch):
+        monkeypatch.setattr(classifier, "_BUILD_PIECE", 64)
+        with pytest.raises(StepBudgetExceeded) as exc:
+            build_residue_cache(basis, 2 * 10**5, budget)
+        assert exc.value.n == first_failing
+        for workers in (1, 2, 8):
+            named = set()
+            for _ in range(10):
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    with pytest.raises(StepBudgetExceeded) as exc:
+                        build_residue_cache(basis, 2 * 10**5, budget, pool=pool)
+                named.add(exc.value.n)
+            assert named == {first_failing}, workers
+
+    def _slowed_pieces(self, monkeypatch, delay_of):
+        """Run each build piece after ``delay_of(first start)`` seconds and
+        record its first start."""
+        monkeypatch.setattr(classifier, "_BUILD_PIECE", 64)
+        exact = classifier._descend_residues
+        firsts = []
+
+        def slowed(basis, starts, *args):
+            firsts.append(int(starts[0]))
+            time.sleep(delay_of(int(starts[0])))
+            return exact(basis, starts, *args)
+
+        monkeypatch.setattr(classifier, "_descend_residues", slowed)
+        return firsts
+
+    def test_a_slow_early_failing_piece_is_still_the_one_named(self, monkeypatch):
+        # 10087, 13449 and 15131 fail in block [8192, 16384); the piece
+        # holding 10087 finishes last, yet it is collected first
+        self._slowed_pieces(monkeypatch, lambda lo: 0.3 if lo <= 10087 < lo + 64 else 0.0)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            with pytest.raises(StepBudgetExceeded) as exc:
+                build_residue_cache(MapKind.CR, 2 * 10**5, 150, pool=pool)
+        assert exc.value.n == 10087
+
+    def test_a_failing_piece_cancels_the_queued_ones(self, monkeypatch):
+        firsts = self._slowed_pieces(monkeypatch, lambda lo: 0.01 if lo >= 8192 else 0.0)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(StepBudgetExceeded):
+                build_residue_cache(MapKind.CR, 2 * 10**5, 150, pool=pool)
+        # block [8192, 16384) has 128 pieces; the failing one is the 30th
+        assert len([lo for lo in firsts if lo >= 8192]) < 64
