@@ -1,12 +1,11 @@
 """Exhaustive class censuses over [1, S].
 
 A census counts, for every class of a composite map, how many n in [1, S]
-belong to it. The residue cache is built on a pool of worker threads, the
-range is cut into fixed-size chunks, chunks are classified on the same pool
-against the shared read-only cache, and the per-chunk counts are merged in
-ascending range order. Counting is exact
-integer arithmetic, so the result is identical for every chunk size and
-worker count.
+belong to it. The residue cache is built first, serially; then the range
+is cut into fixed-size chunks, chunks are classified on a pool of worker
+threads against the shared read-only cache, and the per-chunk counts are
+merged in ascending range order. Counting is exact integer arithmetic, so
+the result is identical for every chunk size and worker count.
 
 ``run_census`` and ``run_series`` share that engine: a series is a census
 whose sample points are forced chunk cuts.
@@ -410,13 +409,14 @@ def _utc_now() -> str:
 def _tally(map_kind, config, workers, bound, start, cuts, absorb) -> None:
     """The ordered-absorb engine under :func:`run_census` and :func:`run_series`.
 
-    Builds the cache below ``bound`` on a pool of ``workers`` threads, then
-    classifies [start, cuts[-1]] on the same pool in lazily generated chunks
-    that end at or before each cut, and hands their counts to ``absorb`` in
-    range order. At most 4 x ``workers`` chunks are in flight and the oldest
-    is collected first, so an abort names the same n for every worker
-    count. Any error cancels the queued work and joins the pool before it
-    propagates. With nothing left to classify it builds nothing.
+    Builds the cache below ``bound``, then opens a pool of ``workers``
+    threads and classifies [start, cuts[-1]] on it in lazily generated
+    chunks that end at or before each cut, handing their counts to
+    ``absorb`` in range order. A build abort therefore leaves no pool
+    behind. At most 4 x ``workers`` chunks are in flight and the oldest is
+    collected first, so an abort names the same n for every worker count.
+    Any error in the tally cancels the queued chunks and joins the pool
+    before it propagates. With nothing left to classify it builds nothing.
     """
     if start > cuts[-1]:
         return
@@ -426,14 +426,12 @@ def _tally(map_kind, config, workers, bound, start, cuts, absorb) -> None:
         for first, cut in zip([start, *(c + 1 for c in cuts)], cuts)
         for lo in range(first, cut + 1, size)
     )
+    try:
+        cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
+    except (NatOverflowError, StepBudgetExceeded) as e:
+        raise CensusAbortError(e.n, e) from e
     in_flight = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            cache = build_residue_cache(
-                basis_for(map_kind), bound, config.max_steps, pool=pool
-            )
-        except (NatOverflowError, StepBudgetExceeded) as e:
-            raise CensusAbortError(e.n, e) from e
         try:
             for lo, hi in chunks:
                 in_flight.append(

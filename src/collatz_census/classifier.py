@@ -19,10 +19,12 @@ share one kernel, :func:`_descend_residues`. It moves whole arrays of values k
 base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
 3^c(r)*q + d(r) under ``pdcr``, reads landing residues from the uint8 table,
 and hands the rare lane that would outgrow uint64 or the step budget to the
-exact big-int descent. The build cuts each of its blocks into pieces that
-share the block's floor and may run on any ``concurrent.futures`` executor
-passed as ``pool``: the pieces read only entries already built and write
-disjoint slices, so the cache is the same with or without a pool.
+exact big-int descent. The build runs serially and sends the kernel only
+what a residue-class sieve over the same Terras coefficients leaves: with
+s = ``_SIEVE_BITS``, a class of lanes 2^s*q + r whose landings after
+j <= s ``pdcr`` steps all fall below the block floor, within the step
+budget, is written as one strided slice of the entries it lands on, with
+no per-lane arithmetic.
 
 The residue rule is derived engineering, so ``verify_range`` cross-checks
 the two routes in blocks of at most 2^14 numbers. Its direct side,
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,8 @@ from .kernel import (
 # with an even count a lane sitting on 2 would land on 2 forever and never
 # fall below a floor of 2.
 _JUMP_BITS = 13
-_MAX_BLOCK = 1 << 20       # cap on vector block length
-# lanes per cache-build piece: 2^18 measured +7.5% peak RSS on a census with
-# a 2^20 cache bound, 2^16 a slower census 10^7
-_BUILD_PIECE = 1 << 17
+_MAX_BLOCK = 1 << 19       # cap on cache-build block length
+_SIEVE_BITS = 6            # the cache build sieves residue classes mod 2^6
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
 _U64_LIMIT = 2**64         # members at or above this bypass the vector blocks
@@ -243,6 +242,35 @@ def _descend_scalar(basis, start, floor, residues, max_steps):
     return (steps + int(residues[x])) % basis_modulus(basis)
 
 
+def _terras(k, j):
+    """T^j(r) and c_j(r) for every r in [0, 2^k), for j <= k.
+
+    T is ``pdcr``; c_j(r) counts the odd steps among the first j. The first
+    j parities of 2^k*q + r are those of r, so T^j(2^k*q + r) =
+    3^c_j(r) * 2^(k-j) * q + T^j(r).
+    """
+    one = np.uint64(1)
+    x = np.arange(1 << k, dtype=np.uint64)
+    odd_steps = np.zeros(1 << k, dtype=np.int64)
+    for _ in range(j):
+        odd = (x & one).astype(bool)
+        x = np.where(odd, (np.uint64(3) * x + one) >> one, x >> one)
+        odd_steps += odd
+    return x, odd_steps
+
+
+def _base_steps(basis, j, odd_steps):
+    """Base-map steps in j ``pdcr`` steps with ``odd_steps`` odd ones: each
+    odd ``pdcr`` step is 3x+1 and a halving under ``cr``."""
+    return j + odd_steps * (basis is MapKind.CR)
+
+
+def _frozen(*tables):
+    for t in tables:  # shared by every caller and thread
+        t.setflags(write=False)
+    return tables
+
+
 @functools.cache
 def _jump_tables(basis):
     """Terras' k-step tables for one basis, indexed by r in [0, 2^k).
@@ -251,25 +279,36 @@ def _jump_tables(basis):
     3^c(r)*q + d(r), where c(r) counts the odd steps among them. Returns
     ``mult`` (3^c(r)), ``add`` (d(r)), ``limit`` (the largest q for which the
     result still fits in uint64) and ``advance``: the residue advance of the
-    jump, k + c(r) mod 3 for ``cr`` (each odd ``pdcr`` step is 3x+1 and a
-    halving) or k mod 2 for ``pdcr``. Built on first use.
+    jump, k + c(r) mod 3 for ``cr`` or k mod 2 for ``pdcr``. Built on first
+    use.
     """
-    modulus = basis_modulus(basis)
     k = _JUMP_BITS
-    one = np.uint64(1)
-    add = np.arange(1 << k, dtype=np.uint64)
-    odd_steps = np.zeros(1 << k, dtype=np.int64)
-    for _ in range(k):
-        odd = (add & one).astype(bool)
-        add = np.where(odd, (np.uint64(3) * add + one) >> one, add >> one)
-        odd_steps += odd
+    add, odd_steps = _terras(k, k)
     mult = np.uint64(3) ** odd_steps.astype(np.uint64)
     limit = (np.uint64(2**64 - 1) - add) // mult
-    steps = k + odd_steps if basis is MapKind.CR else np.full(1 << k, k)
-    tables = (mult, add, limit, (steps % modulus).astype(np.uint8))
-    for t in tables:  # shared by every caller and thread
-        t.setflags(write=False)
-    return tables
+    advance = _base_steps(basis, k, odd_steps) % basis_modulus(basis)
+    return _frozen(mult, add, limit, advance.astype(np.uint8))
+
+
+@functools.cache
+def _sieve_tables(basis):
+    """Residue-class tables for the cache build, indexed [j, r] for
+    j in [0, k] and r in [0, 2^k), k = ``_SIEVE_BITS``.
+
+    j ``pdcr`` steps send 2^k*q + r to ``stride``*q + ``landing``, with
+    ``stride`` = 3^c_j(r) * 2^(k-j) and ``landing`` = T^j(r). ``cost`` is the
+    number of base-map steps they take and ``advance`` the residue advance,
+    ``cost`` mod the basis modulus. Built on first use.
+    """
+    k = _SIEVE_BITS
+    rows = [_terras(k, j) for j in range(k + 1)]
+    xs = np.stack([x for x, _ in rows])
+    odds = np.stack([c for _, c in rows])
+    j = np.arange(k + 1)[:, None]
+    stride = 3**odds * (1 << (k - j))
+    cost = _base_steps(basis, j, odds).astype(np.int64)
+    advance = (cost % basis_modulus(basis)).astype(np.uint8)
+    return _frozen(stride, xs.astype(np.int64), cost, advance)
 
 
 def _descend_residues(basis, starts, floor, residues, max_steps):
@@ -335,53 +374,64 @@ def _descend_residues(basis, starts, floor, residues, max_steps):
 
 
 def build_residue_cache(
-    basis: MapKind,
-    bound: int,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-    *,
-    pool: Executor | None = None,
+    basis: MapKind, bound: int, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> ResidueCache:
     """Precompute stopping-time residues for every n in [1, bound).
 
-    Built in ascending blocks [a, b) with b <= 2a: each entry descends
-    through :func:`_descend_residues` only until its value drops below a,
-    into already-computed territory, then extends that entry by the steps
-    taken (the stopping time is additive along a trajectory). Trajectories
-    are free to climb far above ``bound`` in the process.
+    Built in ascending blocks [a, b) with b <= 2a: each entry descends only
+    until its value drops below a, into already-computed territory, then
+    extends that entry by the steps taken (the stopping time is additive
+    along a trajectory). Trajectories are free to climb far above ``bound``
+    in the process.
 
-    Each block is cut into pieces of at most ``_BUILD_PIECE`` lanes that
-    share the block's floor a. The pieces of a block read only entries below
-    a and write disjoint slices, so they run on ``pool`` when one is given
-    (inline otherwise) and the residues do not depend on the pool. They are
-    collected in ascending order, so a budget or overflow error names the
-    same start as a serial build: the smallest failing one.
+    A block is filled by residue class r mod M = 2^k, k = ``_SIEVE_BITS``
+    (:func:`_sieve_tables`). The lanes M*q + r of a class share their first
+    k parities, so after j <= k ``pdcr`` steps they land on the arithmetic
+    progression stride*q + landing. If the largest landing of the class in
+    the block is below a for some j whose base-step cost is within
+    ``max_steps``, the smallest such j writes the whole class as one strided
+    slice of the entries it lands on, plus the residue advance. Every other
+    lane goes through :func:`_descend_residues` with floor a, in ascending
+    order. A sieved lane falls below a within ``max_steps`` steps, so the
+    kernel would accept it with the same residue: the residues, and the
+    start a budget or overflow error names (the smallest failing one), are
+    those of a build that sends every lane through the kernel.
     """
-    basis_modulus(basis)  # validates the basis
+    modulus = basis_modulus(basis)  # validates the basis
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 2:
         raise ValueError(f"cache bound must be an integer >= 2, got {bound!r}")
     _validate_budget(max_steps)
+    stride, landing, cost, advance = _sieve_tables(basis)
+    m = 1 << _SIEVE_BITS
+    classes = np.arange(m)
+    within_budget = cost <= max_steps
     res = np.zeros(bound, dtype=np.uint8)
-
-    def piece(lo, hi, floor):
-        starts = np.arange(lo, hi, dtype=np.uint64)
-        res[lo:hi] = _descend_residues(basis, starts, floor, res, max_steps)
-
     a = 2
     while a < bound:
         b = min(bound, 2 * a, a + _MAX_BLOCK)
-        pieces = [(lo, min(b, lo + _BUILD_PIECE), a) for lo in range(a, b, _BUILD_PIECE)]
-        if pool is None:
-            for args in pieces:
-                piece(*args)
-        else:
-            futures = [pool.submit(piece, *args) for args in pieces]
-            try:
-                for fut in futures:
-                    fut.result()
-            except BaseException:
-                for fut in futures:
-                    fut.cancel()
-                raise
+        q0 = (a - classes + m - 1) // m  # first lane of class r is m*q0 + r
+        q1 = (b - 1 - classes) // m  # last lane
+        top = stride * q1 + landing  # each class's largest landing after j steps
+        fits = (top < a) & within_budget & (q0 <= q1)
+        j = fits.argmax(axis=0)
+        sieved = fits[j, classes]
+        r = classes[sieved]
+        j, q0, q1 = j[sieved], q0[sieved], q1[sieved]
+        s, d = stride[j, r], landing[j, r]
+        for first, lo, hi, step, adv in zip(
+            (m * q0 + r).tolist(),
+            (s * q0 + d).tolist(),
+            (s * q1 + d + 1).tolist(),
+            s.tolist(),
+            advance[j, r].tolist(),
+        ):
+            # (v + adv) mod modulus; uint8 v - modulus wraps high when v < modulus
+            v = res[lo:hi:step] + adv
+            res[first:b:m] = np.minimum(v, v - modulus)
+        rest = classes[~sieved]
+        lanes = (m * np.arange(a // m, (b - 1) // m + 1)[:, None] + rest).ravel()
+        lanes = lanes[(lanes >= a) & (lanes < b)]
+        res[lanes] = _descend_residues(basis, lanes.astype(np.uint64), a, res, max_steps)
         a = b
     return ResidueCache(basis, bound, res)
 

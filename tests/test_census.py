@@ -231,9 +231,8 @@ class TestRunCensus:
         assert named == {7023}
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_build_abort_names_the_serial_start_and_joins_the_pool(self, workers, monkeypatch):
-        # 64-lane pieces: the failing block runs as many pieces on the pool
-        monkeypatch.setattr(classifier, "_BUILD_PIECE", 64)
+    def test_build_abort_names_the_serial_start_and_joins_the_pool(self, workers):
+        # the build runs before the pool opens, so an abort leaves no thread behind
         config = CensusConfig(max_steps=150, workers=workers)
         before = threading.active_count()
         for _ in range(5):
@@ -241,6 +240,24 @@ class TestRunCensus:
                 run_census(MapKind.CR3, 2 * 10**5, config)
             assert exc.value.n == 10087
             assert threading.active_count() == before
+
+    def test_cache_is_built_before_the_pool_opens(self, monkeypatch):
+        events = []
+        exact_build = census_module.build_residue_cache
+
+        class RecordingPool(census_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                events.append("pool")
+                super().__init__(*args, **kwargs)
+
+        def recording_build(*args, **kwargs):
+            events.append("build")
+            return exact_build(*args, **kwargs)
+
+        monkeypatch.setattr(census_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(census_module, "build_residue_cache", recording_build)
+        run_census(MapKind.CR3, 1000, CensusConfig(workers=2))
+        assert events == ["build", "pool"]
 
     def test_abort_propagates_from_build(self):
         with pytest.raises(CensusAbortError) as exc:

@@ -1,7 +1,5 @@
 import functools
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -435,6 +433,32 @@ class TestJumpTables:
             assert m * lim + d <= 2**64 - 1 < m * (lim + 1) + d
 
 
+class TestSieveTables:
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_class_steps_equal_j_pdcr_steps(self, basis):
+        k = classifier._SIEVE_BITS
+        modulus = 3 if basis is MapKind.CR else 2
+        stride, landing, cost, advance = classifier._sieve_tables(basis)
+        assert stride.shape == landing.shape == cost.shape == advance.shape == (k + 1, 1 << k)
+        for r in range(1 << k):
+            for q in (0, 1, 2, 7, 12345, 2**30 + 3):
+                if q == 0 and r == 0:
+                    continue
+                x, odd = (q << k) | r, 0
+                for j in range(k + 1):
+                    assert int(stride[j, r]) * q + int(landing[j, r]) == x, (r, q, j)
+                    assert int(stride[j, r]) == 3**odd * 2 ** (k - j)
+                    steps = j + odd if basis is MapKind.CR else j
+                    assert int(cost[j, r]) == steps
+                    assert int(advance[j, r]) == steps % modulus
+                    odd += x & 1
+                    x = pdcr_step(x)
+
+    def test_tables_are_read_only(self):
+        for table in classifier._sieve_tables(MapKind.CR):
+            assert not table.flags.writeable
+
+
 class TestDescentKernel:
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
     @pytest.mark.parametrize("n", [27, 97, 703, 9663, 77671, 2**40 + 27])
@@ -474,40 +498,58 @@ class TestDescentKernel:
         ]
 
 
-def _unpieced_build(basis, bound):
-    """Residues built one whole block at a time: the build before it was cut
-    into pieces."""
+def _kernel_build(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
+    """Residues built one whole block at a time through the descent kernel,
+    with no residue-class sieve: the reference the sieve build must match."""
     res = np.zeros(bound, dtype=np.uint8)
     a = 2
     while a < bound:
         b = min(bound, 2 * a, a + classifier._MAX_BLOCK)
         starts = np.arange(a, b, dtype=np.uint64)
-        res[a:b] = _descend_residues(basis, starts, a, res, DEFAULT_STEP_BUDGET)
+        res[a:b] = _descend_residues(basis, starts, a, res, max_steps)
         a = b
     return res
 
 
-class TestPooledBuild:
-    @pytest.mark.parametrize(
-        "basis, bound, piece",
-        [
-            (MapKind.CR, 2**21 + 12345, None),
-            (MapKind.PDCR, 2**21 + 12345, None),
-            (MapKind.CR, 2**21 + 12345, 1000),
-            (MapKind.PDCR, 2**21 + 12345, 1000),
-            (MapKind.CR, 2 * 10**5 + 17, 64),
-            (MapKind.PDCR, 2 * 10**5 + 17, 64),
-        ],
-    )
-    def test_residues_independent_of_pool_and_piece(self, basis, bound, piece, monkeypatch):
-        if piece is not None:
-            monkeypatch.setattr(classifier, "_BUILD_PIECE", piece)
-        expected = _unpieced_build(basis, bound)
+def _outcome(build):
+    """The residues a build returns, or the type and start of its error."""
+    try:
+        return build()
+    except (StepBudgetExceeded, NatOverflowError) as e:
+        return type(e), e.n
+
+
+class TestSieveBuild:
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_residues_match_kernel_build_across_capped_blocks(self, basis, monkeypatch):
+        # a 2^12 cap cuts [2^12, 2*10^5 + 17) into blocks of 2^12 numbers
+        monkeypatch.setattr(classifier, "_MAX_BLOCK", 1 << 12)
+        bound = 2 * 10**5 + 17
+        expected = _kernel_build(basis, bound)
+        kernel_lanes = {}
+        exact = classifier._descend_residues
+
+        def recording(basis, starts, floor, *args):
+            kernel_lanes[floor] = len(starts)
+            return exact(basis, starts, floor, *args)
+
+        monkeypatch.setattr(classifier, "_descend_residues", recording)
         assert np.array_equal(build_residue_cache(basis, bound)._residues, expected)
-        for workers in (1, 2, 8):
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                cache = build_residue_cache(basis, bound, pool=pool)
-            assert np.array_equal(cache._residues, expected), workers
+        full_blocks = range(1 << 12, bound - (1 << 12), 1 << 12)
+        assert len(full_blocks) == 47
+        for a in full_blocks:  # each has sieved classes and kernel lanes
+            assert 0 < kernel_lanes[a] < 1 << 12, a
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 60, 90, 100, 150])
+    def test_budget_outcome_matches_kernel_build(self, basis, budget):
+        bound = 2 * 10**5
+        got = _outcome(lambda: build_residue_cache(basis, bound, budget)._residues)
+        want = _outcome(lambda: _kernel_build(basis, bound, budget))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "basis, budget, first_failing",
@@ -518,48 +560,7 @@ class TestPooledBuild:
             (MapKind.PDCR, 90, 10087),
         ],
     )
-    def test_budget_error_names_the_serial_start(self, basis, budget, first_failing, monkeypatch):
-        monkeypatch.setattr(classifier, "_BUILD_PIECE", 64)
+    def test_budget_error_names_the_smallest_failing_start(self, basis, budget, first_failing):
         with pytest.raises(StepBudgetExceeded) as exc:
             build_residue_cache(basis, 2 * 10**5, budget)
         assert exc.value.n == first_failing
-        for workers in (1, 2, 8):
-            named = set()
-            for _ in range(10):
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    with pytest.raises(StepBudgetExceeded) as exc:
-                        build_residue_cache(basis, 2 * 10**5, budget, pool=pool)
-                named.add(exc.value.n)
-            assert named == {first_failing}, workers
-
-    def _slowed_pieces(self, monkeypatch, delay_of):
-        """Run each build piece after ``delay_of(first start)`` seconds and
-        record its first start."""
-        monkeypatch.setattr(classifier, "_BUILD_PIECE", 64)
-        exact = classifier._descend_residues
-        firsts = []
-
-        def slowed(basis, starts, *args):
-            firsts.append(int(starts[0]))
-            time.sleep(delay_of(int(starts[0])))
-            return exact(basis, starts, *args)
-
-        monkeypatch.setattr(classifier, "_descend_residues", slowed)
-        return firsts
-
-    def test_a_slow_early_failing_piece_is_still_the_one_named(self, monkeypatch):
-        # 10087, 13449 and 15131 fail in block [8192, 16384); the piece
-        # holding 10087 finishes last, yet it is collected first
-        self._slowed_pieces(monkeypatch, lambda lo: 0.3 if lo <= 10087 < lo + 64 else 0.0)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            with pytest.raises(StepBudgetExceeded) as exc:
-                build_residue_cache(MapKind.CR, 2 * 10**5, 150, pool=pool)
-        assert exc.value.n == 10087
-
-    def test_a_failing_piece_cancels_the_queued_ones(self, monkeypatch):
-        firsts = self._slowed_pieces(monkeypatch, lambda lo: 0.01 if lo >= 8192 else 0.0)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(StepBudgetExceeded):
-                build_residue_cache(MapKind.CR, 2 * 10**5, 150, pool=pool)
-        # block [8192, 16384) has 128 pieces; the failing one is the 30th
-        assert len([lo for lo in firsts if lo >= 8192]) < 64
