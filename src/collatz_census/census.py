@@ -35,6 +35,7 @@ from .classifier import (
     _U64_LIMIT,
     ClassLabel,
     ResidueCache,
+    _check_cache_basis,
     basis_for,
     build_residue_cache,
     classify_fast,
@@ -49,7 +50,7 @@ from .kernel import (
     validate_nat,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _VECTOR_SPAN = 1 << 20  # cap on arange size inside a chunk
 
@@ -161,11 +162,7 @@ def census_chunk(
     that fails aborts the chunk with the offending n.
     """
     labels = labels_for(map_kind)
-    basis = basis_for(map_kind)
-    if cache.basis is not basis:
-        raise ValueError(
-            f"cache basis {cache.basis.value} does not match map {map_kind.value}"
-        )
+    _check_cache_basis(map_kind, cache)
     validate_nat(lo)
     validate_nat(hi)
     if lo > hi:
@@ -248,7 +245,11 @@ class SeriesPoint:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Resumable census state: the completed contiguous prefix [1, next_n-1]."""
+    """Resumable census state: the completed contiguous prefix [1, next_n-1].
+
+    ``max_steps`` is the step budget the prefix was classified under; a
+    resume must use the same one.
+    """
 
     map_kind: MapKind
     target: int
@@ -256,6 +257,7 @@ class Checkpoint:
     counts: dict[ClassLabel, int]
     cache_bound: int
     created_at: str
+    max_steps: int = DEFAULT_STEP_BUDGET
     version: int = CHECKPOINT_VERSION
 
 
@@ -266,6 +268,7 @@ _CHECKPOINT_FIELDS = {
     "next_n",
     "partial_counts",
     "cache_bound",
+    "max_steps",
     "created_at",
 }
 
@@ -282,6 +285,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "next_n": checkpoint.next_n,
         "partial_counts": {str(int(l)): c for l, c in checkpoint.counts.items()},
         "cache_bound": checkpoint.cache_bound,
+        "max_steps": checkpoint.max_steps,
         "created_at": checkpoint.created_at,
     }
     path = os.fspath(path)
@@ -330,17 +334,19 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"checkpoint is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint must be a JSON object")
+    # the version decides which fields belong, so it is checked first
+    if "format_version" in doc:
+        version = _require_int(doc, "format_version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
+            )
     unknown = set(doc) - _CHECKPOINT_FIELDS
     if unknown:
         raise CheckpointError(f"unknown checkpoint fields: {sorted(unknown)}")
     missing = _CHECKPOINT_FIELDS - set(doc)
     if missing:
         raise CheckpointError(f"missing checkpoint fields: {sorted(missing)}")
-    version = _require_int(doc, "format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
-        )
     try:
         map_kind = MapKind(doc["map"])
         labels = labels_for(map_kind)
@@ -349,7 +355,8 @@ def load_checkpoint(path) -> Checkpoint:
     target = _require_int(doc, "target_s")
     next_n = _require_int(doc, "next_n")
     cache_bound = _require_int(doc, "cache_bound")
-    if target < 1 or not 1 <= next_n <= target + 1 or cache_bound < 2:
+    max_steps = _require_int(doc, "max_steps")
+    if target < 1 or not 1 <= next_n <= target + 1 or cache_bound < 2 or max_steps < 0:
         raise CheckpointError("checkpoint range fields out of bounds")
     raw_counts = doc["partial_counts"]
     if not isinstance(raw_counts, dict) or set(raw_counts) != {
@@ -367,12 +374,21 @@ def load_checkpoint(path) -> Checkpoint:
     created_at = doc["created_at"]
     if not isinstance(created_at, str):
         raise CheckpointError("created_at must be a string")
-    return Checkpoint(map_kind, target, next_n, counts, cache_bound, created_at, version)
+    return Checkpoint(map_kind, target, next_n, counts, cache_bound, created_at, max_steps)
 
 
 @dataclass(frozen=True)
 class CensusConfig:
-    """Engine knobs. None of them changes the result, only how it is computed."""
+    """Engine knobs. None of them changes the result, only how it is computed.
+
+    ``max_steps`` is the step budget, with one meaning on every route: until
+    the trajectory of n reaches 1, every run of ``max_steps`` base-map steps
+    must reach a new low (a value below every earlier one), or the run
+    aborts naming n. For n itself this bounds its stopping time σ(n), the
+    steps until the value first drops below n. The n a run aborts at, the
+    smallest that breaks the rule, depends on ``max_steps`` alone, never on
+    the other fields.
+    """
 
     chunk_size: int = 1 << 16
     workers: int | None = None  # default: one per CPU
@@ -461,7 +477,7 @@ def run_census(
     and scheduling. With a ``checkpoint_path`` the completed prefix is saved
     at most once per ``checkpoint_interval``, plus once at completion;
     ``resume=True`` continues from such a file after checking that its
-    version, map, and target match.
+    version, map, target and step budget match.
     """
     config = config or CensusConfig()
     labels = labels_for(map_kind)
@@ -479,6 +495,11 @@ def run_census(
             )
         if cp.target != s:
             raise CheckpointError(f"checkpoint targets S={cp.target}, requested S={s}")
+        if cp.max_steps != config.max_steps:
+            raise CheckpointError(
+                f"checkpoint was written under max_steps={cp.max_steps}, "
+                f"requested max_steps={config.max_steps}"
+            )
         total = ClassCounts(map_kind, 1, cp.next_n - 1, dict(cp.counts))
     else:
         total = ClassCounts.empty(map_kind, at=1)
@@ -489,7 +510,10 @@ def run_census(
 
     def write_checkpoint() -> None:
         save_checkpoint(
-            Checkpoint(map_kind, s, total.hi + 1, dict(total.counts), bound, _utc_now()),
+            Checkpoint(
+                map_kind, s, total.hi + 1, dict(total.counts), bound, _utc_now(),
+                config.max_steps,
+            ),
             checkpoint_path,
         )
 

@@ -14,6 +14,14 @@ number's class. Two routes compute it:
   :class:`ResidueCache`, one uint8 per n; numbers above the bound only
   iterate until they descend into it.
 
+A step budget ``max_steps`` means one thing on every route, set by the
+scalar walk :func:`_walk`: until the trajectory reaches 1, every run of
+``max_steps`` base-map steps must reach a new low. Whether n passes depends
+on n and ``max_steps`` alone, never on a cache bound, block layout, jump
+length or sieve. The vector paths accept only lanes that finish within
+``max_steps`` base steps in all, which implies the rule, and hand every
+other lane to the walk.
+
 The cache build and the descent above the bound (:meth:`ResidueCache.descend`)
 share one kernel, :func:`_descend_residues`. It moves whole arrays of values k
 base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
@@ -51,8 +59,6 @@ from .kernel import (
     StepBudgetExceeded,
     _validate_budget,
     basis_modulus,
-    cr3_step,
-    pdcr2_step,
     step_function,
     validate_nat,
 )
@@ -87,7 +93,6 @@ _LABELS_BY_RESIDUE = {
 }
 
 _BASIS_FOR = {MapKind.CR3: MapKind.CR, MapKind.PDCR2: MapKind.PDCR}
-_COMPOSITE_STEP = {MapKind.CR3: cr3_step, MapKind.PDCR2: pdcr2_step}
 # composite map -> (base steps per composite step, whether an odd step also halves)
 _LOCKSTEP = {MapKind.CR3: (3, False), MapKind.PDCR2: (2, True)}
 
@@ -138,36 +143,64 @@ class ClassificationOutcome:
     path: str  # "direct" or "fast"
 
 
+def _walk(basis, start, max_steps):
+    """Yield the base-map values after ``start``, one per step, in exact arithmetic.
+
+    This is the one meaning of a step budget on every classification route:
+    until the trajectory reaches 1, every run of ``max_steps`` steps must
+    reach a new low, a value below every earlier one. Otherwise the walk
+    raises :class:`StepBudgetExceeded` naming ``start``. For ``start`` this
+    bounds its stopping time σ(start), the steps until the value first drops
+    below ``start`` (Lagarias 1985; σ(1) = 0). For each later low v it
+    bounds σ(v), because from v on the walk is that of v as a start. So
+    whether a start passes depends on the start and ``max_steps`` alone, and
+    the smallest start that fails is a glide record: the first n whose σ
+    exceeds ``max_steps``. Once at 1 the walk runs on around the terminal
+    cycle without a budget. A value beyond 128 bits raises
+    :class:`NatOverflowError` naming ``start``.
+    """
+    step = step_function(basis)
+    x = low = start
+    run = 0
+    while True:
+        if run >= max_steps and low != 1:
+            raise StepBudgetExceeded(
+                start, max_steps, f"n={start} reached no new low within {max_steps} steps"
+            )
+        try:
+            x = step(x)
+        except NatOverflowError as e:
+            raise NatOverflowError(
+                start, f"trajectory of {start} exceeded the 128-bit limit at value {e.n}"
+            ) from None
+        run += 1
+        if x < low:
+            low, run = x, 0
+        yield x
+
+
 def classify_direct(
     map_kind: MapKind, n: int, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> ClassificationOutcome:
     """Iterate the composite map until its value repeats; that value is the class.
 
     Detection is literal repetition (next value equals current value), not
-    membership in a known fixed-point set.
+    membership in a known fixed-point set. The composite iterates are every
+    3rd (``cr3``) or 2nd (``pdcr2``) value of the base walk :func:`_walk`,
+    so the budget is the walk's: until the trajectory reaches 1, every run of
+    ``max_steps`` base steps must reach a new low, or
+    :class:`StepBudgetExceeded` names n.
     """
-    try:
-        composite = _COMPOSITE_STEP[map_kind]
-    except KeyError:
-        raise ValueError(
-            f"classes are defined for cr3 or pdcr2, not {map_kind.value}"
-        ) from None
+    basis = basis_for(map_kind)
+    reps, _ = _LOCKSTEP[map_kind]
     validate_nat(n)
     _validate_budget(max_steps)
     cur = n
-    steps = 0
-    while steps < max_steps:
-        try:
-            nxt = composite(cur)
-        except NatOverflowError as e:
-            raise NatOverflowError(
-                n, f"trajectory of {n} exceeded the 128-bit limit at value {e.n}"
-            ) from None
-        steps += 1
-        if nxt == cur:
-            return ClassificationOutcome(ClassLabel(nxt), steps, "direct")
-        cur = nxt
-    raise StepBudgetExceeded(n, max_steps)
+    for i, x in enumerate(_walk(basis, n, max_steps), 1):
+        if i % reps == 0:
+            if x == cur:
+                return ClassificationOutcome(ClassLabel(x), i // reps, "direct")
+            cur = x
 
 
 class ResidueCache:
@@ -219,27 +252,19 @@ class ResidueCache:
 
 
 def _descend_scalar(basis, start, floor, residues, max_steps):
-    """Exact big-int descent of one start until it drops below ``floor``.
+    """Residue of one start >= ``floor``: walk it until it drops below ``floor``.
 
     The uint8 array ``residues`` holds the residue of every v below
-    ``floor`` at index v. Counts base-map steps from ``start``: more than
-    ``max_steps`` of them raise :class:`StepBudgetExceeded`, a value beyond
-    128 bits raises :class:`NatOverflowError`, both naming ``start``.
+    ``floor`` at index v; the result adds the steps taken. The walk is
+    :func:`_walk`, so until the value drops below ``floor`` every run of
+    ``max_steps`` steps must reach a new low, or :class:`StepBudgetExceeded`
+    names ``start``. As ``floor`` <= ``start``, the landing v is a new low
+    and the rest of the trajectory is v's own walk: the rule holds for
+    ``start`` if it holds up to v and for v, whose entry was made under it.
     """
-    step = step_function(basis)
-    x = start
-    steps = 0
-    while x >= floor:
-        if steps >= max_steps:
-            raise StepBudgetExceeded(start, max_steps)
-        try:
-            x = step(x)
-        except NatOverflowError as e:
-            raise NatOverflowError(
-                start, f"trajectory of {start} exceeded the 128-bit limit at value {e.n}"
-            ) from None
-        steps += 1
-    return (steps + int(residues[x])) % basis_modulus(basis)
+    for steps, x in enumerate(_walk(basis, start, max_steps), 1):
+        if x < floor:
+            return (steps + int(residues[x])) % basis_modulus(basis)
 
 
 def _terras(k, j):
@@ -324,9 +349,10 @@ def _descend_residues(basis, starts, floor, residues, max_steps):
     A lane whose next jump would leave uint64, and every lane still
     descending once one more jump could exceed ``max_steps`` base steps, is
     finished by :func:`_descend_scalar` from its start, in ascending order
-    of start. Every lane the vector loop retires took at most ``max_steps``
-    steps and stayed within 128 bits, so the accept/reject decision and the
-    error (naming the smallest failing start) are those of the exact descent.
+    of start. Every lane the vector loop retires fell below ``floor`` in at
+    most ``max_steps`` base steps in all, so it meets :func:`_walk`'s rule
+    on the way and stayed within 128 bits: the accept/reject decision and
+    the error (naming the smallest failing start) are those of the walk.
     """
     modulus = basis_modulus(basis)
     k = _JUMP_BITS
@@ -396,6 +422,10 @@ def build_residue_cache(
     kernel would accept it with the same residue: the residues, and the
     start a budget or overflow error names (the smallest failing one), are
     those of a build that sends every lane through the kernel.
+
+    The budget is :func:`_walk`'s, whatever the block layout: until its
+    trajectory reaches 1, every run of ``max_steps`` base steps from n must
+    reach a new low. The build raises for the smallest n that breaks it.
     """
     modulus = basis_modulus(basis)  # validates the basis
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 2:
@@ -454,9 +484,9 @@ def classify_fast(
 ) -> ClassificationOutcome:
     """Classify via the stopping-time residue, using the cache.
 
-    Numbers below the cache bound answer in O(1); larger ones iterate the
-    base map only until they descend into the cache, each step advancing the
-    residue by one in the basis modulus.
+    Numbers below the cache bound answer in O(1); larger ones walk the base
+    map (:func:`_walk`, with its budget rule) only until they descend into
+    the cache, each step advancing the residue by one in the basis modulus.
     """
     basis = _check_cache_basis(map_kind, cache)
     validate_nat(n)
@@ -471,13 +501,16 @@ def classify_fast(
 def _direct_block(map_kind, starts, max_steps):
     """Labels of a uint64 array of starts by literal composite iteration.
 
-    Applies the composite map to every lane at once, one composite step per
-    pass, and retires a lane when the map reproduces its value; that value is
-    its label. A lane still running after ``max_steps`` passes gets 0, as
-    :func:`classify_direct` would raise :class:`StepBudgetExceeded` for it. A
-    lane whose odd step would leave uint64 restarts in
-    :func:`classify_direct` from its start, with its exact 128-bit overflow
-    check, and gets 0 if that raises. Uses no cache, jump table or residue.
+    Applies the composite map to every lane at once, one composite step
+    (``reps`` base steps) per pass, and retires a lane when the map
+    reproduces its value; that value is its label. It runs at most
+    ``max_steps // reps`` passes, so a retired lane reached 1 within
+    ``max_steps`` base steps in all and meets :func:`_walk`'s rule: every
+    run of ``max_steps`` base steps before 1 reaches a new low. A lane still
+    running after the last pass, or whose odd step would leave uint64,
+    restarts in :func:`classify_direct` from its start, with the walk's
+    exact budget and 128-bit overflow checks, and gets 0 if that raises.
+    Uses no cache, jump table or residue.
     """
     reps, halve_odd = _LOCKSTEP[map_kind]
     one = np.uint64(1)
@@ -485,8 +518,8 @@ def _direct_block(map_kind, starts, max_steps):
     out = np.zeros(len(starts), dtype=np.uint64)
     x = starts.astype(np.uint64, copy=True)
     pos = np.arange(len(starts), dtype=np.intp)
-    big_int = []
-    for _ in range(max_steps):
+    fallback = []
+    for _ in range(max_steps // reps):
         if not x.size:
             break
         y = x
@@ -495,7 +528,7 @@ def _direct_block(map_kind, starts, max_steps):
             if y.size and y.max() > _U64_ODD_STEP_MAX:
                 over = odd & (y > _U64_ODD_STEP_MAX)
                 if over.any():
-                    big_int.append(pos[over])
+                    fallback.append(pos[over])
                     keep = ~over
                     x, y, pos, odd = x[keep], y[keep], pos[keep], odd[keep]
             up = three * y + one
@@ -508,7 +541,8 @@ def _direct_block(map_kind, starts, max_steps):
             keep = ~fixed
             y, pos = y[keep], pos[keep]
         x = y
-    for p in big_int:
+    fallback.append(pos)
+    for p in fallback:
         for i in p:
             out[i] = _direct_label(map_kind, int(starts[i]), max_steps)
     return out

@@ -48,8 +48,8 @@ class NatOverflowError(OverflowError):
 class StepBudgetExceeded(RuntimeError):
     """An iteration did not terminate within its step budget."""
 
-    def __init__(self, n: int, max_steps: int):
-        super().__init__(f"n={n} did not terminate within {max_steps} steps")
+    def __init__(self, n: int, max_steps: int, message: str | None = None):
+        super().__init__(message or f"n={n} did not terminate within {max_steps} steps")
         self.n = n
         self.max_steps = max_steps
 
@@ -166,6 +166,10 @@ def iterate(
     exhausted, or when a step would overflow. The last two are reported
     outcomes, not exceptions. With ``record=False`` no value sequence is
     kept, only the step count and final value.
+
+    A trajectory utility, not a classification route: ``max_steps`` counts
+    the applications of ``map_kind`` this iteration makes. The classifiers'
+    budget has its own meaning (``classifier._walk``).
     """
     validate_nat(start)
     _validate_budget(max_steps)
@@ -222,10 +226,13 @@ def basis_modulus(basis: MapKind) -> int:
 def stopping_time(
     basis: MapKind, n: int, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> StoppingTime:
-    """Count base-map steps from ``n`` to the first occurrence of 1.
+    """The total stopping time of ``n``: base-map steps to the first 1.
 
     Zero if ``n`` is already 1. Raises :class:`StepBudgetExceeded` or
-    :class:`NatOverflowError` (naming ``n``) if 1 is not reached.
+    :class:`NatOverflowError` (naming ``n``) if 1 is not reached within
+    ``max_steps`` steps. A trajectory utility, not a classification route:
+    the budget counts this iteration's own steps, unlike the classifiers'
+    (``classifier._walk``), which bounds the steps between new lows.
     """
     modulus = basis_modulus(basis)
     validate_nat(n)

@@ -41,3 +41,14 @@ def oracle_census(s: int, map_name: str) -> dict[int, int]:
         label = oracle_label(n, map_name)
         out[label] = out.get(label, 0) + 1
     return out
+
+
+def oracle_sigma(n: int, basis: str) -> int:
+    """Stopping time σ(n): steps until the value first drops below n; σ(1) = 0."""
+    if n == 1:
+        return 0
+    x, k = n, 0
+    while x >= n:
+        x = oracle_step(x, basis)
+        k += 1
+    return k

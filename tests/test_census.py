@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import threading
@@ -17,6 +18,7 @@ from collatz_census import (
     ClassCounts,
     ClassLabel,
     MapKind,
+    StepBudgetExceeded,
     build_residue_cache,
     census_chunk,
     classify_direct,
@@ -228,7 +230,7 @@ class TestRunCensus:
             with pytest.raises(CensusAbortError) as exc:
                 run_census(MapKind.CR3, 2 * 10**5, config)
             named.add(exc.value.n)
-        assert named == {7023}
+        assert named == {10087}
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_build_abort_names_the_serial_start_and_joins_the_pool(self, workers):
@@ -289,6 +291,52 @@ class TestRunCensus:
     def test_rejects_base_map(self):
         with pytest.raises(ValueError):
             run_census(MapKind.CR, 10)
+
+
+def _first_direct_failure(map_kind, max_steps):
+    n = 1
+    while True:
+        try:
+            classify_direct(map_kind, n, max_steps)
+        except StepBudgetExceeded:
+            return n
+        n += 1
+
+
+class TestOneStepBudget:
+    @pytest.mark.parametrize(
+        "map_kind, max_steps, first_failing",
+        [
+            (MapKind.CR3, 100, 703),
+            (MapKind.CR3, 150, 10087),
+            (MapKind.PDCR2, 60, 703),
+            (MapKind.PDCR2, 90, 10087),
+        ],
+    )
+    def test_first_failing_n_is_the_same_for_every_engine_knob(
+        self, map_kind, max_steps, first_failing, monkeypatch
+    ):
+        # the glide record after σ = max_steps, whatever the cache, chunks,
+        # workers, build blocks or route
+        s = 2 * 10**4
+        named = set()
+        for bound, chunk_size, workers, block in itertools.product(
+            [2, 17, 1024, 4096, 10_000, 1 << 25],
+            [1000, 1 << 16],
+            [1, 2],
+            [1 << 8, 1 << 12, 1 << 19],
+        ):
+            if block < 1 << 19 and 2 * block >= min(bound, s + 1):
+                continue  # blocks are at most half the built bound: the default run again
+            monkeypatch.setattr(classifier, "_MAX_BLOCK", block)
+            config = CensusConfig(
+                chunk_size=chunk_size, workers=workers, cache_bound=bound, max_steps=max_steps
+            )
+            with pytest.raises(CensusAbortError) as exc:
+                run_census(map_kind, s, config)
+            named.add(exc.value.n)
+        assert named == {first_failing}
+        assert _first_direct_failure(map_kind, max_steps) == first_failing
 
 
 def record_chunks(monkeypatch, delay=0.0):
@@ -459,6 +507,28 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="missing"):
             load_checkpoint(path)
 
+    def test_budget_recorded(self, tmp_path):
+        path = tmp_path / "census.ckpt"
+        run_census(MapKind.CR3, 100, CensusConfig(max_steps=500), checkpoint_path=path)
+        assert json.loads(path.read_text())["max_steps"] == 500
+        assert load_checkpoint(path).max_steps == 500
+
+    @pytest.mark.parametrize("budget", [-1, 1.5, True, "100", None])
+    def test_bad_budget_rejected(self, tmp_path, budget):
+        path = self.rewrite(tmp_path, lambda d: d.update(max_steps=budget))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_version_1_file_rejected_by_the_version_check(self, tmp_path):
+        # version 1 had no max_steps field; the version is checked before the fields
+        def to_v1(d):
+            del d["max_steps"]
+            d["format_version"] = 1
+
+        path = self.rewrite(tmp_path, to_v1)
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = self.rewrite(tmp_path, lambda d: d.update(format_version=99))
         with pytest.raises(CheckpointError, match="version"):
@@ -517,6 +587,25 @@ class TestResume:
         run_census(MapKind.CR3, 100, checkpoint_path=path)
         with pytest.raises(CheckpointError, match="map"):
             run_census(MapKind.PDCR2, 100, checkpoint_path=path, resume=True)
+
+    def test_resume_requires_matching_budget_before_the_build(self, tmp_path, monkeypatch):
+        path = tmp_path / "census.ckpt"
+        prefix = run_census(MapKind.CR3, 50).counts.counts
+        save_checkpoint(Checkpoint(MapKind.CR3, 100, 51, dict(prefix), 101, "then", 500), path)
+        exact_build = census_module.build_residue_cache
+
+        def no_build(*args):
+            raise AssertionError("cache built before the budget was checked")
+
+        monkeypatch.setattr(census_module, "build_residue_cache", no_build)
+        with pytest.raises(CheckpointError, match="max_steps=500, requested max_steps=1000000"):
+            run_census(MapKind.CR3, 100, checkpoint_path=path, resume=True)
+        monkeypatch.setattr(census_module, "build_residue_cache", exact_build)
+        resumed = run_census(
+            MapKind.CR3, 100, CensusConfig(max_steps=500), checkpoint_path=path, resume=True
+        )
+        assert resumed.counts == run_census(MapKind.CR3, 100).counts
+        assert load_checkpoint(path).max_steps == 500
 
     def test_resume_requires_matching_target(self, tmp_path):
         path = tmp_path / "census.ckpt"

@@ -24,7 +24,7 @@ from collatz_census import (
 )
 from collatz_census import classifier
 from collatz_census.classifier import _descend_residues, _direct_block
-from oracles import oracle_label, oracle_step, oracle_stopping
+from oracles import oracle_label, oracle_sigma, oracle_step, oracle_stopping
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestClassifyDirect:
             classify_direct(MapKind.CR, 5)
 
     def test_budget(self):
-        with pytest.raises(StepBudgetExceeded):
+        with pytest.raises(StepBudgetExceeded, match="n=27 reached no new low within 3 steps"):
             classify_direct(MapKind.CR3, 27, max_steps=3)
 
     @given(st.integers(1, 10**5))
@@ -105,11 +105,13 @@ class TestClassifyDirect:
     def test_budget_stability(self, n):
         # a just-sufficient budget succeeds; doubling it changes nothing
         outcome = classify_direct(MapKind.CR3, n)
-        exact = classify_direct(MapKind.CR3, n, max_steps=outcome.composite_steps)
-        doubled = classify_direct(MapKind.CR3, n, max_steps=2 * outcome.composite_steps)
-        assert exact.label == doubled.label == outcome.label
-        with pytest.raises(StepBudgetExceeded):
-            classify_direct(MapKind.CR3, n, max_steps=outcome.composite_steps - 1)
+        t = _steps_below(MapKind.CR, n, 2)
+        exact = classify_direct(MapKind.CR3, n, max_steps=t)
+        doubled = classify_direct(MapKind.CR3, n, max_steps=2 * t)
+        assert exact == doubled == outcome
+        if n > 1:  # 1 has reached 1 already: no budget applies
+            with pytest.raises(StepBudgetExceeded):
+                classify_direct(MapKind.CR3, n, max_steps=t - 1)
 
     def test_partitions_of_the_two_maps_differ(self):
         # 1 and 8 share a cr3 class but split under pdcr2; the two
@@ -342,7 +344,8 @@ class TestVerifyRangeMatchesScalarLoop:
     def test_direct_budget_boundary(self):
         # the cache covers 27, so only the direct route's budget can fail
         cache = _cache(MapKind.CR, 1 << 10)
-        t = classify_direct(MapKind.CR3, 27).composite_steps
+        t = _steps_below(MapKind.CR, 27, 2)
+        assert t == 96
         for budget, expected in ((t - 1, [27]), (t, []), (t + 1, [])):
             assert _verify_range_scalar(MapKind.CR3, 27, 27, cache, budget) == expected
             assert verify_range(MapKind.CR3, 27, 27, cache, budget) == expected
@@ -392,12 +395,15 @@ class TestBudgetValidation:
 
 
 def _steps_below(basis, n, floor):
-    """Base steps from n until the value first drops below floor."""
-    steps = 0
+    """The longest run of base steps from n without a new low, before the
+    value first drops below floor: the smallest budget the walk accepts."""
+    low, run, longest = n, 0, 0
     while n >= floor:
         n = oracle_step(n, basis.value)
-        steps += 1
-    return steps
+        run += 1
+        if n < low:
+            low, longest, run = n, max(longest, run), 0
+    return longest
 
 
 def _descend(basis, starts, floor, max_steps=DEFAULT_STEP_BUDGET):
@@ -475,7 +481,7 @@ class TestDescentKernel:
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
     def test_budget_names_smallest_failing_start(self, basis):
         starts = list(range(40, 140))
-        budget = 60
+        budget = 55  # σ(27) = 59 under pdcr: at 60 no start in [40, 140) fails
         failing = [n for n in starts if _steps_below(basis, n, 16) > budget]
         assert failing
         with pytest.raises(StepBudgetExceeded) as exc:
@@ -554,9 +560,9 @@ class TestSieveBuild:
     @pytest.mark.parametrize(
         "basis, budget, first_failing",
         [
-            (MapKind.CR, 100, 27),
+            (MapKind.CR, 100, 703),
             (MapKind.CR, 150, 10087),
-            (MapKind.PDCR, 60, 27),
+            (MapKind.PDCR, 60, 703),
             (MapKind.PDCR, 90, 10087),
         ],
     )
@@ -564,3 +570,65 @@ class TestSieveBuild:
         with pytest.raises(StepBudgetExceeded) as exc:
             build_residue_cache(basis, 2 * 10**5, budget)
         assert exc.value.n == first_failing
+
+
+@functools.cache
+def _glide_records(basis, limit=270271):
+    """Every n <= limit whose stopping time σ exceeds that of all smaller n,
+    with its σ, from the package-free oracle."""
+    records, best = [], -1
+    for n in range(1, limit + 1):
+        sigma = oracle_sigma(n, basis.value)
+        if sigma > best:
+            records.append((n, sigma))
+            best = sigma
+    return records
+
+
+def _first_raising(classify, budget):
+    n = 1
+    while True:
+        try:
+            classify(n, budget)
+        except StepBudgetExceeded as e:
+            assert e.n == n
+            return n
+        n += 1
+
+
+class TestGlideRecords:
+    """Under a budget B the first n that fails is the first glide record with
+    σ > B (Roosendaal's table, http://www.ericr.nl/wondrous/glidrecs.html)."""
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_oracle_pins_the_records(self, basis):
+        sigmas = {
+            MapKind.CR: [0, 1, 6, 11, 96, 132, 171, 220, 267],
+            MapKind.PDCR: [0, 1, 4, 7, 59, 81, 105, 135, 164],
+        }[basis]
+        records = [1, 2, 3, 7, 27, 703, 10087, 35655, 270271]
+        assert _glide_records(basis) == list(zip(records, sigmas))
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize("record", [27, 703, 10087, 35655])
+    def test_build_names_the_record_and_the_next(self, basis, record):
+        records = _glide_records(basis)
+        i = [n for n, _ in records].index(record)
+        sigma, following = records[i][1], records[i + 1][0]
+        for budget, named in ((sigma - 1, record), (sigma, following)):
+            with pytest.raises(StepBudgetExceeded) as exc:
+                build_residue_cache(basis, following + 1, budget)
+            assert exc.value.n == named, budget
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("record", [27, 703])
+    def test_classify_direct_names_the_record_and_the_next(self, map_kind, record):
+        records = _glide_records(classifier.basis_for(map_kind))
+        i = [n for n, _ in records].index(record)
+        sigma, following = records[i][1], records[i + 1][0]
+
+        def classify(n, budget):
+            classify_direct(map_kind, n, budget)
+
+        assert _first_raising(classify, sigma - 1) == record
+        assert _first_raising(classify, sigma) == following

@@ -159,6 +159,21 @@ class TestCensusCommand:
         assert err.startswith("error: cannot write checkpoint")
         assert "Traceback" not in err
 
+    def test_version_1_checkpoint_is_anomaly(self, capsys, tmp_path):
+        # version 1 recorded no step budget; it is refused, not migrated
+        path = tmp_path / "run.ckpt"
+        run_cli(capsys, "census", "100", "--checkpoint", str(path))
+        doc = json.loads(path.read_text())
+        del doc["max_steps"]
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "census", "100", "--checkpoint", str(path), "--resume"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unsupported checkpoint version 1 (expected 2)")
+
     def test_missing_checkpoint_is_anomaly(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "census", "100", "--checkpoint", str(tmp_path / "no.ckpt"), "--resume"
