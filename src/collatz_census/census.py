@@ -2,10 +2,11 @@
 
 A census counts, for every class of a composite map, how many n in [1, S]
 belong to it. The residue cache is built first, serially; then the range
-is cut into fixed-size chunks, chunks are classified on a pool of worker
-threads against the shared read-only cache, and the per-chunk counts are
-merged in ascending range order. Counting is exact integer arithmetic, so
-the result is identical for every chunk size and worker count.
+is cut into fixed-size chunks, worker threads count what the shared
+read-only cache's ``ResidueCache.residues`` (the call ``verify_range``
+checks) gives for each chunk, and the per-chunk counts are merged in
+ascending range order. Counting is exact integer arithmetic, so the result
+is identical for every chunk size and worker count.
 
 ``run_census`` and ``run_series`` share that engine: a series is a census
 whose sample points are forced chunk cuts.
@@ -32,13 +33,11 @@ from typing import Callable
 import numpy as np
 
 from .classifier import (
-    _U64_LIMIT,
     ClassLabel,
     ResidueCache,
     _check_cache_basis,
     basis_for,
     build_residue_cache,
-    classify_fast,
     labels_for,
 )
 from .kernel import (
@@ -52,7 +51,7 @@ from .kernel import (
 
 CHECKPOINT_VERSION = 2
 
-_VECTOR_SPAN = 1 << 20  # cap on arange size inside a chunk
+_VECTOR_SPAN = 1 << 20  # cap on the span of one residues call inside a chunk
 
 
 class CensusAbortError(RuntimeError):
@@ -157,9 +156,10 @@ def census_chunk(
 ) -> ClassCounts:
     """Classify every n in [lo, hi] and tally the classes.
 
-    Members below the cache bound are counted straight from a slice of the
-    cache; the rest descend into the cache in a vectorized sweep. Any member
-    that fails aborts the chunk with the offending n.
+    Counts :meth:`ResidueCache.residues`, the call ``verify_range`` checks,
+    in spans of at most 2^20 numbers: a slice of the cache below its bound,
+    a descent into the cache above it. Any member that fails aborts the
+    chunk with the smallest offending n.
     """
     labels = labels_for(map_kind)
     _check_cache_basis(map_kind, cache)
@@ -168,28 +168,14 @@ def census_chunk(
     if lo > hi:
         raise ValueError(f"empty chunk [{lo}, {hi}]")
 
-    modulus = cache.modulus
-    residue_totals = np.zeros(modulus, dtype=np.int64)
-    cached_hi = min(hi + 1, cache.bound)
-    if lo < cached_hi:
-        residue_totals += cache.tally(lo, cached_hi)
-    vector_hi = min(hi, _U64_LIMIT - 1)
-    for a in range(max(lo, cache.bound), vector_hi + 1, _VECTOR_SPAN):
-        b = min(vector_hi, a + _VECTOR_SPAN - 1)
-        # built as offset + iota: an arange stop of exactly 2**64 would not fit
-        ns = np.uint64(a) + np.arange(b - a + 1, dtype=np.uint64)
+    residue_totals = np.zeros(cache.modulus, dtype=np.int64)
+    for a in range(lo, hi + 1, _VECTOR_SPAN):
+        b = min(hi, a + _VECTOR_SPAN - 1)
         try:
-            residues = cache.descend(ns, max_steps)
+            residues = cache.residues(a, b, max_steps)
         except (NatOverflowError, StepBudgetExceeded) as e:
             raise CensusAbortError(e.n, e) from e
-        residue_totals += np.bincount(residues, minlength=modulus)
-    # members beyond uint64 range classify one by one in exact arithmetic
-    for n in range(max(lo, _U64_LIMIT), hi + 1):
-        try:
-            outcome = classify_fast(map_kind, n, cache, max_steps)
-        except (NatOverflowError, StepBudgetExceeded) as e:
-            raise CensusAbortError(e.n, e) from e
-        residue_totals[labels.index(outcome.label)] += 1
+        residue_totals += np.bincount(residues, minlength=cache.modulus)
     counts = {label: int(residue_totals[r]) for r, label in enumerate(labels)}
     return ClassCounts(map_kind, lo, hi, counts)
 

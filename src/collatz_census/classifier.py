@@ -22,7 +22,7 @@ length or sieve. The vector paths accept only lanes that finish within
 ``max_steps`` base steps in all, which implies the rule, and hand every
 other lane to the walk.
 
-The cache build and the descent above the bound (:meth:`ResidueCache.descend`)
+The cache build and the descent above the bound (:meth:`ResidueCache.residues`)
 share one kernel, :func:`_descend_residues`. It moves whole arrays of values k
 base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
 3^c(r)*q + d(r) under ``pdcr``, reads landing residues from the uint8 table,
@@ -36,12 +36,13 @@ no per-lane arithmetic.
 
 The residue rule is derived engineering, so ``verify_range`` cross-checks
 the two routes in blocks of at most 2^14 numbers. Its direct side,
-:func:`_direct_block`, applies the composite map literally to a uint64
-array, 3 ``cr`` or 2 ``pdcr`` steps per pass, until each value repeats; it
-never touches the cache, the jump tables or the residue rule. Its fast side
-makes the calls a census chunk makes, ``ResidueCache.entries`` below the
-bound and ``ResidueCache.descend`` above it, so the check covers the code
-that produces the census counts.
+:func:`_direct_block`, applies the composite map literally to the block's
+members below 2^64 as a uint64 array, 3 ``cr`` or 2 ``pdcr`` steps per
+pass, until each value repeats, and hands the rest to
+:func:`classify_direct`; it never touches the cache, the jump tables or the
+residue rule. Its fast side is :meth:`ResidueCache.residues`, the one
+vector route from a range of n to their residues and the call a census
+chunk counts, so the check covers the code that produces the census counts.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ _MAX_BLOCK = 1 << 19       # cap on cache-build block length
 _SIEVE_BITS = 6            # the cache build sieves residue classes mod 2^6
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
-_U64_LIMIT = 2**64         # members at or above this bypass the vector blocks
+_U64_LIMIT = 2**64         # members at or above this bypass the vector kernels
 _U64_ODD_STEP_MAX = (_U64_LIMIT - 2) // 3  # largest odd x whose 3x+1 fits uint64
 
 
@@ -230,25 +231,45 @@ class ResidueCache:
             raise ValueError(f"n={n} outside cache range [1, {self.bound})")
         return int(self._residues[n])
 
-    def entries(self, ns: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`entry` for an array of cached n."""
-        if ns.size and not (1 <= int(ns.min()) and int(ns.max()) < self.bound):
-            raise ValueError(f"values outside cache range [1, {self.bound})")
-        return self._residues[ns.astype(np.int64, copy=False)]
+    def residues(self, lo: int, hi: int, max_steps: int) -> np.ndarray:
+        """Stopping-time residue of every n in [lo, hi], in order, one uint8 each.
 
-    def tally(self, lo: int, hi: int) -> np.ndarray:
-        """How many n in [lo, hi), all cached, have each residue 0, 1, ..."""
-        if not 1 <= lo <= hi <= self.bound:
-            raise ValueError(f"[{lo}, {hi}) outside cache range [1, {self.bound})")
-        return np.bincount(self._residues[lo:hi], minlength=self.modulus)
-
-    def descend(self, starts: np.ndarray, max_steps: int) -> np.ndarray:
-        """Residues of an array of starts, all >= ``bound``, that descend
-        into the cache through :func:`_descend_residues`."""
-        return _descend_residues(self.basis, starts, self.bound, self._residues, max_steps)
+        The one vector route from a range to its residues. Below ``bound`` it
+        is a read-only view of the table, not a copy; from ``bound`` up to
+        2^64 - 1 the starts descend into the table through
+        :func:`_descend_residues`; from 2^64 on each n walks alone through
+        :func:`_descend_scalar`. A failing member raises
+        :class:`StepBudgetExceeded` or :class:`NatOverflowError` naming the
+        smallest one. The range and budget are checked before any compute.
+        """
+        validate_nat(lo)
+        validate_nat(hi)
+        if lo > hi:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        _validate_budget(max_steps)
+        table = self._residues
+        cached = table[min(lo, self.bound) : min(hi + 1, self.bound)]
+        if hi < self.bound:
+            return cached
+        starts = _u64_span(max(lo, self.bound), hi)
+        descended = _descend_residues(self.basis, starts, self.bound, table, max_steps)
+        walked = [
+            _descend_scalar(self.basis, n, self.bound, table, max_steps)
+            for n in range(max(lo, _U64_LIMIT), hi + 1)
+        ]
+        return np.concatenate([cached, descended, np.array(walked, dtype=np.uint8)])
 
     def __repr__(self) -> str:
         return f"ResidueCache(basis={self.basis.value}, bound={self.bound})"
+
+
+def _u64_span(lo, hi):
+    """The members of [lo, hi] below 2^64, as a uint64 array."""
+    hi = min(hi, _U64_LIMIT - 1)
+    if lo > hi:
+        return np.empty(0, dtype=np.uint64)
+    # built as offset + iota: an arange stop of exactly 2**64 would not fit
+    return np.uint64(lo) + np.arange(hi - lo + 1, dtype=np.uint64)
 
 
 def _descend_scalar(basis, start, floor, residues, max_steps):
@@ -498,27 +519,27 @@ def classify_fast(
     return ClassificationOutcome(residue_to_label(map_kind, residue), None, "fast")
 
 
-def _direct_block(map_kind, starts, max_steps):
-    """Labels of a uint64 array of starts by literal composite iteration.
+def _direct_block(map_kind, lo, hi, max_steps):
+    """Labels of every n in [lo, hi], in order, by literal composite iteration.
 
-    Applies the composite map to every lane at once, one composite step
-    (``reps`` base steps) per pass, and retires a lane when the map
-    reproduces its value; that value is its label. It runs at most
+    Applies the composite map to every member below 2^64 at once, one
+    composite step (``reps`` base steps) per pass, and retires a lane when
+    the map reproduces its value; that value is its label. It runs at most
     ``max_steps // reps`` passes, so a retired lane reached 1 within
     ``max_steps`` base steps in all and meets :func:`_walk`'s rule: every
-    run of ``max_steps`` base steps before 1 reaches a new low. A lane still
-    running after the last pass, or whose odd step would leave uint64,
-    restarts in :func:`classify_direct` from its start, with the walk's
-    exact budget and 128-bit overflow checks, and gets 0 if that raises.
-    Uses no cache, jump table or residue.
+    run of ``max_steps`` base steps before 1 reaches a new low. Members at
+    or above 2^64, lanes still running after the last pass and lanes whose
+    odd step would leave uint64 go to :func:`classify_direct` from their
+    start, with the walk's exact budget and 128-bit overflow checks, and get
+    0 if that raises. Uses no cache, jump table or residue.
     """
     reps, halve_odd = _LOCKSTEP[map_kind]
     one = np.uint64(1)
     three = np.uint64(3)
-    out = np.zeros(len(starts), dtype=np.uint64)
-    x = starts.astype(np.uint64, copy=True)
-    pos = np.arange(len(starts), dtype=np.intp)
-    fallback = []
+    out = np.zeros(hi - lo + 1, dtype=np.uint64)
+    x = _u64_span(lo, hi)
+    pos = np.arange(len(x), dtype=np.intp)
+    fallback = [np.arange(len(x), len(out), dtype=np.intp)]
     for _ in range(max_steps // reps):
         if not x.size:
             break
@@ -544,7 +565,7 @@ def _direct_block(map_kind, starts, max_steps):
     fallback.append(pos)
     for p in fallback:
         for i in p:
-            out[i] = _direct_label(map_kind, int(starts[i]), max_steps)
+            out[i] = _direct_label(map_kind, lo + int(i), max_steps)
     return out
 
 
@@ -564,23 +585,18 @@ def _fast_label(map_kind, n, cache, max_steps):
         return 0
 
 
-def _fast_block(map_kind, ns, cache, max_steps):
-    """Labels of a uint64 array of numbers through the census's own calls,
-    0 where :func:`classify_fast` raises."""
+def _fast_block(map_kind, lo, hi, cache, max_steps):
+    """Labels of every n in [lo, hi], in order, from the census's own call
+    :meth:`ResidueCache.residues`, 0 where :func:`classify_fast` raises."""
     labels = np.array(labels_for(map_kind), dtype=np.uint64)
-    cached = ns < cache.bound
-    residues = np.empty(len(ns), dtype=np.uint8)
-    residues[cached] = cache.entries(ns[cached])
-    if not cached.all():
-        try:
-            residues[~cached] = cache.descend(ns[~cached], max_steps)
-        except (NatOverflowError, StepBudgetExceeded):
-            # some member fails: find which, one n at a time
-            return np.array(
-                [_fast_label(map_kind, int(n), cache, max_steps) for n in ns.tolist()],
-                dtype=np.uint64,
-            )
-    return labels[residues]
+    try:
+        return labels[cache.residues(lo, hi, max_steps)]
+    except (NatOverflowError, StepBudgetExceeded):
+        # some member fails: find which, one n at a time
+        return np.array(
+            [_fast_label(map_kind, n, cache, max_steps) for n in range(lo, hi + 1)],
+            dtype=np.uint64,
+        )
 
 
 def verify_range(
@@ -595,9 +611,9 @@ def verify_range(
     Expected empty. An n where either route fails (budget, overflow) is
     reported as a mismatch rather than skipped. The range runs in blocks of
     at most 2^14 numbers: the direct labels come from :func:`_direct_block`,
-    the fast ones from the cache calls a census chunk makes. Members at or
-    above 2^64 are checked one by one through :func:`classify_fast` and
-    :func:`classify_direct`. The result is that of calling both for every n.
+    the fast ones from :meth:`ResidueCache.residues`, the call a census
+    chunk counts. The result is that of calling :func:`classify_fast` and
+    :func:`classify_direct` for every n.
     """
     _check_cache_basis(map_kind, cache)
     validate_nat(lo)
@@ -606,18 +622,11 @@ def verify_range(
         raise ValueError(f"empty range [{lo}, {hi}]")
     _validate_budget(max_steps)
     mismatches = []
-    vector_hi = min(hi, _U64_LIMIT - 1)
-    for a in range(lo, vector_hi + 1, _VERIFY_BLOCK):
-        b = min(vector_hi, a + _VERIFY_BLOCK - 1)
-        # built as offset + iota: an arange stop of exactly 2**64 would not fit
-        ns = np.uint64(a) + np.arange(b - a + 1, dtype=np.uint64)
-        fast = _fast_block(map_kind, ns, cache, max_steps)
-        direct = _direct_block(map_kind, ns, max_steps)
+    for a in range(lo, hi + 1, _VERIFY_BLOCK):
+        b = min(hi, a + _VERIFY_BLOCK - 1)
+        fast = _fast_block(map_kind, a, b, cache, max_steps)
+        direct = _direct_block(map_kind, a, b, max_steps)
         bad = (fast == 0) | (fast != direct)
         # Python-int offsets: a + index would overflow int64 for a >= 2^63
         mismatches.extend(a + int(i) for i in np.flatnonzero(bad))
-    for n in range(max(lo, _U64_LIMIT), hi + 1):
-        fast = _fast_label(map_kind, n, cache, max_steps)
-        if fast == 0 or fast != _direct_label(map_kind, n, max_steps):
-            mismatches.append(n)
     return mismatches

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from collatz_census import (
     DEFAULT_STEP_BUDGET,
+    NAT_MAX,
     ClassLabel,
     MapKind,
     NatOverflowError,
     StepBudgetExceeded,
     build_residue_cache,
+    census_chunk,
     classify_direct,
     classify_fast,
     cr_step,
@@ -158,24 +160,77 @@ class TestResidueCache:
             cr_cache.entry(cr_cache.bound)
 
     def test_vector_gather_matches_scalar(self, cr_cache):
-        ns = np.arange(1, 5000, dtype=np.uint64)
-        gathered = cr_cache.entries(ns)
-        assert [cr_cache.entry(int(n)) for n in ns] == list(gathered)
+        gathered = cr_cache.residues(1, 4999, DEFAULT_STEP_BUDGET)
+        assert [cr_cache.entry(n) for n in range(1, 5000)] == gathered.tolist()
 
-    def test_vector_gather_range_checked(self, cr_cache):
+    def test_vector_gather_past_the_bound(self, cr_cache):
+        # [1, 2^16 + 1] on a 2^16 cache: the members past the table descend
+        labels = labels_for(MapKind.CR3)
+        hi = cr_cache.bound + 1
+        expected = [
+            labels.index(classify_fast(MapKind.CR3, n, cr_cache).label) for n in range(1, hi + 1)
+        ]
+        assert cr_cache.residues(1, hi, DEFAULT_STEP_BUDGET).tolist() == expected
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, (1 << 16) - 1), (777, 40_000)])
+    def test_residues_below_bound_are_entries(self, lo, hi, cr_cache):
+        expected = [cr_cache.entry(n) for n in range(lo, hi + 1)]
+        assert cr_cache.residues(lo, hi, DEFAULT_STEP_BUDGET).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0, 10), (10, 9), (2**64 + 1, 2**64), (1, NAT_MAX + 1), (1.0, 10), (1, "9")]
+    )
+    def test_residues_range_checked_before_compute(self, lo, hi, cr_cache, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed before checking the range")
+
+        monkeypatch.setattr(classifier, "_descend_residues", forbidden)
+        monkeypatch.setattr(classifier, "_descend_scalar", forbidden)
         with pytest.raises(ValueError):
-            cr_cache.entries(np.array([cr_cache.bound], dtype=np.uint64))
+            cr_cache.residues(lo, hi, DEFAULT_STEP_BUDGET)
 
-    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, 1 << 16), (777, 40_001)])
-    def test_tally_counts_a_slice(self, lo, hi, cr_cache):
-        ns = np.arange(lo, hi, dtype=np.uint64)
-        expected = np.bincount(cr_cache.entries(ns), minlength=3)
-        assert cr_cache.tally(lo, hi).tolist() == expected.tolist()
+    def test_residues_below_bound_are_a_read_only_view(self, cr_cache):
+        view = cr_cache.residues(100, 60_000, DEFAULT_STEP_BUDGET)
+        assert np.shares_memory(view, cr_cache._residues)
+        assert not view.flags.writeable
 
-    @pytest.mark.parametrize("lo, hi", [(0, 10), (10, 9), (1, (1 << 16) + 1)])
-    def test_tally_range_checked(self, lo, hi, cr_cache):
-        with pytest.raises(ValueError):
-            cr_cache.tally(lo, hi)
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1000, 1100), (2**63 - 20, 2**63 + 20), (2**64 - 40, 2**64 + 40)],
+        ids=["straddles-bound", "2^63", "straddles-2^64"],
+    )
+    def test_residues_match_classify_fast(self, basis, lo, hi):
+        cache = _cache(basis, 1 << 10)
+        map_kind = MapKind.CR3 if basis is MapKind.CR else MapKind.PDCR2
+        labels = labels_for(map_kind)
+        expected = [
+            labels.index(classify_fast(map_kind, n, cache).label) for n in range(lo, hi + 1)
+        ]
+        assert cache.residues(lo, hi, DEFAULT_STEP_BUDGET).tolist() == expected
+
+    @pytest.mark.parametrize("budget", [20, 40, 60])
+    def test_tight_budget_names_smallest_failing_n_across_bound(self, budget):
+        cache = _cache(MapKind.CR, 50)
+
+        def fails(n):
+            try:
+                classify_fast(MapKind.CR3, n, cache, budget)
+            except StepBudgetExceeded:
+                return True
+            return False
+
+        expected = next(n for n in range(1, 3000) if fails(n))
+        assert expected >= cache.bound
+        with pytest.raises(StepBudgetExceeded) as exc:
+            cache.residues(10, 3000, budget)
+        assert exc.value.n == expected
+
+    def test_overflow_names_smallest_failing_n_beyond_uint64(self, cr_cache):
+        # 2^127 halves down to 1; 2^127 + 1 is odd and 3n + 1 leaves 128 bits
+        with pytest.raises(NatOverflowError) as exc:
+            cr_cache.residues(2**127, 2**127 + 3, DEFAULT_STEP_BUDGET)
+        assert exc.value.n == 2**127 + 1
 
     def test_immutable_after_build(self, cr_cache):
         with pytest.raises(ValueError):
@@ -287,15 +342,33 @@ class TestVerifyRange:
     def test_reports_a_wrong_census_residue(self, monkeypatch):
         # the fast side is the census's own descent: corrupting it must show
         cache = build_residue_cache(MapKind.CR, 1 << 10)
-        descend = classifier.ResidueCache.descend
+        descend = classifier._descend_residues
 
-        def corrupted(self, starts, max_steps):
-            out = descend(self, starts, max_steps).copy()
+        def corrupted(basis, starts, floor, residues, max_steps):
+            out = descend(basis, starts, floor, residues, max_steps).copy()
             out[starts == 5000] += 1
-            return out % self.modulus
+            return out % 3
 
-        monkeypatch.setattr(classifier.ResidueCache, "descend", corrupted)
+        monkeypatch.setattr(classifier, "_descend_residues", corrupted)
         assert verify_range(MapKind.CR3, 4000, 6000, cache) == [5000]
+
+    def test_checks_what_the_census_counts(self, monkeypatch):
+        # one corrupted residue below the bound moves both verify and the census
+        cache = _cache(MapKind.CR, 1 << 14)
+        before = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
+        residues = classifier.ResidueCache.residues
+
+        def corrupted(self, lo, hi, max_steps):
+            out = residues(self, lo, hi, max_steps).copy()
+            if lo <= 5000 <= hi:
+                out[5000 - lo] = (out[5000 - lo] + 1) % self.modulus
+            return out
+
+        monkeypatch.setattr(classifier.ResidueCache, "residues", corrupted)
+        assert verify_range(MapKind.CR3, 4000, 6000, cache) == [5000]
+        after = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
+        moved = {int(label): after[label] - before[label] for label in before}
+        assert sorted(moved.values()) == [-1, 0, 1]
 
 
 def _verify_range_scalar(map_kind, lo, hi, cache, max_steps=DEFAULT_STEP_BUDGET):
@@ -367,8 +440,7 @@ class TestDirectBlock:
             "classify_fast",
         ):
             monkeypatch.setattr(classifier, name, forbidden)
-        starts = np.arange(1, 20_001, dtype=np.uint64)
-        labels = _direct_block(map_kind, starts, DEFAULT_STEP_BUDGET)
+        labels = _direct_block(map_kind, 1, 20_000, DEFAULT_STEP_BUDGET)
         assert labels.tolist() == [oracle_label(n, map_kind.value) for n in range(1, 20_001)]
 
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
