@@ -147,19 +147,13 @@ def merge(a: ClassCounts, b: ClassCounts) -> ClassCounts:
     return ClassCounts(a.map_kind, first.lo, second.hi, summed)
 
 
-def census_chunk(
-    map_kind: MapKind,
-    lo: int,
-    hi: int,
-    cache: ResidueCache,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-) -> ClassCounts:
+def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> ClassCounts:
     """Classify every n in [lo, hi] and tally the classes.
 
     Counts :meth:`ResidueCache.residues`, the call ``verify_range`` checks,
     in spans of at most 2^20 numbers: a slice of the cache below its bound,
-    a descent into the cache above it. Any member that fails aborts the
-    chunk with the smallest offending n.
+    a descent into the cache above it, under the cache's ``max_steps``. Any
+    member that fails aborts the chunk with the smallest offending n.
     """
     labels = labels_for(map_kind)
     _check_cache_basis(map_kind, cache)
@@ -172,7 +166,7 @@ def census_chunk(
     for a in range(lo, hi + 1, _VECTOR_SPAN):
         b = min(hi, a + _VECTOR_SPAN - 1)
         try:
-            residues = cache.residues(a, b, max_steps)
+            residues = cache.residues(a, b)
         except (NatOverflowError, StepBudgetExceeded) as e:
             raise CensusAbortError(e.n, e) from e
         residue_totals += np.bincount(residues, minlength=cache.modulus)
@@ -373,7 +367,8 @@ class CensusConfig:
     aborts naming n. For n itself this bounds its stopping time σ(n), the
     steps until the value first drops below n. The n a run aborts at, the
     smallest that breaks the rule, depends on ``max_steps`` alone, never on
-    the other fields.
+    the other fields. A run builds its residue cache under ``max_steps``,
+    and the cache carries it to every chunk.
     """
 
     chunk_size: int = 1 << 16
@@ -436,9 +431,7 @@ def _tally(map_kind, config, workers, bound, start, cuts, absorb) -> None:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             for lo, hi in chunks:
-                in_flight.append(
-                    pool.submit(census_chunk, map_kind, lo, hi, cache, config.max_steps)
-                )
+                in_flight.append(pool.submit(census_chunk, map_kind, lo, hi, cache))
                 if len(in_flight) == 4 * workers:
                     absorb(in_flight.popleft().result())
             while in_flight:

@@ -20,7 +20,10 @@ scalar walk :func:`_walk`: until the trajectory reaches 1, every run of
 on n and ``max_steps`` alone, never on a cache bound, block layout, jump
 length or sieve. The vector paths accept only lanes that finish within
 ``max_steps`` base steps in all, which implies the rule, and hand every
-other lane to the walk.
+other lane to the walk. A cache is built under one budget and keeps it as
+:attr:`ResidueCache.max_steps`; every call through the cache uses that
+budget and takes none of its own, so a cache's entries and the descent
+above its bound are always judged by the same rule.
 
 The cache build and the descent above the bound (:meth:`ResidueCache.residues`)
 share one kernel, :func:`_descend_residues`. It moves whole arrays of values k
@@ -210,13 +213,19 @@ class ResidueCache:
     A ``cr``-basis cache stores the stopping time mod 3, a ``pdcr``-basis
     cache the stopping time mod 2. It wraps the build's own array, read-only
     and uncopied; share it freely. Build with :func:`build_residue_cache`.
+
+    ``max_steps`` is the step budget the entries were built under. It is the
+    budget of every call that takes the cache: :meth:`residues`,
+    :func:`classify_fast`, :func:`verify_range` and ``census_chunk`` descend
+    above the bound under it, so whether n passes never depends on the bound.
     """
 
-    __slots__ = ("basis", "bound", "modulus", "_residues")
+    __slots__ = ("basis", "bound", "max_steps", "modulus", "_residues")
 
-    def __init__(self, basis: MapKind, bound: int, residues: np.ndarray):
+    def __init__(self, basis: MapKind, bound: int, max_steps: int, residues: np.ndarray):
         self.basis = basis
         self.bound = bound
+        self.max_steps = max_steps
         self.modulus = basis_modulus(basis)
         residues.setflags(write=False)
         self._residues = residues
@@ -231,7 +240,7 @@ class ResidueCache:
             raise ValueError(f"n={n} outside cache range [1, {self.bound})")
         return int(self._residues[n])
 
-    def residues(self, lo: int, hi: int, max_steps: int) -> np.ndarray:
+    def residues(self, lo: int, hi: int) -> np.ndarray:
         """Stopping-time residue of every n in [lo, hi], in order, one uint8 each.
 
         The one vector route from a range to its residues. Below ``bound`` it
@@ -240,21 +249,21 @@ class ResidueCache:
         :func:`_descend_residues`; from 2^64 on each n walks alone through
         :func:`_descend_scalar`. A failing member raises
         :class:`StepBudgetExceeded` or :class:`NatOverflowError` naming the
-        smallest one. The range and budget are checked before any compute.
+        smallest one. The budget is the cache's ``max_steps``. The range is
+        checked before any compute.
         """
         validate_nat(lo)
         validate_nat(hi)
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        _validate_budget(max_steps)
         table = self._residues
         cached = table[min(lo, self.bound) : min(hi + 1, self.bound)]
         if hi < self.bound:
             return cached
         starts = _u64_span(max(lo, self.bound), hi)
-        descended = _descend_residues(self.basis, starts, self.bound, table, max_steps)
+        descended = _descend_residues(self.basis, starts, self.bound, table, self.max_steps)
         walked = [
-            _descend_scalar(self.basis, n, self.bound, table, max_steps)
+            _descend_scalar(self.basis, n, self.bound, table, self.max_steps)
             for n in range(max(lo, _U64_LIMIT), hi + 1)
         ]
         return np.concatenate([cached, descended, np.array(walked, dtype=np.uint8)])
@@ -446,7 +455,8 @@ def build_residue_cache(
 
     The budget is :func:`_walk`'s, whatever the block layout: until its
     trajectory reaches 1, every run of ``max_steps`` base steps from n must
-    reach a new low. The build raises for the smallest n that breaks it.
+    reach a new low. The build raises for the smallest n that breaks it,
+    and the cache keeps the budget as :attr:`ResidueCache.max_steps`.
     """
     modulus = basis_modulus(basis)  # validates the basis
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 2:
@@ -484,7 +494,7 @@ def build_residue_cache(
         lanes = lanes[(lanes >= a) & (lanes < b)]
         res[lanes] = _descend_residues(basis, lanes.astype(np.uint64), a, res, max_steps)
         a = b
-    return ResidueCache(basis, bound, res)
+    return ResidueCache(basis, bound, max_steps, res)
 
 
 def _check_cache_basis(map_kind: MapKind, cache: ResidueCache) -> MapKind:
@@ -497,25 +507,20 @@ def _check_cache_basis(map_kind: MapKind, cache: ResidueCache) -> MapKind:
     return basis
 
 
-def classify_fast(
-    map_kind: MapKind,
-    n: int,
-    cache: ResidueCache,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-) -> ClassificationOutcome:
+def classify_fast(map_kind: MapKind, n: int, cache: ResidueCache) -> ClassificationOutcome:
     """Classify via the stopping-time residue, using the cache.
 
     Numbers below the cache bound answer in O(1); larger ones walk the base
-    map (:func:`_walk`, with its budget rule) only until they descend into
-    the cache, each step advancing the residue by one in the basis modulus.
+    map (:func:`_walk`, with its budget rule under the cache's ``max_steps``)
+    only until they descend into the cache, each step advancing the residue
+    by one in the basis modulus.
     """
     basis = _check_cache_basis(map_kind, cache)
     validate_nat(n)
-    _validate_budget(max_steps)
     if n < cache.bound:
         residue = cache.entry(n)
     else:
-        residue = _descend_scalar(basis, n, cache.bound, cache._residues, max_steps)
+        residue = _descend_scalar(basis, n, cache.bound, cache._residues, cache.max_steps)
     return ClassificationOutcome(residue_to_label(map_kind, residue), None, "fast")
 
 
@@ -577,55 +582,49 @@ def _direct_label(map_kind, n, max_steps):
         return 0
 
 
-def _fast_label(map_kind, n, cache, max_steps):
+def _fast_label(map_kind, n, cache):
     """:func:`classify_fast`'s label of n as an int, 0 if it raises."""
     try:
-        return int(classify_fast(map_kind, n, cache, max_steps).label)
+        return int(classify_fast(map_kind, n, cache).label)
     except (NatOverflowError, StepBudgetExceeded):
         return 0
 
 
-def _fast_block(map_kind, lo, hi, cache, max_steps):
+def _fast_block(map_kind, lo, hi, cache):
     """Labels of every n in [lo, hi], in order, from the census's own call
     :meth:`ResidueCache.residues`, 0 where :func:`classify_fast` raises."""
     labels = np.array(labels_for(map_kind), dtype=np.uint64)
     try:
-        return labels[cache.residues(lo, hi, max_steps)]
+        return labels[cache.residues(lo, hi)]
     except (NatOverflowError, StepBudgetExceeded):
         # some member fails: find which, one n at a time
         return np.array(
-            [_fast_label(map_kind, n, cache, max_steps) for n in range(lo, hi + 1)],
+            [_fast_label(map_kind, n, cache) for n in range(lo, hi + 1)],
             dtype=np.uint64,
         )
 
 
-def verify_range(
-    map_kind: MapKind,
-    lo: int,
-    hi: int,
-    cache: ResidueCache,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-) -> list[int]:
+def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> list[int]:
     """Every n in [lo, hi] whose fast and direct labels disagree, ascending.
 
     Expected empty. An n where either route fails (budget, overflow) is
     reported as a mismatch rather than skipped. The range runs in blocks of
     at most 2^14 numbers: the direct labels come from :func:`_direct_block`,
     the fast ones from :meth:`ResidueCache.residues`, the call a census
-    chunk counts. The result is that of calling :func:`classify_fast` and
-    :func:`classify_direct` for every n.
+    chunk counts. Both sides run under the cache's ``max_steps``. The result
+    is that of calling :func:`classify_fast` and :func:`classify_direct`
+    with that budget for every n.
     """
     _check_cache_basis(map_kind, cache)
     validate_nat(lo)
     validate_nat(hi)
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    _validate_budget(max_steps)
     mismatches = []
     for a in range(lo, hi + 1, _VERIFY_BLOCK):
         b = min(hi, a + _VERIFY_BLOCK - 1)
-        fast = _fast_block(map_kind, a, b, cache, max_steps)
-        direct = _direct_block(map_kind, a, b, max_steps)
+        fast = _fast_block(map_kind, a, b, cache)
+        direct = _direct_block(map_kind, a, b, cache.max_steps)
         bad = (fast == 0) | (fast != direct)
         # Python-int offsets: a + index would overflow int64 for a >= 2^63
         mismatches.extend(a + int(i) for i in np.flatnonzero(bad))

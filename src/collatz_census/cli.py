@@ -39,7 +39,6 @@ from .kernel import (
 )
 
 _CLASSIFY_CACHE_BOUND = 1 << 16
-_VERIFY_CACHE_BOUND = 1 << 25
 
 _DECIMAL = re.compile(r"^[0-9]+$")
 
@@ -179,7 +178,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify(args) -> int:
     map_kind = MapKind(args.map)
-    bound = max(2, min(_VERIFY_CACHE_BOUND, args.V + 1))
+    bound = max(2, min(CensusConfig.cache_bound, args.V + 1))
     cache = build_residue_cache(basis_for(map_kind), bound)
     mismatches = verify_range(map_kind, 1, args.V, cache)
     print(f"checked 1..{args.V} map={map_kind.value}: {len(mismatches)} mismatches")

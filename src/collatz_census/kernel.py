@@ -235,19 +235,11 @@ def stopping_time(
     (``classifier._walk``), which bounds the steps between new lows.
     """
     modulus = basis_modulus(basis)
-    validate_nat(n)
-    _validate_budget(max_steps)
-    step = step_function(basis)
-    x = n
-    k = 0
-    while x != 1:
-        if k >= max_steps:
-            raise StepBudgetExceeded(n, max_steps)
-        try:
-            x = step(x)
-        except NatOverflowError as e:
-            raise NatOverflowError(
-                n, f"trajectory of {n} exceeded the 128-bit limit at value {e.n}"
-            ) from None
-        k += 1
-    return StoppingTime(basis, k, k % modulus)
+    t = iterate(basis, n, max_steps, record=False)
+    if t.terminated is Termination.BUDGET_EXHAUSTED:
+        raise StepBudgetExceeded(n, max_steps)
+    if t.terminated is Termination.OVERFLOW:
+        raise NatOverflowError(
+            n, f"trajectory of {n} exceeded the 128-bit limit at value {t.final}"
+        )
+    return StoppingTime(basis, t.steps, t.steps % modulus)

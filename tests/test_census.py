@@ -74,9 +74,9 @@ class TestCensusChunk:
         assert counts_as_ints(chunk.counts) == oracle_census(500, "cr3")
 
     def test_budget_abort_names_offender(self):
-        cache = build_residue_cache(MapKind.CR, 4)
+        cache = build_residue_cache(MapKind.CR, 2, 5)
         with pytest.raises(CensusAbortError) as exc:
-            census_chunk(MapKind.CR3, 27, 27, cache, max_steps=5)
+            census_chunk(MapKind.CR3, 27, 27, cache)
         assert exc.value.n == 27
 
     def test_members_beyond_uint64(self, cr_cache):

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import random
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collatz_census
 from collatz_census import (
     DEFAULT_STEP_BUDGET,
     NAT_MAX,
+    CensusAbortError,
     ClassLabel,
     MapKind,
     NatOverflowError,
+    ResidueCache,
     StepBudgetExceeded,
     build_residue_cache,
     census_chunk,
@@ -160,7 +164,7 @@ class TestResidueCache:
             cr_cache.entry(cr_cache.bound)
 
     def test_vector_gather_matches_scalar(self, cr_cache):
-        gathered = cr_cache.residues(1, 4999, DEFAULT_STEP_BUDGET)
+        gathered = cr_cache.residues(1, 4999)
         assert [cr_cache.entry(n) for n in range(1, 5000)] == gathered.tolist()
 
     def test_vector_gather_past_the_bound(self, cr_cache):
@@ -170,12 +174,12 @@ class TestResidueCache:
         expected = [
             labels.index(classify_fast(MapKind.CR3, n, cr_cache).label) for n in range(1, hi + 1)
         ]
-        assert cr_cache.residues(1, hi, DEFAULT_STEP_BUDGET).tolist() == expected
+        assert cr_cache.residues(1, hi).tolist() == expected
 
     @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, (1 << 16) - 1), (777, 40_000)])
     def test_residues_below_bound_are_entries(self, lo, hi, cr_cache):
         expected = [cr_cache.entry(n) for n in range(lo, hi + 1)]
-        assert cr_cache.residues(lo, hi, DEFAULT_STEP_BUDGET).tolist() == expected
+        assert cr_cache.residues(lo, hi).tolist() == expected
 
     @pytest.mark.parametrize(
         "lo, hi", [(0, 10), (10, 9), (2**64 + 1, 2**64), (1, NAT_MAX + 1), (1.0, 10), (1, "9")]
@@ -187,10 +191,10 @@ class TestResidueCache:
         monkeypatch.setattr(classifier, "_descend_residues", forbidden)
         monkeypatch.setattr(classifier, "_descend_scalar", forbidden)
         with pytest.raises(ValueError):
-            cr_cache.residues(lo, hi, DEFAULT_STEP_BUDGET)
+            cr_cache.residues(lo, hi)
 
     def test_residues_below_bound_are_a_read_only_view(self, cr_cache):
-        view = cr_cache.residues(100, 60_000, DEFAULT_STEP_BUDGET)
+        view = cr_cache.residues(100, 60_000)
         assert np.shares_memory(view, cr_cache._residues)
         assert not view.flags.writeable
 
@@ -207,15 +211,15 @@ class TestResidueCache:
         expected = [
             labels.index(classify_fast(map_kind, n, cache).label) for n in range(lo, hi + 1)
         ]
-        assert cache.residues(lo, hi, DEFAULT_STEP_BUDGET).tolist() == expected
+        assert cache.residues(lo, hi).tolist() == expected
 
     @pytest.mark.parametrize("budget", [20, 40, 60])
     def test_tight_budget_names_smallest_failing_n_across_bound(self, budget):
-        cache = _cache(MapKind.CR, 50)
+        cache = _cache(MapKind.CR, 17, budget)
 
         def fails(n):
             try:
-                classify_fast(MapKind.CR3, n, cache, budget)
+                classify_fast(MapKind.CR3, n, cache)
             except StepBudgetExceeded:
                 return True
             return False
@@ -223,13 +227,17 @@ class TestResidueCache:
         expected = next(n for n in range(1, 3000) if fails(n))
         assert expected >= cache.bound
         with pytest.raises(StepBudgetExceeded) as exc:
-            cache.residues(10, 3000, budget)
+            cache.residues(10, 3000)
+        assert exc.value.n == expected
+        # a bound past it names the same n, in the build
+        with pytest.raises(StepBudgetExceeded) as exc:
+            build_residue_cache(MapKind.CR, 50, budget)
         assert exc.value.n == expected
 
     def test_overflow_names_smallest_failing_n_beyond_uint64(self, cr_cache):
         # 2^127 halves down to 1; 2^127 + 1 is odd and 3n + 1 leaves 128 bits
         with pytest.raises(NatOverflowError) as exc:
-            cr_cache.residues(2**127, 2**127 + 3, DEFAULT_STEP_BUDGET)
+            cr_cache.residues(2**127, 2**127 + 3)
         assert exc.value.n == 2**127 + 1
 
     def test_immutable_after_build(self, cr_cache):
@@ -283,9 +291,9 @@ class TestClassifyFast:
             classify_fast(MapKind.CR3, 5, pdcr_cache)
 
     def test_budget_above_bound(self):
-        cache = build_residue_cache(MapKind.CR, 4)
+        cache = build_residue_cache(MapKind.CR, 2, 5)
         with pytest.raises(StepBudgetExceeded) as exc:
-            classify_fast(MapKind.CR3, 27, cache, max_steps=5)
+            classify_fast(MapKind.CR3, 27, cache)
         assert exc.value.n == 27
 
     def test_overflow_names_queried_number(self, cr_cache):
@@ -331,9 +339,23 @@ class TestVerifyRange:
         with pytest.raises(ValueError):
             verify_range(MapKind.CR3, 10, 9, cr_cache)
 
-    def test_failing_member_is_reported(self, cr_cache):
+    def test_failing_member_is_reported(self):
         # a budget every member blows through turns the whole range into mismatches
-        assert verify_range(MapKind.CR3, 27, 27, cr_cache, max_steps=0) == [27]
+        cache = build_residue_cache(MapKind.CR, 2, 0)
+        assert verify_range(MapKind.CR3, 27, 27, cache) == [27]
+
+    def test_direct_side_runs_under_the_cache_budget(self, monkeypatch):
+        budgets = []
+        exact = classifier._direct_block
+
+        def recording(map_kind, lo, hi, max_steps):
+            budgets.append(max_steps)
+            return exact(map_kind, lo, hi, max_steps)
+
+        monkeypatch.setattr(classifier, "_direct_block", recording)
+        cache = build_residue_cache(MapKind.CR, 17, 95)
+        assert verify_range(MapKind.CR3, 1, 30, cache) == [27]
+        assert budgets == [95]
 
     def test_rejects_cache_of_other_basis(self, pdcr_cache):
         with pytest.raises(ValueError, match="basis"):
@@ -358,8 +380,8 @@ class TestVerifyRange:
         before = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
         residues = classifier.ResidueCache.residues
 
-        def corrupted(self, lo, hi, max_steps):
-            out = residues(self, lo, hi, max_steps).copy()
+        def corrupted(self, lo, hi):
+            out = residues(self, lo, hi).copy()
             if lo <= 5000 <= hi:
                 out[5000 - lo] = (out[5000 - lo] + 1) % self.modulus
             return out
@@ -371,13 +393,13 @@ class TestVerifyRange:
         assert sorted(moved.values()) == [-1, 0, 1]
 
 
-def _verify_range_scalar(map_kind, lo, hi, cache, max_steps=DEFAULT_STEP_BUDGET):
+def _verify_range_scalar(map_kind, lo, hi, cache):
     """The per-n loop ``verify_range`` replaced, kept as its reference."""
     mismatches = []
     for n in range(lo, hi + 1):
         try:
-            fast = classify_fast(map_kind, n, cache, max_steps)
-            direct = classify_direct(map_kind, n, max_steps)
+            fast = classify_fast(map_kind, n, cache)
+            direct = classify_direct(map_kind, n, cache.max_steps)
         except (NatOverflowError, StepBudgetExceeded):
             mismatches.append(n)
             continue
@@ -387,8 +409,8 @@ def _verify_range_scalar(map_kind, lo, hi, cache, max_steps=DEFAULT_STEP_BUDGET)
 
 
 @functools.cache
-def _cache(basis, bound):
-    return build_residue_cache(basis, bound)
+def _cache(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
+    return build_residue_cache(basis, bound, max_steps)
 
 
 _U64_ODD_STEP_MAX = (2**64 - 2) // 3
@@ -409,19 +431,28 @@ class TestVerifyRangeMatchesScalarLoop:
         ids=["small", "2^63", "odd-step-guard", "straddles-2^64", "2^100"],
     )
     def test_grid(self, map_kind, bound, lo, hi):
-        cache = _cache(classifier.basis_for(map_kind), bound)
+        basis = classifier.basis_for(map_kind)
         for budget in (0, 1, 3, 10, 40, 60, 150, DEFAULT_STEP_BUDGET):
-            expected = _verify_range_scalar(map_kind, lo, hi, cache, budget)
-            assert verify_range(map_kind, lo, hi, cache, budget) == expected, budget
+            try:
+                cache = _cache(basis, bound, budget)
+            except StepBudgetExceeded as e:
+                # the build names the smallest n below the bound the walk rejects
+                assert e.n == _first_raising(functools.partial(classify_direct, map_kind), budget)
+                assert e.n < bound, budget
+                continue
+            expected = _verify_range_scalar(map_kind, lo, hi, cache)
+            assert verify_range(map_kind, lo, hi, cache) == expected, budget
 
     def test_direct_budget_boundary(self):
-        # the cache covers 27, so only the direct route's budget can fail
-        cache = _cache(MapKind.CR, 1 << 10)
+        # 27 lies above a bound-17 cache, which passes under all three budgets
         t = _steps_below(MapKind.CR, 27, 2)
         assert t == 96
         for budget, expected in ((t - 1, [27]), (t, []), (t + 1, [])):
-            assert _verify_range_scalar(MapKind.CR3, 27, 27, cache, budget) == expected
-            assert verify_range(MapKind.CR3, 27, 27, cache, budget) == expected
+            cache = build_residue_cache(MapKind.CR, 17, budget)
+            assert _verify_range_scalar(MapKind.CR3, 27, 27, cache) == expected
+            assert verify_range(MapKind.CR3, 27, 27, cache) == expected
+            label = 0 if expected else oracle_label(27, "cr3")
+            assert _direct_block(MapKind.CR3, 27, 27, budget).tolist() == [label]
 
 
 class TestDirectBlock:
@@ -455,11 +486,9 @@ class TestBudgetValidation:
         "call",
         [
             lambda b: classify_direct(MapKind.CR3, 5, max_steps=b),
-            lambda b: classify_fast(MapKind.CR3, 5, _cache(MapKind.CR, 16), max_steps=b),
             lambda b: build_residue_cache(MapKind.CR, 16, max_steps=b),
-            lambda b: verify_range(MapKind.CR3, 1, 10, _cache(MapKind.CR, 16), max_steps=b),
         ],
-        ids=["classify_direct", "classify_fast", "build_residue_cache", "verify_range"],
+        ids=["classify_direct", "build_residue_cache"],
     )
     def test_rejected_before_compute(self, call, budget):
         with pytest.raises(ValueError, match="step budget"):
@@ -704,3 +733,64 @@ class TestGlideRecords:
 
         assert _first_raising(classify, sigma - 1) == record
         assert _first_raising(classify, sigma) == following
+
+
+class TestBudgetIsTheCaches:
+    """A cache is built under one budget and every call through it uses that
+    budget, so which n fails never depends on the cache bound."""
+
+    @pytest.mark.parametrize(
+        "map_kind, budget",
+        [
+            (MapKind.CR3, 50),
+            (MapKind.CR3, 96),
+            (MapKind.CR3, 150),
+            (MapKind.PDCR2, 58),
+            (MapKind.PDCR2, 59),
+            (MapKind.PDCR2, 90),
+        ],
+    )
+    @pytest.mark.parametrize("bound", [2, 17, 1024, 1 << 16])
+    def test_outcome_does_not_depend_on_the_bound(self, map_kind, budget, bound):
+        basis = classifier.basis_for(map_kind)
+        r = next(n for n, sigma in _glide_records(basis) if sigma > budget)
+        assert r in (27, 703, 10087)
+        if r < bound:
+            with pytest.raises(StepBudgetExceeded) as exc:
+                build_residue_cache(basis, bound, budget)
+            assert exc.value.n == r
+            return
+        cache = build_residue_cache(basis, bound, budget)
+        with pytest.raises(CensusAbortError) as exc:
+            census_chunk(map_kind, 1, 11_000, cache)
+        assert exc.value.n == r
+        with pytest.raises(StepBudgetExceeded) as exc:
+            cache.residues(1, 11_000)
+        assert exc.value.n == r
+        with pytest.raises(StepBudgetExceeded) as exc:
+            classify_fast(map_kind, r, cache)
+        assert exc.value.n == r
+        classify_fast(map_kind, r - 1, cache)
+        assert verify_range(map_kind, max(1, r - 50), r + 50, cache)[0] == r
+
+    def test_no_call_through_a_cache_takes_a_budget(self):
+        callables = [getattr(collatz_census, name) for name in collatz_census.__all__]
+        methods = [
+            getattr(ResidueCache, name)
+            for name in vars(ResidueCache)
+            if not name.startswith("_") and inspect.isfunction(getattr(ResidueCache, name))
+        ]
+        assert ResidueCache.residues in methods
+        checked = set()
+        for fn in [f for f in callables if inspect.isfunction(f)] + methods:
+            params = inspect.signature(fn).parameters
+            if "cache" in params or fn in methods:
+                assert "max_steps" not in params, fn.__qualname__
+                checked.add(fn.__qualname__)
+        assert {
+            "ResidueCache.residues",
+            "census_chunk",
+            "classify_fast",
+            "verify_range",
+        } <= checked
+        assert build_residue_cache(MapKind.CR, 100, 500).max_steps == 500
