@@ -41,11 +41,15 @@ The residue rule is derived engineering, so ``verify_range`` cross-checks
 the two routes in blocks of at most 2^14 numbers. Its direct side,
 :func:`_direct_block`, applies the composite map literally to the block's
 members below 2^64 as a uint64 array, 3 ``cr`` or 2 ``pdcr`` steps per
-pass, until each value repeats, and hands the rest to
-:func:`classify_direct`; it never touches the cache, the jump tables or the
-residue rule. Its fast side is :meth:`ResidueCache.residues`, the one
-vector route from a range of n to their residues and the call a census
-chunk counts, so the check covers the code that produces the census counts.
+pass, until each value repeats. The base step is branch-free arithmetic on
+y >> 1 and the parity bit, and a pass checks for overflow once: a lane
+above the largest value B from which one composite step stays within
+uint64, (2(2^64 - 1) - 5)//9 for ``cr3`` and (4(2^64 - 1) - 5)//9 for
+``pdcr2``, goes to :func:`classify_direct` with the rest. The direct side
+never touches the cache, the jump tables or the residue rule. Its fast
+side is :meth:`ResidueCache.residues`, the one vector route from a range of
+n to their residues and the call a census chunk counts, so the check
+covers the code that produces the census counts.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ _SIEVE_BITS = 6            # the cache build sieves residue classes mod 2^6
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
 _U64_LIMIT = 2**64         # members at or above this bypass the vector kernels
-_U64_ODD_STEP_MAX = (_U64_LIMIT - 2) // 3  # largest odd x whose 3x+1 fits uint64
 
 
 class ClassLabel(enum.IntEnum):
@@ -97,8 +100,17 @@ _LABELS_BY_RESIDUE = {
 }
 
 _BASIS_FOR = {MapKind.CR3: MapKind.CR, MapKind.PDCR2: MapKind.PDCR}
-# composite map -> (base steps per composite step, whether an odd step also halves)
-_LOCKSTEP = {MapKind.CR3: (3, False), MapKind.PDCR2: (2, True)}
+# composite map -> (base steps per composite step, a, c): with h = y >> 1, a
+# base step sends y to h + (y & 1)*(a*h + c), which is 3y+1 (cr) or (3y+1)/2
+# (pdcr) for odd y = 2h+1
+_LOCKSTEP = {MapKind.CR3: (3, 5, 4), MapKind.PDCR2: (2, 2, 2)}
+# composite map -> the largest x from which one composite step stays within
+# uint64. The highest value it can reach is (9x+5)/2 under cr (steps odd, even,
+# odd) and (9x+5)/4 under pdcr (odd, odd).
+_DIRECT_PASS_MAX = {
+    MapKind.CR3: (2 * (_U64_LIMIT - 1) - 5) // 9,
+    MapKind.PDCR2: (4 * (_U64_LIMIT - 1) - 5) // 9,
+}
 
 
 def labels_for(map_kind: MapKind) -> tuple[ClassLabel, ...]:
@@ -196,7 +208,7 @@ def classify_direct(
     :class:`StepBudgetExceeded` names n.
     """
     basis = basis_for(map_kind)
-    reps, _ = _LOCKSTEP[map_kind]
+    reps = _LOCKSTEP[map_kind][0]
     validate_nat(n)
     _validate_budget(max_steps)
     cur = n
@@ -532,15 +544,28 @@ def _direct_block(map_kind, lo, hi, max_steps):
     the map reproduces its value; that value is its label. It runs at most
     ``max_steps // reps`` passes, so a retired lane reached 1 within
     ``max_steps`` base steps in all and meets :func:`_walk`'s rule: every
-    run of ``max_steps`` base steps before 1 reaches a new low. Members at
-    or above 2^64, lanes still running after the last pass and lanes whose
-    odd step would leave uint64 go to :func:`classify_direct` from their
-    start, with the walk's exact budget and 128-bit overflow checks, and get
-    0 if that raises. Uses no cache, jump table or residue.
+    run of ``max_steps`` base steps before 1 reaches a new low.
+
+    A base step has no branch. With h = y >> 1 it sends y to
+    h + (y & 1)*(a*h + c): a*h + c is 5h + 4 under ``cr``, so an odd
+    y = 2h + 1 goes to 6h + 4 = 3y + 1, and 2h + 2 under ``pdcr``, giving
+    3h + 2 = (3y + 1)/2. On an even lane a*h + c may wrap, but it is
+    multiplied by 0. Nor does a step check for overflow: one check per pass
+    retires every lane above B, the largest x from which ``reps`` steps
+    stay within uint64. The highest value a pass can reach from x is
+    (9x + 5)/2 under ``cr3`` (steps odd, even, odd) and (9x + 5)/4 under
+    ``pdcr2`` (odd, odd), so B = (2(2^64 - 1) - 5)//9 and
+    (4(2^64 - 1) - 5)//9; from B + 1, which is 3 mod 4, the odd steps do
+    leave uint64.
+
+    Members at or above 2^64, lanes above B at the start of a pass and lanes
+    still running after the last pass go to :func:`classify_direct` from
+    their start, with the walk's exact budget and 128-bit overflow checks,
+    and get 0 if that raises. Uses no cache, jump table or residue.
     """
-    reps, halve_odd = _LOCKSTEP[map_kind]
-    one = np.uint64(1)
-    three = np.uint64(3)
+    reps, a, c = _LOCKSTEP[map_kind]
+    pass_max = _DIRECT_PASS_MAX[map_kind]
+    one, a, c = np.uint64(1), np.uint64(a), np.uint64(c)
     out = np.zeros(hi - lo + 1, dtype=np.uint64)
     x = _u64_span(lo, hi)
     pos = np.arange(len(x), dtype=np.intp)
@@ -548,19 +573,19 @@ def _direct_block(map_kind, lo, hi, max_steps):
     for _ in range(max_steps // reps):
         if not x.size:
             break
+        if x.max() > pass_max:
+            over = x > pass_max
+            fallback.append(pos[over])
+            keep = ~over
+            x, pos = x[keep], pos[keep]
         y = x
         for _ in range(reps):
-            odd = (y & one).astype(bool)
-            if y.size and y.max() > _U64_ODD_STEP_MAX:
-                over = odd & (y > _U64_ODD_STEP_MAX)
-                if over.any():
-                    fallback.append(pos[over])
-                    keep = ~over
-                    x, y, pos, odd = x[keep], y[keep], pos[keep], odd[keep]
-            up = three * y + one
-            if halve_odd:
-                up >>= one
-            y = np.where(odd, up, y >> one)
+            h = y >> one  # y -> h + (y & 1)*(a*h + c), in place on one temporary
+            step = a * h
+            step += c
+            step *= y & one
+            step += h
+            y = step
         fixed = y == x
         if fixed.any():
             out[pos[fixed]] = y[fixed]
@@ -582,26 +607,40 @@ def _direct_label(map_kind, n, max_steps):
         return 0
 
 
-def _fast_label(map_kind, n, cache):
-    """:func:`classify_fast`'s label of n as an int, 0 if it raises."""
-    try:
-        return int(classify_fast(map_kind, n, cache).label)
-    except (NatOverflowError, StepBudgetExceeded):
-        return 0
-
-
 def _fast_block(map_kind, lo, hi, cache):
     """Labels of every n in [lo, hi], in order, from the census's own call
-    :meth:`ResidueCache.residues`, 0 where :func:`classify_fast` raises."""
+    :meth:`ResidueCache.residues`, 0 where :func:`classify_fast` raises.
+
+    A failing member stops the call, and its error names the smallest one,
+    n. A second call labels the members before n, n keeps 0, and the next
+    call starts at n + 1. Each failure costs a call over the whole rest of
+    the block, so this goes on only while more members passed before n than
+    are left after it, which at least halves the rest each time. When a
+    failure comes before the middle of what is left, failures are not rare
+    in this block: the rest goes one n at a time through
+    :func:`classify_fast`, whose cost does not grow with the number of
+    failures.
+    """
     labels = np.array(labels_for(map_kind), dtype=np.uint64)
-    try:
-        return labels[cache.residues(lo, hi)]
-    except (NatOverflowError, StepBudgetExceeded):
-        # some member fails: find which, one n at a time
-        return np.array(
-            [_fast_label(map_kind, n, cache) for n in range(lo, hi + 1)],
-            dtype=np.uint64,
-        )
+    out = np.zeros(hi - lo + 1, dtype=np.uint64)
+    a = lo
+    while a <= hi:
+        try:
+            out[a - lo :] = labels[cache.residues(a, hi)]
+            return out
+        except (NatOverflowError, StepBudgetExceeded) as e:
+            n = e.n
+        if n > a:
+            out[a - lo : n - lo] = labels[cache.residues(a, n - 1)]
+        passed, a = n - a, n + 1
+        if passed < hi - n:
+            break
+    for n in range(a, hi + 1):
+        try:
+            out[n - lo] = classify_fast(map_kind, n, cache).label
+        except (NatOverflowError, StepBudgetExceeded):
+            pass  # a failing member keeps 0
+    return out
 
 
 def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> list[int]:

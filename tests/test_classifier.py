@@ -479,6 +479,116 @@ class TestDirectBlock:
         cache = _cache(classifier.basis_for(map_kind), 1 << 10)
         assert verify_range(map_kind, 1, 50_000, cache) == []
 
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_pass_bound_is_the_largest_safe_start(self, map_kind):
+        bound = _PASS_MAX[map_kind]
+        assert classifier._DIRECT_PASS_MAX[map_kind] == bound
+        # the last 1000 starts up to B stay within uint64, and B + 1 leaves it
+        assert max(_pass_peak(map_kind, x) for x in range(bound - 1000, bound + 1)) < 2**64
+        assert _pass_peak(map_kind, bound + 1) >= 2**64
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("budget", [0, 3, 150, DEFAULT_STEP_BUDGET])
+    def test_window_straddling_the_pass_bound(self, map_kind, budget, monkeypatch):
+        bound = _PASS_MAX[map_kind]
+        lo, hi = bound - 30, bound + 30
+        exact = classifier.classify_direct
+        expected = []
+        for n in range(lo, hi + 1):
+            try:
+                expected.append(int(exact(map_kind, n, budget).label))
+            except (NatOverflowError, StepBudgetExceeded):
+                expected.append(0)
+        restarted = []
+
+        def recording(map_kind, n, max_steps):
+            restarted.append(n)
+            return exact(map_kind, n, max_steps)
+
+        monkeypatch.setattr(classifier, "classify_direct", recording)
+        assert _direct_block(map_kind, lo, hi, budget).tolist() == expected
+        leaving = [n for n in range(lo, hi + 1) if _leaves_numpy(map_kind, n, budget)]
+        assert sorted(restarted) == leaving
+        assert set(range(bound + 1, hi + 1)) <= set(restarted)
+        if budget >= 150:
+            # B's own trajectory reaches its fixed point within 150 steps
+            assert bound not in restarted
+
+
+# the largest x from which one composite step stays within uint64:
+# (2(2^64 - 1) - 5)//9 for cr3, whose highest value is (9x+5)/2, and
+# (4(2^64 - 1) - 5)//9 for pdcr2, whose highest is (9x+5)/4
+_PASS_MAX = {MapKind.CR3: 4099276460824344802, MapKind.PDCR2: 8198552921648689606}
+_REPS = {MapKind.CR3: 3, MapKind.PDCR2: 2}
+
+
+def _pass_peak(map_kind, x):
+    """The highest value one composite step from x reaches, in exact arithmetic."""
+    basis = classifier.basis_for(map_kind).value
+    peak = x
+    for _ in range(_REPS[map_kind]):
+        x = oracle_step(x, basis)
+        peak = max(peak, x)
+    return peak
+
+
+def _leaves_numpy(map_kind, n, budget):
+    """Whether ``_direct_block`` hands n to ``classify_direct``: n is above the
+    pass bound at the start of a pass, or not yet fixed after budget // reps passes."""
+    basis = classifier.basis_for(map_kind).value
+    x = n
+    for _ in range(budget // _REPS[map_kind]):
+        if x > _PASS_MAX[map_kind]:
+            return True
+        y = x
+        for _ in range(_REPS[map_kind]):
+            y = oracle_step(y, basis)
+        if y == x:
+            return False
+        x = y
+    return True
+
+
+class TestFastBlock:
+    def test_rare_failures_stay_in_range_calls(self, monkeypatch):
+        cache = _cache(MapKind.CR, 1024, 150)
+        expected = []
+        for n in range(1, (1 << 14) + 1):
+            try:
+                expected.append(int(classify_fast(MapKind.CR3, n, cache).label))
+            except StepBudgetExceeded:
+                expected.append(0)
+        assert expected.count(0) == 2  # 10087 and a later member fail
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a block with rare failures went one n at a time")
+
+        monkeypatch.setattr(classifier, "classify_fast", forbidden)
+        assert classifier._fast_block(MapKind.CR3, 1, 1 << 14, cache).tolist() == expected
+
+    def test_dense_failures_go_one_n_at_a_time(self, monkeypatch):
+        # every member from 2 on fails: two range calls, then one walk per member
+        cache = _cache(MapKind.CR, 2, 0)
+        calls = []
+        residues = classifier.ResidueCache.residues
+
+        def recording(self, lo, hi):
+            calls.append((lo, hi))
+            return residues(self, lo, hi)
+
+        monkeypatch.setattr(classifier.ResidueCache, "residues", recording)
+        labels = classifier._fast_block(MapKind.CR3, 1, 1 << 14, cache).tolist()
+        assert labels == [1] + [0] * ((1 << 14) - 1)
+        assert calls == [(1, 1 << 14), (1, 1)]
+
+
+class TestVerifyAtScale:
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_one_million(self, map_kind):
+        # 10^6 is the paper's pdcr2 row
+        cache = build_residue_cache(classifier.basis_for(map_kind), 10**6 + 1)
+        assert verify_range(map_kind, 1, 10**6, cache) == []
+
 
 class TestBudgetValidation:
     @pytest.mark.parametrize("budget", [2.5, True, -1, "x", None])
