@@ -12,7 +12,8 @@ number's class. Two routes compute it:
   composite value is a fixed function of the stopping time modulo the cycle
   length. The residues for all n below a bound are precomputed into a
   :class:`ResidueCache`, one uint8 per n; numbers above the bound only
-  iterate until they descend into it.
+  iterate until they descend into it. A single n is the one-member range
+  [n, n] of :meth:`ResidueCache.residues`, the route a census chunk counts.
 
 A step budget ``max_steps`` means one thing on every route, set by the
 scalar walk :func:`_walk`: until the trajectory reaches 1, every run of
@@ -29,8 +30,12 @@ The cache build and the descent above the bound (:meth:`ResidueCache.residues`)
 share one kernel, :func:`_descend_residues`. It moves whole arrays of values k
 base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
 3^c(r)*q + d(r) under ``pdcr``, reads landing residues from the uint8 table,
-and hands the rare lane that would outgrow uint64 or the step budget to the
-exact big-int descent. The build runs serially and sends the kernel only
+and hands the rare lane that would outgrow uint64 or the step budget to a
+per-lane walk, the exact big-int descent. That walk alone decides what a
+failing member does: the build, the census and ``classify_fast`` pass
+:func:`_descend_scalar`, which raises at the smallest failing start, and
+``verify_range`` passes :func:`_descend_or_fail`, which marks it
+``_FAILED``. The build runs serially and sends the kernel only
 what a residue-class sieve over the same Terras coefficients leaves: with
 s = ``_SIEVE_BITS``, a class of lanes 2^s*q + r whose landings after
 j <= s ``pdcr`` steps all fall below the block floor, within the step
@@ -47,8 +52,9 @@ above the largest value B from which one composite step stays within
 uint64, (2(2^64 - 1) - 5)//9 for ``cr3`` and (4(2^64 - 1) - 5)//9 for
 ``pdcr2``, goes to :func:`classify_direct` with the rest. The direct side
 never touches the cache, the jump tables or the residue rule. Its fast
-side is :meth:`ResidueCache.residues`, the one vector route from a range of
-n to their residues and the call a census chunk counts, so the check
+side is one call per block to the code behind :meth:`ResidueCache.residues`,
+the route a census chunk counts, with only the walk swapped so that a
+failing member reads as label 0 instead of stopping the block: the check
 covers the code that produces the census counts.
 """
 
@@ -80,6 +86,7 @@ _SIEVE_BITS = 6            # the cache build sieves residue classes mod 2^6
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
 _U64_LIMIT = 2**64         # members at or above this bypass the vector kernels
+_FAILED = 255              # verify's mark for a failing member: no residue, never added to
 
 
 class ClassLabel(enum.IntEnum):
@@ -226,10 +233,11 @@ class ResidueCache:
     cache the stopping time mod 2. It wraps the build's own array, read-only
     and uncopied; share it freely. Build with :func:`build_residue_cache`.
 
-    ``max_steps`` is the step budget the entries were built under. It is the
-    budget of every call that takes the cache: :meth:`residues`,
-    :func:`classify_fast`, :func:`verify_range` and ``census_chunk`` descend
-    above the bound under it, so whether n passes never depends on the bound.
+    ``max_steps`` is the step budget the entries were built under. Every
+    call that takes the cache descends above the bound under it:
+    :meth:`residues`, and through it :func:`classify_fast`,
+    :func:`verify_range` and ``census_chunk``. So whether n passes never
+    depends on the bound.
     """
 
     __slots__ = ("basis", "bound", "max_steps", "modulus", "_residues")
@@ -246,17 +254,13 @@ class ResidueCache:
     def nbytes(self) -> int:
         return self._residues.nbytes
 
-    def entry(self, n: int) -> int:
-        """Stopping-time residue of a single cached n."""
-        if not 1 <= n < self.bound:
-            raise ValueError(f"n={n} outside cache range [1, {self.bound})")
-        return int(self._residues[n])
-
     def residues(self, lo: int, hi: int) -> np.ndarray:
         """Stopping-time residue of every n in [lo, hi], in order, one uint8 each.
 
-        The one vector route from a range to its residues. Below ``bound`` it
-        is a read-only view of the table, not a copy; from ``bound`` up to
+        The one route from a range to its residues, and from a single n as
+        [n, n]: what a census chunk counts, what :func:`classify_fast`
+        labels and what :func:`verify_range` checks. Below ``bound`` it is a
+        read-only view of the table, not a copy; from ``bound`` up to
         2^64 - 1 the starts descend into the table through
         :func:`_descend_residues`; from 2^64 on each n walks alone through
         :func:`_descend_scalar`. A failing member raises
@@ -264,6 +268,11 @@ class ResidueCache:
         smallest one. The budget is the cache's ``max_steps``. The range is
         checked before any compute.
         """
+        return self._residues_by(lo, hi, _descend_scalar)
+
+    def _residues_by(self, lo, hi, walk):
+        """:meth:`residues` with ``walk`` in place of :func:`_descend_scalar`,
+        for the lanes the kernel hands back and the members from 2^64 on."""
         validate_nat(lo)
         validate_nat(hi)
         if lo > hi:
@@ -273,9 +282,11 @@ class ResidueCache:
         if hi < self.bound:
             return cached
         starts = _u64_span(max(lo, self.bound), hi)
-        descended = _descend_residues(self.basis, starts, self.bound, table, self.max_steps)
+        descended = _descend_residues(
+            self.basis, starts, self.bound, table, self.max_steps, walk
+        )
         walked = [
-            _descend_scalar(self.basis, n, self.bound, table, self.max_steps)
+            walk(self.basis, n, self.bound, table, self.max_steps)
             for n in range(max(lo, _U64_LIMIT), hi + 1)
         ]
         return np.concatenate([cached, descended, np.array(walked, dtype=np.uint8)])
@@ -307,6 +318,14 @@ def _descend_scalar(basis, start, floor, residues, max_steps):
     for steps, x in enumerate(_walk(basis, start, max_steps), 1):
         if x < floor:
             return (steps + int(residues[x])) % basis_modulus(basis)
+
+
+def _descend_or_fail(basis, start, floor, residues, max_steps):
+    """:func:`_descend_scalar`, but ``_FAILED`` where it raises."""
+    try:
+        return _descend_scalar(basis, start, floor, residues, max_steps)
+    except (NatOverflowError, StepBudgetExceeded):
+        return _FAILED
 
 
 def _terras(k, j):
@@ -378,7 +397,7 @@ def _sieve_tables(basis):
     return _frozen(stride, xs.astype(np.int64), cost, advance)
 
 
-def _descend_residues(basis, starts, floor, residues, max_steps):
+def _descend_residues(basis, starts, floor, residues, max_steps, walk):
     """Stopping-time residues for an array of starts, all >= floor.
 
     Moves every start in lockstep by k ``pdcr`` steps at a time through
@@ -390,11 +409,14 @@ def _descend_residues(basis, starts, floor, residues, max_steps):
 
     A lane whose next jump would leave uint64, and every lane still
     descending once one more jump could exceed ``max_steps`` base steps, is
-    finished by :func:`_descend_scalar` from its start, in ascending order
-    of start. Every lane the vector loop retires fell below ``floor`` in at
-    most ``max_steps`` base steps in all, so it meets :func:`_walk`'s rule
-    on the way and stayed within 128 bits: the accept/reject decision and
-    the error (naming the smallest failing start) are those of the walk.
+    finished by ``walk(basis, start, floor, residues, max_steps)`` from its
+    start, in ascending order of start. Every lane the vector loop retires
+    fell below ``floor`` in at most ``max_steps`` base steps in all, so it
+    meets :func:`_walk`'s rule on the way and stayed within 128 bits: the
+    accept/reject decision is that of the walk. With :func:`_descend_scalar`
+    as ``walk`` the error names the smallest failing start and the call
+    stops there; with :func:`_descend_or_fail` a failing lane reads
+    ``_FAILED``.
     """
     modulus = basis_modulus(basis)
     k = _JUMP_BITS
@@ -437,7 +459,7 @@ def _descend_residues(basis, starts, floor, residues, max_steps):
     if fallback:
         lanes = np.concatenate(fallback)
         for p in lanes[np.argsort(starts[lanes], kind="stable")]:
-            out[p] = _descend_scalar(basis, int(starts[p]), floor, residues, max_steps)
+            out[p] = walk(basis, int(starts[p]), floor, residues, max_steps)
     return out
 
 
@@ -504,7 +526,9 @@ def build_residue_cache(
         rest = classes[~sieved]
         lanes = (m * np.arange(a // m, (b - 1) // m + 1)[:, None] + rest).ravel()
         lanes = lanes[(lanes >= a) & (lanes < b)]
-        res[lanes] = _descend_residues(basis, lanes.astype(np.uint64), a, res, max_steps)
+        res[lanes] = _descend_residues(
+            basis, lanes.astype(np.uint64), a, res, max_steps, _descend_scalar
+        )
         a = b
     return ResidueCache(basis, bound, max_steps, res)
 
@@ -522,18 +546,14 @@ def _check_cache_basis(map_kind: MapKind, cache: ResidueCache) -> MapKind:
 def classify_fast(map_kind: MapKind, n: int, cache: ResidueCache) -> ClassificationOutcome:
     """Classify via the stopping-time residue, using the cache.
 
-    Numbers below the cache bound answer in O(1); larger ones walk the base
-    map (:func:`_walk`, with its budget rule under the cache's ``max_steps``)
-    only until they descend into the cache, each step advancing the residue
-    by one in the basis modulus.
+    The residue is ``cache.residues(n, n)``, the census's own route for the
+    one-member range: a table read below the cache bound, a descent into the
+    cache above it, under the cache's ``max_steps``. A failing n raises
+    :class:`StepBudgetExceeded` or :class:`NatOverflowError` naming it.
     """
-    basis = _check_cache_basis(map_kind, cache)
-    validate_nat(n)
-    if n < cache.bound:
-        residue = cache.entry(n)
-    else:
-        residue = _descend_scalar(basis, n, cache.bound, cache._residues, cache.max_steps)
-    return ClassificationOutcome(residue_to_label(map_kind, residue), None, "fast")
+    _check_cache_basis(map_kind, cache)
+    label = labels_for(map_kind)[cache.residues(n, n)[0]]
+    return ClassificationOutcome(label, None, "fast")
 
 
 def _direct_block(map_kind, lo, hi, max_steps):
@@ -607,62 +627,31 @@ def _direct_label(map_kind, n, max_steps):
         return 0
 
 
-def _fast_block(map_kind, lo, hi, cache):
-    """Labels of every n in [lo, hi], in order, from the census's own call
-    :meth:`ResidueCache.residues`, 0 where :func:`classify_fast` raises.
-
-    A failing member stops the call, and its error names the smallest one,
-    n. A second call labels the members before n, n keeps 0, and the next
-    call starts at n + 1. Each failure costs a call over the whole rest of
-    the block, so this goes on only while more members passed before n than
-    are left after it, which at least halves the rest each time. When a
-    failure comes before the middle of what is left, failures are not rare
-    in this block: the rest goes one n at a time through
-    :func:`classify_fast`, whose cost does not grow with the number of
-    failures.
-    """
-    labels = np.array(labels_for(map_kind), dtype=np.uint64)
-    out = np.zeros(hi - lo + 1, dtype=np.uint64)
-    a = lo
-    while a <= hi:
-        try:
-            out[a - lo :] = labels[cache.residues(a, hi)]
-            return out
-        except (NatOverflowError, StepBudgetExceeded) as e:
-            n = e.n
-        if n > a:
-            out[a - lo : n - lo] = labels[cache.residues(a, n - 1)]
-        passed, a = n - a, n + 1
-        if passed < hi - n:
-            break
-    for n in range(a, hi + 1):
-        try:
-            out[n - lo] = classify_fast(map_kind, n, cache).label
-        except (NatOverflowError, StepBudgetExceeded):
-            pass  # a failing member keeps 0
-    return out
-
-
 def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> list[int]:
     """Every n in [lo, hi] whose fast and direct labels disagree, ascending.
 
     Expected empty. An n where either route fails (budget, overflow) is
     reported as a mismatch rather than skipped. The range runs in blocks of
     at most 2^14 numbers: the direct labels come from :func:`_direct_block`,
-    the fast ones from :meth:`ResidueCache.residues`, the call a census
-    chunk counts. Both sides run under the cache's ``max_steps``. The result
-    is that of calling :func:`classify_fast` and :func:`classify_direct`
-    with that budget for every n.
+    the fast ones from one call per block to the code of
+    :meth:`ResidueCache.residues`, the call a census chunk counts, with
+    :func:`_descend_or_fail` as its walk: a failing member reads
+    ``_FAILED``, label 0, and the rest of the block still descends. Both
+    sides run under the cache's ``max_steps``. The result is that of
+    calling :func:`classify_fast` and :func:`classify_direct` with that
+    budget for every n.
     """
     _check_cache_basis(map_kind, cache)
     validate_nat(lo)
     validate_nat(hi)
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    labels = np.zeros(_FAILED + 1, dtype=np.uint64)  # _FAILED reads as label 0
+    labels[: cache.modulus] = labels_for(map_kind)
     mismatches = []
     for a in range(lo, hi + 1, _VERIFY_BLOCK):
         b = min(hi, a + _VERIFY_BLOCK - 1)
-        fast = _fast_block(map_kind, a, b, cache)
+        fast = labels[cache._residues_by(a, b, _descend_or_fail)]
         direct = _direct_block(map_kind, a, b, cache.max_steps)
         bad = (fast == 0) | (fast != direct)
         # Python-int offsets: a + index would overflow int64 for a >= 2^63

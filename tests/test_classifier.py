@@ -136,18 +136,23 @@ class TestClassifyDirect:
             assert classify_fast(MapKind.PDCR2, x, pdcr_cache).label == x
 
 
+def _entry(cache, n):
+    """The residue of one n, through the one-member range [n, n]."""
+    return int(cache.residues(n, n)[0])
+
+
 class TestResidueCache:
     def test_minimal_bound(self):
         cache = build_residue_cache(MapKind.CR, 2)
-        assert cache.entry(1) == 0
+        assert cache.residues(1, 1).tolist() == [0]
 
     def test_cr_entries_to_ten(self):
         cache = build_residue_cache(MapKind.CR, 10)
-        assert [cache.entry(n) for n in range(1, 10)] == [0, 1, 1, 2, 2, 2, 1, 0, 1]
+        assert cache.residues(1, 9).tolist() == [0, 1, 1, 2, 2, 2, 1, 0, 1]
 
     def test_pdcr_entries_to_five(self):
         cache = build_residue_cache(MapKind.PDCR, 5)
-        assert [cache.entry(n) for n in range(1, 5)] == [0, 1, 1, 0]
+        assert cache.residues(1, 4).tolist() == [0, 1, 1, 0]
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
@@ -157,15 +162,9 @@ class TestResidueCache:
         with pytest.raises(ValueError):
             build_residue_cache(MapKind.CR3, 100)
 
-    def test_entry_range_checked(self, cr_cache):
-        with pytest.raises(ValueError):
-            cr_cache.entry(0)
-        with pytest.raises(ValueError):
-            cr_cache.entry(cr_cache.bound)
-
     def test_vector_gather_matches_scalar(self, cr_cache):
         gathered = cr_cache.residues(1, 4999)
-        assert [cr_cache.entry(n) for n in range(1, 5000)] == gathered.tolist()
+        assert [_entry(cr_cache, n) for n in range(1, 5000)] == gathered.tolist()
 
     def test_vector_gather_past_the_bound(self, cr_cache):
         # [1, 2^16 + 1] on a 2^16 cache: the members past the table descend
@@ -178,7 +177,7 @@ class TestResidueCache:
 
     @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, (1 << 16) - 1), (777, 40_000)])
     def test_residues_below_bound_are_entries(self, lo, hi, cr_cache):
-        expected = [cr_cache.entry(n) for n in range(lo, hi + 1)]
+        expected = [_entry(cr_cache, n) for n in range(lo, hi + 1)]
         assert cr_cache.residues(lo, hi).tolist() == expected
 
     @pytest.mark.parametrize(
@@ -247,13 +246,14 @@ class TestResidueCache:
     def test_sampled_entries_match_stopping_times(self, cr_cache, pdcr_cache):
         rng = random.Random(20260809)
         for cache, basis in ((cr_cache, MapKind.CR), (pdcr_cache, MapKind.PDCR)):
+            table = cache.residues(1, cache.bound - 1)
             for n in rng.sample(range(1, cache.bound), 10_000):
-                assert cache.entry(n) == stopping_time(basis, n).residue
+                assert table[n - 1] == stopping_time(basis, n).residue
 
     def test_spot_entries_against_oracle(self, cr_cache):
         rng = random.Random(7)
         for n in rng.sample(range(1, cr_cache.bound), 500):
-            assert cr_cache.entry(n) == oracle_stopping(n, "cr") % 3
+            assert _entry(cr_cache, n) == oracle_stopping(n, "cr") % 3
 
     @given(n=st.integers(2, (1 << 16) - 1))
     @settings(max_examples=200)
@@ -261,10 +261,10 @@ class TestResidueCache:
         # one step advances the residue by one in the basis modulus
         nxt = cr_step(n)
         if nxt < cr_cache.bound:
-            assert cr_cache.entry(n) == (1 + cr_cache.entry(nxt)) % 3
+            assert _entry(cr_cache, n) == (1 + _entry(cr_cache, nxt)) % 3
         nxt = pdcr_step(n)
         if nxt < pdcr_cache.bound:
-            assert pdcr_cache.entry(n) == (1 + pdcr_cache.entry(nxt)) % 2
+            assert _entry(pdcr_cache, n) == (1 + _entry(pdcr_cache, nxt)) % 2
 
 
 class TestClassifyFast:
@@ -289,6 +289,22 @@ class TestClassifyFast:
     def test_basis_mismatch(self, pdcr_cache):
         with pytest.raises(ValueError):
             classify_fast(MapKind.CR3, 5, pdcr_cache)
+
+    @pytest.mark.parametrize("n", [27, 1000003, 10**12 + 39, 2**70 + 1])
+    def test_one_member_range_is_the_only_route(self, n, monkeypatch):
+        # below the bound, above it, and from 2^64 on: one residues(n, n) call
+        cache = _cache(MapKind.CR, 1 << 10)
+        calls = []
+        residues = classifier.ResidueCache.residues
+
+        def recording(self, lo, hi):
+            calls.append((lo, hi))
+            return residues(self, lo, hi)
+
+        monkeypatch.setattr(classifier.ResidueCache, "residues", recording)
+        label = classify_fast(MapKind.CR3, n, cache).label
+        assert calls == [(n, n)]
+        assert label == classify_direct(MapKind.CR3, n).label
 
     def test_budget_above_bound(self):
         cache = build_residue_cache(MapKind.CR, 2, 5)
@@ -364,46 +380,59 @@ class TestVerifyRange:
     def test_reports_a_wrong_census_residue(self, monkeypatch):
         # the fast side is the census's own descent: corrupting it must show
         cache = build_residue_cache(MapKind.CR, 1 << 10)
+        before = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
         descend = classifier._descend_residues
 
-        def corrupted(basis, starts, floor, residues, max_steps):
-            out = descend(basis, starts, floor, residues, max_steps).copy()
+        def corrupted(basis, starts, floor, residues, max_steps, walk):
+            out = descend(basis, starts, floor, residues, max_steps, walk).copy()
             out[starts == 5000] += 1
             return out % 3
 
         monkeypatch.setattr(classifier, "_descend_residues", corrupted)
         assert verify_range(MapKind.CR3, 4000, 6000, cache) == [5000]
+        _assert_one_count_moved(before, census_chunk(MapKind.CR3, 1, 10_000, cache).counts)
 
     def test_checks_what_the_census_counts(self, monkeypatch):
         # one corrupted residue below the bound moves both verify and the census
         cache = _cache(MapKind.CR, 1 << 14)
         before = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
-        residues = classifier.ResidueCache.residues
+        residues_by = classifier.ResidueCache._residues_by
 
-        def corrupted(self, lo, hi):
-            out = residues(self, lo, hi).copy()
+        def corrupted(self, lo, hi, walk):
+            out = residues_by(self, lo, hi, walk).copy()
             if lo <= 5000 <= hi:
                 out[5000 - lo] = (out[5000 - lo] + 1) % self.modulus
             return out
 
-        monkeypatch.setattr(classifier.ResidueCache, "residues", corrupted)
+        monkeypatch.setattr(classifier.ResidueCache, "_residues_by", corrupted)
         assert verify_range(MapKind.CR3, 4000, 6000, cache) == [5000]
-        after = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
-        moved = {int(label): after[label] - before[label] for label in before}
-        assert sorted(moved.values()) == [-1, 0, 1]
+        _assert_one_count_moved(before, census_chunk(MapKind.CR3, 1, 10_000, cache).counts)
+
+
+def _assert_one_count_moved(before, after):
+    moved = {int(label): after[label] - before[label] for label in before}
+    assert sorted(moved.values()) == [-1, 0, 1]
 
 
 def _verify_range_scalar(map_kind, lo, hi, cache):
-    """The per-n loop ``verify_range`` replaced, kept as its reference."""
+    """The per-n loop ``verify_range`` replaced, kept as its reference. Its
+    fast label is a second route to the residue: a table read below the
+    bound, one scalar walk into the table above it, never the vector kernel."""
+    basis, labels = cache.basis, labels_for(map_kind)
     mismatches = []
     for n in range(lo, hi + 1):
         try:
-            fast = classify_fast(map_kind, n, cache)
+            if n < cache.bound:
+                residue = cache._residues[n]
+            else:
+                residue = classifier._descend_scalar(
+                    basis, n, cache.bound, cache._residues, cache.max_steps
+                )
             direct = classify_direct(map_kind, n, cache.max_steps)
         except (NatOverflowError, StepBudgetExceeded):
             mismatches.append(n)
             continue
-        if fast.label is not direct.label:
+        if labels[residue] is not direct.label:
             mismatches.append(n)
     return mismatches
 
@@ -413,6 +442,9 @@ def _cache(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
     return build_residue_cache(basis, bound, max_steps)
 
 
+# the largest x whose odd cr step 3x + 1 stays within uint64; the direct
+# block's per-step guard at this value gave way to the per-pass bound B
+# (_PASS_MAX), and the grid keeps the window as one more range
 _U64_ODD_STEP_MAX = (2**64 - 2) // 3
 
 
@@ -424,7 +456,7 @@ class TestVerifyRangeMatchesScalarLoop:
         [
             (1, 3000),
             (2**63 - 40, 2**63 + 40),
-            (_U64_ODD_STEP_MAX - 30, _U64_ODD_STEP_MAX + 30),  # uint64 odd-step guard
+            (_U64_ODD_STEP_MAX - 30, _U64_ODD_STEP_MAX + 30),  # the former odd-step guard
             (2**64 - 60, 2**64 + 20),  # straddles uint64
             (2**100, 2**100 + 5),
         ],
@@ -467,6 +499,7 @@ class TestDirectBlock:
             "_jump_tables",
             "_descend_residues",
             "_descend_scalar",
+            "_descend_or_fail",
             "residue_to_label",
             "classify_fast",
         ):
@@ -514,6 +547,18 @@ class TestDirectBlock:
             # B's own trajectory reaches its fixed point within 150 steps
             assert bound not in restarted
 
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("budget, cache_bound", [(0, 2), (150, 1 << 10), (10**6, 1 << 10)])
+    def test_verify_straddling_the_pass_bound(self, map_kind, budget, cache_bound):
+        # a bound-2 cache is the only one a budget of 0 builds
+        bound = _PASS_MAX[map_kind]
+        lo, hi = bound - 30, bound + 30
+        cache = _cache(classifier.basis_for(map_kind), cache_bound, budget)
+        expected = _verify_range_scalar(map_kind, lo, hi, cache)
+        assert verify_range(map_kind, lo, hi, cache) == expected
+        if budget == 0:
+            assert expected == list(range(lo, hi + 1))
+
 
 # the largest x from which one composite step stays within uint64:
 # (2(2^64 - 1) - 5)//9 for cr3, whose highest value is (9x+5)/2, and
@@ -549,37 +594,30 @@ def _leaves_numpy(map_kind, n, budget):
     return True
 
 
-class TestFastBlock:
-    def test_rare_failures_stay_in_range_calls(self, monkeypatch):
-        cache = _cache(MapKind.CR, 1024, 150)
-        expected = []
-        for n in range(1, (1 << 14) + 1):
-            try:
-                expected.append(int(classify_fast(MapKind.CR3, n, cache).label))
-            except StepBudgetExceeded:
-                expected.append(0)
-        assert expected.count(0) == 2  # 10087 and a later member fail
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a block with rare failures went one n at a time")
-
-        monkeypatch.setattr(classifier, "classify_fast", forbidden)
-        assert classifier._fast_block(MapKind.CR3, 1, 1 << 14, cache).tolist() == expected
-
-    def test_dense_failures_go_one_n_at_a_time(self, monkeypatch):
-        # every member from 2 on fails: two range calls, then one walk per member
-        cache = _cache(MapKind.CR, 2, 0)
+class TestVerifyFailingMembers:
+    @pytest.mark.parametrize(
+        "bound, budget", [(1024, 150), (2, 0)], ids=["rare-failures", "every-member-fails"]
+    )
+    def test_one_range_call_per_block(self, bound, budget, monkeypatch):
+        # 10087 and one later member fail under budget 150; under budget 0
+        # every member from 2 on does
+        cache = _cache(MapKind.CR, bound, budget)
+        hi = 1 << 14
+        expected = _verify_range_scalar(MapKind.CR3, 1, hi, cache)
+        assert len(expected) == (2 if budget else hi - 1)
+        # the marking walk marks exactly the failing members
+        marked = cache._residues_by(1, hi, classifier._descend_or_fail) == classifier._FAILED
+        assert (np.flatnonzero(marked) + 1).tolist() == expected
         calls = []
-        residues = classifier.ResidueCache.residues
+        residues_by = classifier.ResidueCache._residues_by
 
-        def recording(self, lo, hi):
+        def recording(self, lo, hi, walk):
             calls.append((lo, hi))
-            return residues(self, lo, hi)
+            return residues_by(self, lo, hi, walk)
 
-        monkeypatch.setattr(classifier.ResidueCache, "residues", recording)
-        labels = classifier._fast_block(MapKind.CR3, 1, 1 << 14, cache).tolist()
-        assert labels == [1] + [0] * ((1 << 14) - 1)
-        assert calls == [(1, 1 << 14), (1, 1)]
+        monkeypatch.setattr(classifier.ResidueCache, "_residues_by", recording)
+        assert verify_range(MapKind.CR3, 1, hi, cache) == expected
+        assert calls == [(1, hi)]  # [1, 2^14] is one block
 
 
 class TestVerifyAtScale:
@@ -620,7 +658,12 @@ def _steps_below(basis, n, floor):
 def _descend(basis, starts, floor, max_steps=DEFAULT_STEP_BUDGET):
     cache = build_residue_cache(basis, floor)
     return _descend_residues(
-        basis, np.array(starts, dtype=np.uint64), floor, cache._residues, max_steps
+        basis,
+        np.array(starts, dtype=np.uint64),
+        floor,
+        cache._residues,
+        max_steps,
+        classifier._descend_scalar,
     )
 
 
@@ -700,15 +743,14 @@ class TestDescentKernel:
         assert exc.value.n == min(failing)
 
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
-    def test_floor_two_finishes_without_fallback(self, basis, monkeypatch):
+    def test_floor_two_finishes_without_fallback(self, basis):
         # pins the odd jump length: a lane on 2 must land on 1, not on 2 again
         def no_fallback(*args):
             raise AssertionError(f"start {args[1]} fell back to the exact descent")
 
-        monkeypatch.setattr(classifier, "_descend_scalar", no_fallback)
         starts = np.arange(2, 1001, dtype=np.uint64)
         residues = _descend_residues(
-            basis, starts, 2, np.zeros(2, dtype=np.uint8), DEFAULT_STEP_BUDGET
+            basis, starts, 2, np.zeros(2, dtype=np.uint8), DEFAULT_STEP_BUDGET, no_fallback
         )
         assert residues.tolist() == [
             stopping_time(basis, n).residue for n in range(2, 1001)
@@ -723,7 +765,7 @@ def _kernel_build(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
     while a < bound:
         b = min(bound, 2 * a, a + classifier._MAX_BLOCK)
         starts = np.arange(a, b, dtype=np.uint64)
-        res[a:b] = _descend_residues(basis, starts, a, res, max_steps)
+        res[a:b] = _descend_residues(basis, starts, a, res, max_steps, classifier._descend_scalar)
         a = b
     return res
 

@@ -231,3 +231,51 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "10000", "--map", "cr"])
         assert exc.value.code == 2
+
+
+_BIG = "340282366920938463463374607431768211455"  # 2^128 - 1: 3n + 1 leaves 128 bits
+
+
+_GOLDEN = [
+    (["classify", "27"], 0, "n=27 map=cr3 label=1 path=fast\n", ""),
+    (["classify", "27", "--path", "direct"], 0, "n=27 map=cr3 label=1 steps=38 path=direct\n", ""),
+    (["classify", "65537"], 0, "n=65537 map=cr3 label=1 path=fast\n", ""),
+    (["classify", "1000000000039"], 0, "n=1000000000039 map=cr3 label=4 path=fast\n", ""),
+    (
+        ["classify", "1000000000039", "--map", "pdcr2"],
+        0,
+        "n=1000000000039 map=pdcr2 label=1 path=fast\n",
+        "",
+    ),
+    (
+        ["classify", "1180591620717411303425"],
+        0,
+        "n=1180591620717411303425 map=cr3 label=1 path=fast\n",
+        "",
+    ),
+    (
+        ["classify", "18446744073709551615"],
+        0,
+        "n=18446744073709551615 map=cr3 label=4 path=fast\n",
+        "",
+    ),
+    (
+        ["classify", _BIG],
+        1,
+        "",
+        f"error: trajectory of {_BIG} exceeded the 128-bit limit at value {_BIG}\n",
+    ),
+    (["verify", "100000"], 0, "checked 1..100000 map=cr3: 0 mismatches\n", ""),
+    (["verify", "100000", "--map", "pdcr2"], 0, "checked 1..100000 map=pdcr2: 0 mismatches\n", ""),
+]
+
+
+class TestGoldenOutput:
+    """Exact stdout, stderr and exit code of the fast route's commands, on
+    both sides of the classify cache bound (2^16) and of 2^64."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err", [pytest.param(*g, id=" ".join(g[0])) for g in _GOLDEN]
+    )
+    def test_bytes(self, capsys, argv, code, out, err):
+        assert run_cli(capsys, *argv) == (code, out, err)
