@@ -483,6 +483,26 @@ class TestCheckpointFile:
             save_checkpoint(self.checkpoint(), tmp_path / "census.ckpt")
         assert list(tmp_path.iterdir()) == []  # no checkpoint, no stray temp file
 
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "census.ckpt"
+        save_checkpoint(self.checkpoint(), path)
+        assert path.read_bytes() == (
+            b'{\n'
+            b'  "format_version": 2,\n'
+            b'  "map": "cr3",\n'
+            b'  "target_s": 100,\n'
+            b'  "next_n": 51,\n'
+            b'  "partial_counts": {\n'
+            b'    "1": 17,\n'
+            b'    "2": 17,\n'
+            b'    "4": 16\n'
+            b'  },\n'
+            b'  "cache_bound": 101,\n'
+            b'  "max_steps": 1000000,\n'
+            b'  "created_at": "2026-08-09T00:00:00+00:00"\n'
+            b'}\n'
+        )
+
     def test_version_field(self, tmp_path):
         path = tmp_path / "census.ckpt"
         save_checkpoint(self.checkpoint(), path)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +281,43 @@ class TestGoldenOutput:
     )
     def test_bytes(self, capsys, argv, code, out, err):
         assert run_cli(capsys, *argv) == (code, out, err)
+
+
+_GOLDEN_DIR = Path(__file__).parent / "golden"
+
+_REPORTS = [
+    *(
+        (["census", "100000", "--map", m, "--workers", "2", "--format", f], f"census-{m}-{f}.out")
+        for m in ("cr3", "pdcr2")
+        for f in ("table", "csv", "json")
+    ),
+    *(
+        (["series", "100000", "--map", "cr3", "--points", "7", "--format", f], f"series-cr3-log7-{f}.out")
+        for f in ("table", "csv", "json")
+    ),
+    *(
+        (
+            ["series", "100000", "--map", "pdcr2", "--points", "4", "--spacing", "linear",
+             "--format", f],
+            f"series-pdcr2-linear4-{f}.out",
+        )
+        for f in ("table", "csv", "json")
+    ),
+]
+
+
+def mask_elapsed(text):
+    text = re.sub(r"elapsed=[0-9]+\.[0-9]{2}s", "elapsed=<masked>s", text)
+    return re.sub(r'"elapsed_seconds": [0-9]+\.[0-9]+', '"elapsed_seconds": <masked>', text)
+
+
+class TestGoldenReports:
+    """Exact census and series reports in every format for both maps; only
+    the engine's elapsed time is masked. The files hold the bytes, csv's
+    CRLF line ends included."""
+
+    @pytest.mark.parametrize("argv, name", [pytest.param(*r, id=r[1]) for r in _REPORTS])
+    def test_bytes(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert mask_elapsed(out) == (_GOLDEN_DIR / name).read_bytes().decode("utf-8")
