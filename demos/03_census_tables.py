@@ -22,7 +22,7 @@ for s in targets:
     result = run_census(MapKind.CR3, s)
     elapsed = time.perf_counter() - started
     print(f"cr3 census over [1, {s}]  ({elapsed:.2f}s)")
-    decimals = result.decimal_fractions()
+    decimals = result.counts.decimal_fractions()
     for label, count in result.counts.counts.items():
         print(f"  class {label}: {count:>9}  fraction {decimals[label]}")
     assert sum(result.counts.counts.values()) == s
@@ -30,8 +30,9 @@ for s in targets:
 
 print("pdcr2 census over [1, 10^6]")
 result = run_census(MapKind.PDCR2, 10**6)
+decimals = result.counts.decimal_fractions()
 for label, count in result.counts.counts.items():
-    print(f"  class {label}: {count:>9}  fraction {result.decimal_fractions()[label]}")
+    print(f"  class {label}: {count:>9}  fraction {decimals[label]}")
 
 print("\ndeterminism: odd chunk sizes, many workers, same counts")
 baseline = run_census(MapKind.CR3, 10**4).counts

@@ -23,7 +23,7 @@ print(f"cumulative cr3 class fractions up to S = {args.s_max}")
 print(f"  {'S':>10}  " + "  ".join(f"class {label}" for label in labels))
 for point in points:
     decimals = point.decimal_fractions()
-    print(f"  {point.s:>10}  " + "  ".join(f"{decimals[label]:>7}" for label in labels))
+    print(f"  {point.hi:>10}  " + "  ".join(f"{decimals[label]:>7}" for label in labels))
 
 drift = max(abs(float(point.fractions[label]) - 1 / 3) for label in labels for point in points[-3:])
 print(f"\nlargest deviation from 1/3 over the last three samples: {drift:.6f}")
@@ -37,7 +37,7 @@ except ImportError:
     print("matplotlib not installed; skipping the plot")
 else:
     fig, ax = plt.subplots(figsize=(7, 4.5))
-    xs = [point.s for point in points]
+    xs = [point.hi for point in points]
     for label in labels:
         ax.plot(xs, [float(point.fractions[label]) for point in points],
                 marker="o", label=f"class {label}")

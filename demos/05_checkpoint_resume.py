@@ -32,10 +32,10 @@ try:
 except SimulatedCrash:
     pass
 
-state = load_checkpoint(checkpoint)
-print(f"crashed run left a checkpoint at next_n = {state.next_n}")
-partial = {int(label): count for label, count in state.counts.items()}
-print(f"  partial counts {partial} covering [1, {state.next_n - 1}]")
+prefix = load_checkpoint(checkpoint).prefix
+print(f"crashed run left a checkpoint at next_n = {prefix.hi + 1}")
+partial = {int(label): count for label, count in prefix.counts.items()}
+print(f"  partial counts {partial} covering [1, {prefix.hi}]")
 
 resumed = run_census(MapKind.CR3, S, checkpoint_path=checkpoint, resume=True)
 fresh = run_census(MapKind.CR3, S)
@@ -43,4 +43,4 @@ assert resumed.counts == fresh.counts
 print(f"resumed counts match an uninterrupted run exactly:")
 for label, count in resumed.counts.counts.items():
     print(f"  class {label}: {count}")
-print(f"final checkpoint now reports next_n = {load_checkpoint(checkpoint).next_n}")
+print(f"final checkpoint now reports next_n = {load_checkpoint(checkpoint).prefix.hi + 1}")

@@ -17,7 +17,6 @@ from .census import (
     CheckpointError,
     ClassCounts,
     EngineInfo,
-    SeriesPoint,
     census_chunk,
     decimal_fraction,
     load_checkpoint,
@@ -35,7 +34,6 @@ from .classifier import (
     classify_direct,
     classify_fast,
     labels_for,
-    residue_to_label,
     verify_range,
 )
 from .kernel import (
@@ -78,7 +76,6 @@ __all__ = [
     "NatOverflowError",
     "NatRangeError",
     "ResidueCache",
-    "SeriesPoint",
     "StepBudgetExceeded",
     "StoppingTime",
     "Termination",
@@ -98,7 +95,6 @@ __all__ = [
     "merge",
     "pdcr2_step",
     "pdcr_step",
-    "residue_to_label",
     "run_census",
     "run_series",
     "save_checkpoint",

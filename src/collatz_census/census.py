@@ -9,7 +9,10 @@ ascending range order. Counting is exact integer arithmetic, so the result
 is identical for every chunk size and worker count.
 
 ``run_census`` and ``run_series`` share that engine: a series is a census
-whose sample points are forced chunk cuts.
+whose sample points are forced chunk cuts. Every result carries its counts
+as one :class:`ClassCounts`, from which the fractions are derived: a census
+result holds the counts over [1, S], a series is the running total at each
+sample point, and a checkpoint holds the completed prefix [1, next_n - 1].
 
 Long runs can periodically write a checkpoint file (a small versioned JSON
 document covering the completed contiguous prefix, fsync'd and renamed into
@@ -85,7 +88,9 @@ class ClassCounts:
     """Per-class counts over an inclusive range of starting numbers.
 
     The counts always sum to the range width; an empty range (hi == lo - 1)
-    is the merge identity.
+    is the merge identity. ``fractions`` and ``decimal_fractions`` divide
+    each count by that width, so they are defined only for a non-empty
+    range.
     """
 
     map_kind: MapKind
@@ -127,6 +132,17 @@ class ClassCounts:
     @property
     def total(self) -> int:
         return self.hi - self.lo + 1
+
+    @property
+    def fractions(self) -> dict[ClassLabel, Fraction]:
+        """Each class's exact share of the range."""
+        return {label: Fraction(c, self.total) for label, c in self.counts.items()}
+
+    def decimal_fractions(self, places: int = 6) -> dict[ClassLabel, str]:
+        """Each class's share of the range, rounded to ``places`` decimals."""
+        return {
+            label: decimal_fraction(c, self.total, places) for label, c in self.counts.items()
+        }
 
 
 def merge(a: ClassCounts, b: ClassCounts) -> ClassCounts:
@@ -187,58 +203,26 @@ class EngineInfo:
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Counts and exact fractions for a completed census over [1, S]."""
+    """A completed census: the counts over [1, S] and how they were computed."""
 
     counts: ClassCounts
-    fractions: dict[ClassLabel, Fraction]
     engine: EngineInfo
-
-    @property
-    def map_kind(self) -> MapKind:
-        return self.counts.map_kind
-
-    @property
-    def s(self) -> int:
-        return self.counts.hi
-
-    def decimal_fractions(self, places: int = 6) -> dict[ClassLabel, str]:
-        return {
-            label: decimal_fraction(count, self.s, places)
-            for label, count in self.counts.counts.items()
-        }
-
-
-@dataclass(frozen=True)
-class SeriesPoint:
-    """Cumulative counts and fractions at one sample point of a series."""
-
-    s: int
-    counts: dict[ClassLabel, int]
-    fractions: dict[ClassLabel, Fraction]
-
-    def decimal_fractions(self, places: int = 6) -> dict[ClassLabel, str]:
-        return {
-            label: decimal_fraction(count, self.s, places)
-            for label, count in self.counts.items()
-        }
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Resumable census state: the completed contiguous prefix [1, next_n-1].
+    """Resumable census state: the counts over the completed prefix [1, next_n-1].
 
-    ``max_steps`` is the step budget the prefix was classified under; a
-    resume must use the same one.
+    The file's map and ``next_n`` are the prefix's ``map_kind`` and
+    ``hi + 1``. ``max_steps`` is the step budget the prefix was classified
+    under; a resume must use the same one.
     """
 
-    map_kind: MapKind
+    prefix: ClassCounts
     target: int
-    next_n: int
-    counts: dict[ClassLabel, int]
     cache_bound: int
     created_at: str
     max_steps: int = DEFAULT_STEP_BUDGET
-    version: int = CHECKPOINT_VERSION
 
 
 _CHECKPOINT_FIELDS = {
@@ -258,12 +242,13 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
     The temp file is per process, so runs sharing a path never share it.
     """
+    prefix = checkpoint.prefix
     doc = {
-        "format_version": checkpoint.version,
-        "map": checkpoint.map_kind.value,
+        "format_version": CHECKPOINT_VERSION,
+        "map": prefix.map_kind.value,
         "target_s": checkpoint.target,
-        "next_n": checkpoint.next_n,
-        "partial_counts": {str(int(l)): c for l, c in checkpoint.counts.items()},
+        "next_n": prefix.hi + 1,
+        "partial_counts": {str(int(l)): c for l, c in prefix.counts.items()},
         "cache_bound": checkpoint.cache_bound,
         "max_steps": checkpoint.max_steps,
         "created_at": checkpoint.created_at,
@@ -343,18 +328,16 @@ def load_checkpoint(path) -> Checkpoint:
         str(int(l)) for l in labels
     }:
         raise CheckpointError("partial_counts must hold exactly the map's classes")
-    counts = {}
-    for label in labels:
-        c = raw_counts[str(int(label))]
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise CheckpointError(f"invalid partial count for class {int(label)}")
-        counts[label] = c
-    if sum(counts.values()) != next_n - 1:
-        raise CheckpointError("partial counts do not cover [1, next_n - 1]")
+    try:
+        prefix = ClassCounts(
+            map_kind, 1, next_n - 1, {l: raw_counts[str(int(l))] for l in labels}
+        )
+    except ValueError as e:
+        raise CheckpointError(f"invalid partial counts: {e}") from e
     created_at = doc["created_at"]
     if not isinstance(created_at, str):
         raise CheckpointError("created_at must be a string")
-    return Checkpoint(map_kind, target, next_n, counts, cache_bound, created_at, max_steps)
+    return Checkpoint(prefix, target, cache_bound, created_at, max_steps)
 
 
 @dataclass(frozen=True)
@@ -459,7 +442,6 @@ def run_census(
     version, map, target and step budget match.
     """
     config = config or CensusConfig()
-    labels = labels_for(map_kind)
     validate_nat(s)
     workers, bound = _resolve_config(config, s)
     started = time.perf_counter()
@@ -468,9 +450,9 @@ def run_census(
         if checkpoint_path is None:
             raise CheckpointError("resume requested without a checkpoint path")
         cp = load_checkpoint(checkpoint_path)
-        if cp.map_kind is not map_kind:
+        if cp.prefix.map_kind is not map_kind:
             raise CheckpointError(
-                f"checkpoint is for map {cp.map_kind.value}, requested {map_kind.value}"
+                f"checkpoint is for map {cp.prefix.map_kind.value}, requested {map_kind.value}"
             )
         if cp.target != s:
             raise CheckpointError(f"checkpoint targets S={cp.target}, requested S={s}")
@@ -479,7 +461,7 @@ def run_census(
                 f"checkpoint was written under max_steps={cp.max_steps}, "
                 f"requested max_steps={config.max_steps}"
             )
-        total = ClassCounts(map_kind, 1, cp.next_n - 1, dict(cp.counts))
+        total = cp.prefix
     else:
         total = ClassCounts.empty(map_kind, at=1)
     if checkpoint_path is not None:
@@ -489,11 +471,7 @@ def run_census(
 
     def write_checkpoint() -> None:
         save_checkpoint(
-            Checkpoint(
-                map_kind, s, total.hi + 1, dict(total.counts), bound, _utc_now(),
-                config.max_steps,
-            ),
-            checkpoint_path,
+            Checkpoint(total, s, bound, _utc_now(), config.max_steps), checkpoint_path
         )
 
     def absorb(part: ClassCounts) -> None:
@@ -512,12 +490,9 @@ def run_census(
 
     if total.lo != 1 or total.hi != s:
         raise RuntimeError(f"census covered [{total.lo}, {total.hi}], expected [1, {s}]")
-    if sum(total.counts.values()) != s:
-        raise RuntimeError("class counts do not sum to S")
     if checkpoint_path is not None:
         write_checkpoint()
 
-    fractions = {label: Fraction(total.counts[label], s) for label in labels}
     engine = EngineInfo(
         chunk_size=config.chunk_size,
         workers=workers,
@@ -525,7 +500,7 @@ def run_census(
         max_steps=config.max_steps,
         elapsed_seconds=time.perf_counter() - started,
     )
-    return CensusResult(total, fractions, engine)
+    return CensusResult(total, engine)
 
 
 def _series_samples(s_max: int, points: int, spacing: str) -> list[int]:
@@ -549,17 +524,16 @@ def run_series(
     points: int = 10,
     spacing: str = "log",
     config: CensusConfig | None = None,
-) -> list[SeriesPoint]:
-    """Cumulative class fractions at sample points up to s_max.
+) -> list[ClassCounts]:
+    """Cumulative class counts over [1, s] at sample points s up to s_max.
 
     One ascending pass on the census engine, with every sample point a
-    forced chunk cut; the final point always lands on s_max and carries
-    exactly the counts :func:`run_census` would report there. Log spacing
-    collapses duplicate sample points, so fewer than ``points`` entries can
-    come back for small ranges.
+    forced chunk cut; each point is the running total with ``hi`` = s. The
+    final point always lands on s_max and equals the counts
+    :func:`run_census` reports there. Log spacing collapses duplicate sample
+    points, so fewer than ``points`` entries can come back for small ranges.
     """
     config = config or CensusConfig()
-    labels = labels_for(map_kind)
     validate_nat(s_max)
     if not isinstance(points, int) or isinstance(points, bool) or points < 1:
         raise ValueError(f"points must be a positive integer, got {points!r}")
@@ -575,8 +549,7 @@ def run_series(
         nonlocal total
         total = merge(total, part)
         if total.hi == samples[len(out)]:
-            fractions = {label: Fraction(total.counts[label], total.hi) for label in labels}
-            out.append(SeriesPoint(total.hi, dict(total.counts), fractions))
+            out.append(total)
 
     _tally(map_kind, config, workers, bound, 1, samples, absorb)
     return out

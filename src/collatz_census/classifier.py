@@ -121,7 +121,10 @@ _DIRECT_PASS_MAX = {
 
 
 def labels_for(map_kind: MapKind) -> tuple[ClassLabel, ...]:
-    """The possible class labels of a composite map, in residue order."""
+    """The possible class labels of a composite map, in residue order.
+
+    cr3: 0 -> 1, 1 -> 2, 2 -> 4. pdcr2: 0 -> 1, 1 -> 2.
+    """
     try:
         return _LABELS_BY_RESIDUE[map_kind]
     except KeyError:
@@ -138,17 +141,6 @@ def basis_for(map_kind: MapKind) -> MapKind:
         raise ValueError(
             f"classes are defined for cr3 or pdcr2, not {map_kind.value}"
         ) from None
-
-
-def residue_to_label(map_kind: MapKind, residue: int) -> ClassLabel:
-    """Map a stopping-time residue to its class.
-
-    cr3: 0 -> 1, 1 -> 2, 2 -> 4. pdcr2: 0 -> 1, 1 -> 2.
-    """
-    table = labels_for(map_kind)
-    if not isinstance(residue, int) or isinstance(residue, bool) or not 0 <= residue < len(table):
-        raise ValueError(f"residue {residue!r} out of range for {map_kind.value}")
-    return table[residue]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .census import (
     CensusConfig,
     CensusResult,
     CheckpointError,
-    SeriesPoint,
+    ClassCounts,
     run_census,
     run_series,
 )
@@ -188,17 +188,19 @@ def _cmd_verify(args) -> int:
 
 
 def _render_census(result: CensusResult, fmt: str) -> str:
-    s = result.s
-    map_name = result.map_kind.value
-    decimals = result.decimal_fractions()
+    counts = result.counts
+    s = counts.hi
+    map_name = counts.map_kind.value
+    decimals = counts.decimal_fractions()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["S", "map", "class", "count", "fraction"])
-        for label, count in result.counts.counts.items():
+        for label, count in counts.counts.items():
             writer.writerow([s, map_name, int(label), count, decimals[label]])
         return buf.getvalue()
     if fmt == "json":
+        fractions = counts.fractions
         doc = {
             "command": "census",
             "map": map_name,
@@ -208,9 +210,9 @@ def _render_census(result: CensusResult, fmt: str) -> str:
                     "class": int(label),
                     "count": count,
                     "fraction": decimals[label],
-                    "exact": str(result.fractions[label]),
+                    "exact": str(fractions[label]),
                 }
-                for label, count in result.counts.counts.items()
+                for label, count in counts.counts.items()
             ],
             "engine": {
                 "chunk_size": result.engine.chunk_size,
@@ -223,7 +225,7 @@ def _render_census(result: CensusResult, fmt: str) -> str:
         return json.dumps(doc, indent=2) + "\n"
     lines = [f"census map={map_name} S={s}"]
     lines.append(f"  {'class':>5}  {'count':>12}  fraction")
-    for label, count in result.counts.counts.items():
+    for label, count in counts.counts.items():
         lines.append(f"  {int(label):>5}  {count:>12}  {decimals[label]}")
     e = result.engine
     lines.append(
@@ -234,7 +236,7 @@ def _render_census(result: CensusResult, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_series(points: list[SeriesPoint], map_kind: MapKind, spacing: str, fmt: str) -> str:
+def _render_series(points: list[ClassCounts], map_kind: MapKind, spacing: str, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -242,7 +244,7 @@ def _render_series(points: list[SeriesPoint], map_kind: MapKind, spacing: str, f
         for point in points:
             decimals = point.decimal_fractions()
             for label in point.counts:
-                writer.writerow([point.s, int(label), decimals[label]])
+                writer.writerow([point.hi, int(label), decimals[label]])
         return buf.getvalue()
     if fmt == "json":
         doc = {
@@ -251,7 +253,7 @@ def _render_series(points: list[SeriesPoint], map_kind: MapKind, spacing: str, f
             "spacing": spacing,
             "points": [
                 {
-                    "S": point.s,
+                    "S": point.hi,
                     "fractions": {
                         str(int(label)): text
                         for label, text in point.decimal_fractions().items()
@@ -267,7 +269,7 @@ def _render_series(points: list[SeriesPoint], map_kind: MapKind, spacing: str, f
     for point in points:
         decimals = point.decimal_fractions()
         row = "  ".join(f"{decimals[l]:>7}" for l in labels)
-        lines.append(f"  {point.s:>12}  {row}")
+        lines.append(f"  {point.hi:>12}  {row}")
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,6 @@ PUBLIC = [
     "NatOverflowError",
     "NatRangeError",
     "ResidueCache",
-    "SeriesPoint",
     "StepBudgetExceeded",
     "StoppingTime",
     "Termination",
@@ -39,7 +38,6 @@ PUBLIC = [
     "merge",
     "pdcr2_step",
     "pdcr_step",
-    "residue_to_label",
     "run_census",
     "run_series",
     "save_checkpoint",

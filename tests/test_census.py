@@ -129,6 +129,23 @@ class TestClassCounts:
         empty = ClassCounts.empty(MapKind.CR3, at=5)
         assert empty.is_empty and empty.total == 0
 
+    def test_fractions_are_shares_of_the_range(self):
+        # [6, 10]: 8 and 10 are in class 1, 7 and 9 in class 2, 6 in class 4;
+        # each share is over the 5 numbers of the range, not over hi
+        counts = ClassCounts(
+            MapKind.CR3, 6, 10, {ClassLabel.ONE: 2, ClassLabel.TWO: 2, ClassLabel.FOUR: 1}
+        )
+        assert counts.fractions == {
+            ClassLabel.ONE: Fraction(2, 5),
+            ClassLabel.TWO: Fraction(2, 5),
+            ClassLabel.FOUR: Fraction(1, 5),
+        }
+        assert counts.decimal_fractions(2) == {
+            ClassLabel.ONE: "0.40",
+            ClassLabel.TWO: "0.40",
+            ClassLabel.FOUR: "0.20",
+        }
+
 
 class TestMerge:
     def test_adjacent_halves(self, cr_cache):
@@ -186,7 +203,7 @@ class TestRunCensus:
     def test_first_ten(self):
         result = run_census(MapKind.CR3, 10)
         assert counts_as_ints(result.counts.counts) == {1: 3, 2: 4, 4: 3}
-        assert result.fractions[ClassLabel.ONE] == Fraction(3, 10)
+        assert result.counts.fractions[ClassLabel.ONE] == Fraction(3, 10)
 
     def test_single_number(self):
         result = run_census(MapKind.CR3, 1)
@@ -198,7 +215,7 @@ class TestRunCensus:
 
     def test_fractions_sum_to_one(self):
         result = run_census(MapKind.CR3, 997)
-        assert sum(result.fractions.values(), Fraction(0)) == 1
+        assert sum(result.counts.fractions.values(), Fraction(0)) == 1
 
     def test_matches_direct_oracle_census(self):
         s = 10_000
@@ -215,8 +232,8 @@ class TestRunCensus:
         result = run_census(MapKind.CR3, 2000, config)
         assert counts_as_ints(result.counts.counts) == {1: 665, 2: 669, 4: 666}
         points = run_series(MapKind.CR3, 2000, points=4, spacing="linear", config=config)
-        assert [p.s for p in points] == [500, 1000, 1500, 2000]
-        assert counts_as_ints(points[-1].counts) == {1: 665, 2: 669, 4: 666}
+        assert [p.hi for p in points] == [500, 1000, 1500, 2000]
+        assert points[-1] == result.counts
 
     def test_small_matrix_expectation_from_oracle(self):
         assert oracle_census(2000, "cr3") == {1: 665, 2: 669, 4: 666}
@@ -357,11 +374,8 @@ class TestEngine:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_census_chunks_tile_from_resume_point(self, workers, tmp_path, monkeypatch):
         path = tmp_path / "census.ckpt"
-        prefix = run_census(MapKind.CR3, 100).counts.counts
-        save_checkpoint(
-            Checkpoint(MapKind.CR3, 1000, 101, dict(prefix), 1001, "2026-01-01T00:00:00+00:00"),
-            path,
-        )
+        prefix = run_census(MapKind.CR3, 100).counts
+        save_checkpoint(Checkpoint(prefix, 1000, 1001, "2026-01-01T00:00:00+00:00"), path)
         calls = record_chunks(monkeypatch)
         config = CensusConfig(chunk_size=64, workers=workers)
         result = run_census(MapKind.CR3, 1000, config, checkpoint_path=path, resume=True)
@@ -380,9 +394,9 @@ class TestEngine:
         for lo, hi in calls:
             assert hi - lo < 64
             assert not any(lo <= sample < hi for sample in samples)
-        assert [p.s for p in points] == samples
+        assert [p.hi for p in points] == samples
         for point in points:
-            assert point.counts == run_census(MapKind.CR3, point.s).counts.counts
+            assert point == run_census(MapKind.CR3, point.hi).counts
 
     def test_failing_progress_cancels_and_joins_the_pool(self, monkeypatch):
         class Interrupt(RuntimeError):
@@ -437,10 +451,10 @@ def test_bad_config_rejected_before_compute(route, fields, monkeypatch):
 class TestCheckpointFile:
     def checkpoint(self):
         return Checkpoint(
-            map_kind=MapKind.CR3,
+            prefix=ClassCounts(
+                MapKind.CR3, 1, 50, {ClassLabel.ONE: 17, ClassLabel.TWO: 17, ClassLabel.FOUR: 16}
+            ),
             target=100,
-            next_n=51,
-            counts={ClassLabel.ONE: 17, ClassLabel.TWO: 17, ClassLabel.FOUR: 16},
             cache_bound=101,
             created_at="2026-08-09T00:00:00+00:00",
         )
@@ -554,11 +568,14 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    def test_inconsistent_counts_rejected(self, tmp_path):
-        def mutate(d):
-            d["partial_counts"]["1"] += 1
-
-        path = self.rewrite(tmp_path, mutate)
+    @pytest.mark.parametrize(
+        "count",
+        [-1, True, 97.0, "5", 16, 18],
+        ids=["negative", "true", "float", "string", "sum-one-short", "sum-one-over"],
+    )
+    def test_malformed_counts_rejected(self, tmp_path, count):
+        # class 1 holds 17 of the 50 numbers in [1, next_n - 1]
+        path = self.rewrite(tmp_path, lambda d: d["partial_counts"].update({"1": count}))
         with pytest.raises(CheckpointError, match="partial counts"):
             load_checkpoint(path)
 
@@ -593,14 +610,14 @@ class TestResume:
             run_census(MapKind.CR3, s, config, checkpoint_path=path)
 
         saved = load_checkpoint(path)
-        assert 1 < saved.next_n <= s  # genuinely mid-run
+        assert 0 < saved.prefix.hi < s  # genuinely mid-run
 
         resumed = run_census(
             MapKind.CR3, s, CensusConfig(chunk_size=512),
             checkpoint_path=path, resume=True,
         )
         assert resumed.counts == uninterrupted.counts
-        assert load_checkpoint(path).next_n == s + 1  # final state saved
+        assert load_checkpoint(path).prefix == uninterrupted.counts  # final state saved
 
     def test_resume_requires_matching_map(self, tmp_path):
         path = tmp_path / "census.ckpt"
@@ -610,8 +627,8 @@ class TestResume:
 
     def test_resume_requires_matching_budget_before_the_build(self, tmp_path, monkeypatch):
         path = tmp_path / "census.ckpt"
-        prefix = run_census(MapKind.CR3, 50).counts.counts
-        save_checkpoint(Checkpoint(MapKind.CR3, 100, 51, dict(prefix), 101, "then", 500), path)
+        prefix = run_census(MapKind.CR3, 50).counts
+        save_checkpoint(Checkpoint(prefix, 100, 101, "then", 500), path)
         exact_build = census_module.build_residue_cache
 
         def no_build(*args):
@@ -648,9 +665,7 @@ class TestResume:
         path = tmp_path / "census.ckpt"
         first = run_census(MapKind.CR3, 100, checkpoint_path=path)
         os.remove(path)
-        save_checkpoint(
-            Checkpoint(MapKind.CR3, 100, 101, dict(first.counts.counts), 101, "then"), path
-        )
+        save_checkpoint(Checkpoint(first.counts, 100, 101, "then"), path)
 
         def no_build(*args, **kwargs):
             raise AssertionError("cache built with nothing left to classify")
@@ -659,7 +674,7 @@ class TestResume:
         again = run_census(MapKind.CR3, 100, checkpoint_path=path, resume=True)
         assert again.counts == first.counts
         saved = load_checkpoint(path)
-        assert saved.next_n == 101
+        assert saved.prefix == first.counts
         assert saved.created_at != "then"  # the final checkpoint was written
 
 
@@ -667,7 +682,7 @@ class TestRunSeries:
     def test_single_point(self):
         points = run_series(MapKind.CR3, 10, points=1)
         assert len(points) == 1
-        assert points[0].s == 10
+        assert points[0].hi == 10
         assert points[0].decimal_fractions() == {
             ClassLabel.ONE: "0.300000",
             ClassLabel.TWO: "0.400000",
@@ -680,20 +695,17 @@ class TestRunSeries:
 
     def test_linear_two_points(self):
         points = run_series(MapKind.CR3, 10, points=2, spacing="linear")
-        assert [p.s for p in points] == [5, 10]
+        assert [p.hi for p in points] == [5, 10]
         assert points[1].fractions[ClassLabel.TWO] == Fraction(2, 5)
 
     def test_log_spacing_lands_on_s_max(self):
         points = run_series(MapKind.CR3, 100_000, points=5, spacing="log")
-        assert [p.s for p in points] == [10, 100, 1000, 10_000, 100_000]
+        assert [p.hi for p in points] == [10, 100, 1000, 10_000, 100_000]
 
     def test_final_point_equals_census(self):
         s = 10_000
-        result = run_census(MapKind.CR3, s)
         last = run_series(MapKind.CR3, s, points=7, spacing="log")[-1]
-        assert last.s == s
-        assert last.counts == result.counts.counts
-        assert last.fractions == result.fractions
+        assert last == run_census(MapKind.CR3, s).counts
 
     def test_single_point_at_hundred_thousand(self):
         point = run_series(MapKind.CR3, 100_000, points=1)[0]
@@ -712,7 +724,7 @@ class TestRunSeries:
     def test_cumulative_consistency_with_direct_census(self):
         points = run_series(MapKind.CR3, 900, points=3, spacing="linear")
         for point in points:
-            assert point.counts == run_census(MapKind.CR3, point.s).counts.counts
+            assert point == run_census(MapKind.CR3, point.hi).counts
 
     def test_rejects_more_points_than_numbers(self):
         with pytest.raises(ValueError):

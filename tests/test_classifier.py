@@ -24,7 +24,6 @@ from collatz_census import (
     cr_step,
     labels_for,
     pdcr_step,
-    residue_to_label,
     stopping_time,
     verify_range,
 )
@@ -43,7 +42,7 @@ def pdcr_cache():
     return build_residue_cache(MapKind.PDCR, 1 << 16)
 
 
-class TestResidueToLabel:
+class TestLabelsFor:
     @pytest.mark.parametrize(
         "map_kind, residue, label",
         [
@@ -55,18 +54,11 @@ class TestResidueToLabel:
         ],
     )
     def test_table(self, map_kind, residue, label):
-        assert residue_to_label(map_kind, residue) == label
-
-    @pytest.mark.parametrize(
-        "map_kind, residue", [(MapKind.CR3, 3), (MapKind.PDCR2, 2), (MapKind.CR3, -1)]
-    )
-    def test_out_of_range(self, map_kind, residue):
-        with pytest.raises(ValueError):
-            residue_to_label(map_kind, residue)
+        assert labels_for(map_kind)[residue] == label
 
     def test_rejects_base_maps(self):
         with pytest.raises(ValueError):
-            residue_to_label(MapKind.CR, 0)
+            labels_for(MapKind.CR)
         with pytest.raises(ValueError):
             labels_for(MapKind.PDCR)
 
@@ -500,7 +492,6 @@ class TestDirectBlock:
             "_descend_residues",
             "_descend_scalar",
             "_descend_or_fail",
-            "residue_to_label",
             "classify_fast",
         ):
             monkeypatch.setattr(classifier, name, forbidden)
