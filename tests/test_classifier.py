@@ -747,6 +747,40 @@ class TestDescentKernel:
             stopping_time(basis, n).residue for n in range(2, 1001)
         ]
 
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_each_lane_gets_its_own_residue(self, basis):
+        # Shuffled starts mixing lanes that retire after several jumps (2^40
+        # and up over a 2^12 floor: a jump divides by at most 2^13), lanes
+        # the uint64 guard sends back (low 13 bits all odd steps, just below
+        # 2^64), lanes cut off by a 14-jump budget, and duplicates.
+        floor = 1 << 12
+        residues = build_residue_cache(basis, floor)._residues
+        max_advance = 2 * classifier._JUMP_BITS if basis is MapKind.CR else classifier._JUMP_BITS
+        budget = 14 * max_advance
+        rng = random.Random(14)
+        far = [rng.randrange(2**40, 2**48) for _ in range(300)]
+        guarded = [2**64 - 1 - (i << classifier._JUMP_BITS) for i in range(4)]
+        starts = far + guarded
+        starts += rng.sample(starts, 40) + guarded[:1]
+        rng.shuffle(starts)
+        walked = []
+
+        def recording(basis, start, *args):
+            walked.append(start)
+            return classifier._descend_or_fail(basis, start, *args)
+
+        out = _descend_residues(
+            basis, np.array(starts, dtype=np.uint64), floor, residues, budget, recording
+        )
+        assert out.tolist() == [
+            classifier._descend_or_fail(basis, n, floor, residues, budget) for n in starts
+        ]
+        assert walked == sorted(walked)
+        assert set(guarded) <= set(walked)
+        assert any(n < 2**63 for n in walked)  # cut off by the budget
+        assert len(set(walked)) < len(walked)  # duplicates among the walked
+        assert len(set(far) - set(walked)) > 100  # retired by the vector loop
+
 
 def _kernel_build(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
     """Residues built one whole block at a time through the descent kernel,
