@@ -27,7 +27,7 @@ budget and takes none of its own, so a cache's entries and the descent
 above its bound are always judged by the same rule.
 
 The cache build and the descent above the bound (:meth:`ResidueCache.residues`)
-share one kernel, :func:`_descend_residues`. It moves whole arrays of values k
+share one kernel loop, :func:`_jump_loop`. It moves whole arrays of values k
 base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
 3^c(r)*q + d(r) under ``pdcr``, reads landing residues from the uint8 table,
 and hands the rare lane that would outgrow uint64 or the step budget to a
@@ -35,7 +35,13 @@ per-lane walk, the exact big-int descent. That walk alone decides what a
 failing member does: the build, the census and ``classify_fast`` pass
 :func:`_descend_scalar`, which raises at the smallest failing start, and
 ``verify_range`` passes :func:`_descend_or_fail`, which marks it
-``_FAILED``. The build runs serially and sends the kernel only
+``_FAILED``. Only the first jump differs between the loop's two entries.
+The build's :func:`_descend_residues` takes an array of starts, in any
+order, and the loop's first pass is their first jump. The range entry
+:func:`_descend_range` reads a range's first jump off the tables: the
+numbers of [2^k*q, 2^k*(q + 1)) share q and take consecutive r, so their
+first jumps are ``mult[r0:r1]*q + add[r0:r1]``, with no start array and
+no gathers. The build runs serially and sends the kernel only
 what a residue-class sieve over the same Terras coefficients leaves: with
 s = ``_SIEVE_BITS``, a class of lanes 2^s*q + r whose landings after
 j <= s ``pdcr`` steps all fall below the block floor, within the step
@@ -253,9 +259,11 @@ class ResidueCache:
         [n, n]: what a census chunk counts, what :func:`classify_fast`
         labels and what :func:`verify_range` checks. Below ``bound`` it is a
         read-only view of the table, not a copy; from ``bound`` up to
-        2^64 - 1 the starts descend into the table through
-        :func:`_descend_residues`; from 2^64 on each n walks alone through
-        :func:`_descend_scalar`. A failing member raises
+        2^64 - 1 the range descends into the table through
+        :func:`_descend_range`, whose first jump is read off the jump tables
+        and whose later jumps run in the loop the cache build shares; from
+        2^64 on each n walks alone through :func:`_descend_scalar`. A
+        failing member raises
         :class:`StepBudgetExceeded` or :class:`NatOverflowError` naming the
         smallest one. The budget is the cache's ``max_steps``. The range is
         checked before any compute.
@@ -264,7 +272,10 @@ class ResidueCache:
 
     def _residues_by(self, lo, hi, walk):
         """:meth:`residues` with ``walk`` in place of :func:`_descend_scalar`,
-        for the lanes the kernel hands back and the members from 2^64 on."""
+        for the lanes :func:`_descend_range` hands back and the members from
+        2^64 on. The members from ``bound`` to 2^64 - 1 go to the range entry
+        as the range itself: its first jump is read off the jump tables, and
+        the jump loop after it is the one the cache build runs."""
         validate_nat(lo)
         validate_nat(hi)
         if lo > hi:
@@ -273,9 +284,11 @@ class ResidueCache:
         cached = table[min(lo, self.bound) : min(hi + 1, self.bound)]
         if hi < self.bound:
             return cached
-        starts = _u64_span(max(lo, self.bound), hi)
-        descended = _descend_residues(
-            self.basis, starts, self.bound, table, self.max_steps, walk
+        start, stop = max(lo, self.bound), min(hi, _U64_LIMIT - 1)
+        descended = (
+            _descend_range(self.basis, start, stop, self.bound, table, self.max_steps, walk)
+            if start <= stop
+            else np.empty(0, dtype=np.uint8)
         )
         walked = [
             walk(self.basis, n, self.bound, table, self.max_steps)
@@ -392,12 +405,91 @@ def _sieve_tables(basis):
 def _descend_residues(basis, starts, floor, residues, max_steps, walk):
     """Stopping-time residues for an array of starts, all >= floor.
 
-    Moves every start in lockstep by k ``pdcr`` steps at a time through
-    :func:`_jump_tables` until its value v lands below ``floor``, then adds
-    ``residues[v]`` (a uint8 array covering [0, floor)) to the residue
-    advance the lane carried through its jumps. Residues stay additive even
-    when a jump passes through 1, because the terminal cycle is as long as
-    the modulus.
+    The start-array entry of the descent kernel, for the lanes the cache
+    build's sieve leaves, in any order. The lanes enter :func:`_jump_loop`
+    unjumped, so its first pass is their first jump.
+    """
+
+    def unjumped(out, fallback):
+        n = len(starts)
+        x = starts.astype(np.uint64, copy=True)
+        return x, np.arange(n, dtype=np.intp), np.zeros(n, dtype=np.uint8), 0
+
+    return _jump_loop(
+        basis, len(starts), unjumped, starts.take, floor, residues, max_steps, walk
+    )
+
+
+def _descend_range(basis, lo, hi, floor, residues, max_steps, walk):
+    """Stopping-time residues of every n in [lo, hi], floor <= lo <= hi < 2^64.
+
+    The range entry of the descent kernel, behind
+    :meth:`ResidueCache.residues`: it reads the first jump off the jump
+    tables and hands the lanes left to :func:`_jump_loop`. Cut at multiples
+    of 2^k, a piece of the range has one q = n >> k and consecutive
+    r = n mod 2^k, so its first jumps are ``mult[r0:r1] * q + add[r0:r1]``
+    and its residue advances ``advance[r0:r1]``: table slices, with no start
+    array, no gathers and no arange of positions: lane p starts at
+    ``lo`` + p, so ``flatnonzero`` of the lanes left gives their positions.
+    In a piece with q above ``limit.min()``, the lanes with q > ``limit[r]``
+    go to the walk, as the loop's uint64 guard would send them.
+    """
+    k = _JUMP_BITS
+    mult, add, limit, advance = _jump_tables(basis)
+    modulus = basis_modulus(basis)
+    q_safe = limit.min()
+    size = hi - lo + 1
+
+    def first_jump(out, fallback):
+        # off the tables: a gathered first pass cost ~85 000 page faults per above-bound-cr3 call
+        x = np.empty(size, dtype=np.uint64)
+        spans = []
+        for q in range(lo >> k, (hi >> k) + 1):
+            r0 = max(lo - (q << k), 0)
+            r1 = min(hi - (q << k), (1 << k) - 1) + 1
+            p0 = (q << k) + r0 - lo
+            piece = x[p0 : p0 + r1 - r0]
+            np.multiply(mult[r0:r1], np.uint64(q), out=piece)  # wraps only on lanes dropped below
+            piece += add[r0:r1]
+            spans.append(slice(r0, r1))
+            if q > q_safe:
+                fallback.append(p0 + np.flatnonzero(limit[r0:r1] < q))
+        acc = np.concatenate([advance[span] for span in spans])
+        below = x < floor
+        keep = ~below
+        if fallback:
+            dropped = np.zeros(size, dtype=bool)
+            dropped[np.concatenate(fallback)] = True
+            below &= ~dropped
+            keep &= ~dropped
+        i = np.flatnonzero(below)
+        out[i] = (residues.take(x.take(i).view(np.int64)) + acc.take(i)) % modulus
+        pos = np.flatnonzero(keep)
+        return x.take(pos), pos, acc.take(pos), 1
+
+    def start_of(lanes):
+        return np.uint64(lo) + lanes.astype(np.uint64)
+
+    return _jump_loop(basis, size, first_jump, start_of, floor, residues, max_steps, walk)
+
+
+def _jump_loop(basis, size, enter, start_of, floor, residues, max_steps, walk):
+    """The jump loop both kernel entries share: the residues of ``size`` lanes.
+
+    Unless one jump could already exceed ``max_steps`` base steps, when every
+    lane goes to the walk before any jump, ``enter(out, fallback)`` hands
+    the lanes over. It writes the residue of each lane it retires into
+    ``out``, appends the positions of those it sends to the walk to
+    ``fallback``, and returns the rest as (values, positions, residue
+    advances, jumps taken). ``start_of(positions)`` gives lanes' starts as
+    a uint64 array.
+
+    The loop moves every lane in lockstep by k ``pdcr`` steps at a time
+    through :func:`_jump_tables` until its value v lands below ``floor``,
+    then adds ``residues[v]`` (a uint8 array covering [0, floor)) to the
+    residue advance the lane carried through its jumps. Residues stay
+    additive even when a jump passes through 1, because the terminal cycle
+    is as long as the modulus.
 
     A lane whose next jump would leave uint64, and every lane still
     descending once one more jump could exceed ``max_steps`` base steps, is
@@ -418,12 +510,13 @@ def _descend_residues(basis, starts, floor, residues, max_steps, walk):
     shift = np.uint64(k)
     q_safe = limit.min()  # no lane with q at or below this can overflow
 
-    out = np.empty(len(starts), dtype=np.uint8)
-    x = starts.astype(np.uint64, copy=True)
-    pos = np.arange(len(starts), dtype=np.intp)
-    acc = np.zeros(len(starts), dtype=np.uint8)
+    out = np.empty(size, dtype=np.uint8)
     fallback = []
-    jumps = 0
+    if max_advance > max_steps:
+        x = np.empty(0, dtype=np.uint64)
+        fallback.append(np.arange(size, dtype=np.intp))
+    else:
+        x, pos, acc, jumps = enter(out, fallback)
     while x.size:
         if (jumps + 1) * max_advance > max_steps:
             fallback.append(pos)
@@ -453,8 +546,10 @@ def _descend_residues(basis, starts, floor, residues, max_steps, walk):
 
     if fallback:
         lanes = np.concatenate(fallback)
-        for p in lanes[np.argsort(starts[lanes], kind="stable")]:
-            out[p] = walk(basis, int(starts[p]), floor, residues, max_steps)
+        first = start_of(lanes)
+        order = np.argsort(first, kind="stable")
+        for p, n in zip(lanes[order].tolist(), first[order].tolist()):
+            out[p] = walk(basis, n, floor, residues, max_steps)
     return out
 
 

@@ -180,6 +180,7 @@ class TestResidueCache:
             raise AssertionError("computed before checking the range")
 
         monkeypatch.setattr(classifier, "_descend_residues", forbidden)
+        monkeypatch.setattr(classifier, "_descend_range", forbidden)
         monkeypatch.setattr(classifier, "_descend_scalar", forbidden)
         with pytest.raises(ValueError):
             cr_cache.residues(lo, hi)
@@ -373,14 +374,15 @@ class TestVerifyRange:
         # the fast side is the census's own descent: corrupting it must show
         cache = build_residue_cache(MapKind.CR, 1 << 10)
         before = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
-        descend = classifier._descend_residues
+        descend = classifier._descend_range
 
-        def corrupted(basis, starts, floor, residues, max_steps, walk):
-            out = descend(basis, starts, floor, residues, max_steps, walk).copy()
-            out[starts == 5000] += 1
+        def corrupted(basis, lo, hi, floor, residues, max_steps, walk):
+            out = descend(basis, lo, hi, floor, residues, max_steps, walk).copy()
+            if lo <= 5000 <= hi:
+                out[5000 - lo] += 1
             return out % 3
 
-        monkeypatch.setattr(classifier, "_descend_residues", corrupted)
+        monkeypatch.setattr(classifier, "_descend_range", corrupted)
         assert verify_range(MapKind.CR3, 4000, 6000, cache) == [5000]
         _assert_one_count_moved(before, census_chunk(MapKind.CR3, 1, 10_000, cache).counts)
 
@@ -490,6 +492,7 @@ class TestDirectBlock:
             "build_residue_cache",
             "_jump_tables",
             "_descend_residues",
+            "_descend_range",
             "_descend_scalar",
             "_descend_or_fail",
             "classify_fast",
@@ -780,6 +783,93 @@ class TestDescentKernel:
         assert any(n < 2**63 for n in walked)  # cut off by the budget
         assert len(set(walked)) < len(walked)  # duplicates among the walked
         assert len(set(far) - set(walked)) > 100  # retired by the vector loop
+
+
+_K = classifier._JUMP_BITS
+_PIECE = 1 << _K
+# the largest q = n >> k from which no first jump leaves uint64 (about 1.16e13):
+# at q + 1 the lane with r = 2^k - 1, all k steps odd, is the first to leave it
+_Q_SAFE = int(classifier._jump_tables(MapKind.CR)[2].min())
+
+
+class TestRangeEntry:
+    """``residues`` above the bound, whose first jump is read off the jump
+    tables piece by piece, against a per-n scalar descent."""
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (1 << 10, (1 << 10) + 3000),
+            (5 * _PIECE + 1000, 5 * _PIECE + 5000),
+            (3 * _PIECE + 4000, 7 * _PIECE + 3000),
+            (6 * _PIECE + 77, 6 * _PIECE + 77),
+            (7 * _PIECE, 7 * _PIECE),
+            ((_Q_SAFE << _K) + _PIECE - 60, ((_Q_SAFE + 1) << _K) + 60),
+            (((_Q_SAFE + 1) << _K) + _PIECE - 60, ((_Q_SAFE + 2) << _K) + 60),
+            (2**64 - _PIECE - 40, 2**64 - _PIECE + 40),
+            (2**64 - 41, 2**64 - 1),
+        ],
+        ids=[
+            "lo-is-bound",
+            "inside-one-piece",
+            "several-pieces",
+            "one-member",
+            "one-member-at-piece-start",
+            "up-to-the-guard",
+            "across-the-guard",
+            "near-2^64",
+            "up-to-2^64-1",
+        ],
+    )
+    def test_matches_scalar_descent(self, basis, lo, hi):
+        cache = _cache(basis, 1 << 10)
+        table, budget = cache._residues, cache.max_steps
+        walked = []
+
+        def recording(basis, start, *args):
+            walked.append(start)
+            return classifier._descend_scalar(basis, start, *args)
+
+        expected = [
+            classifier._descend_scalar(basis, n, cache.bound, table, budget)
+            for n in range(lo, hi + 1)
+        ]
+        assert cache.residues(lo, hi).tolist() == expected
+        assert cache._residues_by(lo, hi, recording).tolist() == expected
+        # the first jump's uint64 guard hands its lanes to the walk
+        limit = classifier._jump_tables(basis)[2]
+        guarded = [n for n in range(lo, hi + 1) if n >> _K > int(limit[n % _PIECE])]
+        assert set(guarded) <= set(walked)
+        if lo >> _K == _Q_SAFE + 1:
+            assert guarded == [((_Q_SAFE + 1) << _K) + _PIECE - 1]
+
+    @pytest.mark.parametrize(
+        "basis, budget",
+        [(MapKind.CR, 25), (MapKind.CR, 20), (MapKind.PDCR, 12), (MapKind.PDCR, 7)],
+    )
+    def test_budget_below_one_jump_walks_every_lane(self, basis, budget):
+        # a cr jump can take 26 base steps and a pdcr jump 13: under a smaller
+        # budget every lane goes to the walk, in ascending order, before any jump
+        cache = build_residue_cache(basis, 17, budget)
+        lo, hi = 17, 3 * _PIECE // 2
+        walked = []
+
+        def recording(basis, start, *args):
+            walked.append(start)
+            return classifier._descend_or_fail(basis, start, *args)
+
+        out = cache._residues_by(lo, hi, recording).tolist()
+        assert walked == list(range(lo, hi + 1))
+        assert out == [
+            classifier._descend_or_fail(basis, n, 17, cache._residues, budget)
+            for n in range(lo, hi + 1)
+        ]
+        failing = [n for n, r in zip(range(lo, hi + 1), out) if r == classifier._FAILED]
+        assert failing
+        with pytest.raises(StepBudgetExceeded) as exc:
+            cache.residues(lo, hi)
+        assert exc.value.n == failing[0]
 
 
 def _kernel_build(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
