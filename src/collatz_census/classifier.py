@@ -27,7 +27,7 @@ budget and takes none of its own, so a cache's entries and the descent
 above its bound are always judged by the same rule.
 
 The cache build and the descent above the bound (:meth:`ResidueCache.residues`)
-share one kernel loop, :func:`_jump_loop`. It moves whole arrays of values k
+share one kernel, :func:`_descend_range`. It moves whole arrays of values k
 base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
 3^c(r)*q + d(r) under ``pdcr``, reads landing residues from the uint8 table,
 and hands the rare lane that would outgrow uint64 or the step budget to a
@@ -35,15 +35,16 @@ per-lane walk, the exact big-int descent. That walk alone decides what a
 failing member does: the build, the census and ``classify_fast`` pass
 :func:`_descend_scalar`, which raises at the smallest failing start, and
 ``verify_range`` passes :func:`_descend_or_fail`, which marks it
-``_FAILED``. Only the first jump differs between the loop's two entries.
-The build's :func:`_descend_residues` takes an array of starts, in any
-order, and the loop's first pass is their first jump. The range entry
-:func:`_descend_range` reads a range's first jump off the tables: the
-numbers of [2^k*q, 2^k*(q + 1)) share q and take consecutive r, so their
-first jumps are ``mult[r0:r1]*q + add[r0:r1]``, with no start array and
-no gathers. The build runs serially and sends the kernel only
-what a residue-class sieve over the same Terras coefficients leaves: with
-s = ``_SIEVE_BITS``, a class of lanes 2^s*q + r whose landings after
+``_FAILED``. The kernel's lanes are the members of a range [lo, hi] in a
+set of residue classes mod 2^s, s = ``_SIEVE_BITS``: every class for a
+range above the bound, the classes the sieve leaves for a build block. As
+2^s divides 2^k, the members of a piece [2^k*q, 2^k*(q + 1)) share q and
+sit at the same offsets rho in every piece, so their first jumps are
+``mult[rho]*q + add[rho]``: slices of the tables gathered once at rho, or
+of the jump tables themselves for a range, with no start array and no
+per-lane gathers. The build runs serially and sends the kernel only
+what a residue-class sieve over the same Terras coefficients leaves: a
+class of lanes 2^s*q + r whose landings after
 j <= s ``pdcr`` steps all fall below the block floor, within the step
 budget, is written as one strided slice of the entries it lands on, with
 no per-lane arithmetic.
@@ -66,6 +67,7 @@ covers the code that produces the census counts.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 from dataclasses import dataclass
@@ -89,6 +91,7 @@ from .kernel import (
 _JUMP_BITS = 13
 _MAX_BLOCK = 1 << 19       # cap on cache-build block length
 _SIEVE_BITS = 6            # the cache build sieves residue classes mod 2^6
+_ALL_CLASSES = np.arange(1 << _SIEVE_BITS)  # a whole range, as descent-kernel classes
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
 _U64_LIMIT = 2**64         # members at or above this bypass the vector kernels
@@ -260,10 +263,9 @@ class ResidueCache:
         labels and what :func:`verify_range` checks. Below ``bound`` it is a
         read-only view of the table, not a copy; from ``bound`` up to
         2^64 - 1 the range descends into the table through
-        :func:`_descend_range`, whose first jump is read off the jump tables
-        and whose later jumps run in the loop the cache build shares; from
-        2^64 on each n walks alone through :func:`_descend_scalar`. A
-        failing member raises
+        :func:`_descend_range`, the kernel the cache build runs, whose first
+        jump is read off the jump tables; from 2^64 on each n walks alone
+        through :func:`_descend_scalar`. A failing member raises
         :class:`StepBudgetExceeded` or :class:`NatOverflowError` naming the
         smallest one. The budget is the cache's ``max_steps``. The range is
         checked before any compute.
@@ -273,9 +275,9 @@ class ResidueCache:
     def _residues_by(self, lo, hi, walk):
         """:meth:`residues` with ``walk`` in place of :func:`_descend_scalar`,
         for the lanes :func:`_descend_range` hands back and the members from
-        2^64 on. The members from ``bound`` to 2^64 - 1 go to the range entry
-        as the range itself: its first jump is read off the jump tables, and
-        the jump loop after it is the one the cache build runs."""
+        2^64 on. The members from ``bound`` to 2^64 - 1 go to the kernel as
+        one range of every residue class, the call the cache build makes
+        with the classes its sieve leaves."""
         validate_nat(lo)
         validate_nat(hi)
         if lo > hi:
@@ -402,113 +404,59 @@ def _sieve_tables(basis):
     return _frozen(stride, xs.astype(np.int64), cost, advance)
 
 
-def _descend_residues(basis, starts, floor, residues, max_steps, walk):
-    """Stopping-time residues for an array of starts, all >= floor.
+def _descend_range(basis, lo, hi, floor, residues, max_steps, walk, classes=_ALL_CLASSES):
+    """Stopping-time residues of the members of [lo, hi], floor <= lo <= hi < 2^64.
 
-    The start-array entry of the descent kernel, for the lanes the cache
-    build's sieve leaves, in any order. The lanes enter :func:`_jump_loop`
-    unjumped, so its first pass is their first jump.
-    """
+    The descent kernel, shared by :meth:`ResidueCache.residues` and the cache
+    build. The members are the n whose residue mod m = 2^s, s =
+    ``_SIEVE_BITS``, is in the sorted array ``classes``; the result holds
+    theirs in ascending order of n. The range route passes every class, the
+    build the classes its sieve leaves. Counted from 0, member i is
+    m*(i // len(classes)) + classes[i % len(classes)].
 
-    def unjumped(out, fallback):
-        n = len(starts)
-        x = starts.astype(np.uint64, copy=True)
-        return x, np.arange(n, dtype=np.intp), np.zeros(n, dtype=np.uint8), 0
-
-    return _jump_loop(
-        basis, len(starts), unjumped, starts.take, floor, residues, max_steps, walk
-    )
-
-
-def _descend_range(basis, lo, hi, floor, residues, max_steps, walk):
-    """Stopping-time residues of every n in [lo, hi], floor <= lo <= hi < 2^64.
-
-    The range entry of the descent kernel, behind
-    :meth:`ResidueCache.residues`: it reads the first jump off the jump
-    tables and hands the lanes left to :func:`_jump_loop`. Cut at multiples
-    of 2^k, a piece of the range has one q = n >> k and consecutive
-    r = n mod 2^k, so its first jumps are ``mult[r0:r1] * q + add[r0:r1]``
-    and its residue advances ``advance[r0:r1]``: table slices, with no start
-    array, no gathers and no arange of positions: lane p starts at
-    ``lo`` + p, so ``flatnonzero`` of the lanes left gives their positions.
-    In a piece with q above ``limit.min()``, the lanes with q > ``limit[r]``
-    go to the walk, as the loop's uint64 guard would send them.
-    """
-    k = _JUMP_BITS
-    mult, add, limit, advance = _jump_tables(basis)
-    modulus = basis_modulus(basis)
-    q_safe = limit.min()
-    size = hi - lo + 1
-
-    def first_jump(out, fallback):
-        # off the tables: a gathered first pass cost ~85 000 page faults per above-bound-cr3 call
-        x = np.empty(size, dtype=np.uint64)
-        spans = []
-        for q in range(lo >> k, (hi >> k) + 1):
-            r0 = max(lo - (q << k), 0)
-            r1 = min(hi - (q << k), (1 << k) - 1) + 1
-            p0 = (q << k) + r0 - lo
-            piece = x[p0 : p0 + r1 - r0]
-            np.multiply(mult[r0:r1], np.uint64(q), out=piece)  # wraps only on lanes dropped below
-            piece += add[r0:r1]
-            spans.append(slice(r0, r1))
-            if q > q_safe:
-                fallback.append(p0 + np.flatnonzero(limit[r0:r1] < q))
-        acc = np.concatenate([advance[span] for span in spans])
-        below = x < floor
-        keep = ~below
-        if fallback:
-            dropped = np.zeros(size, dtype=bool)
-            dropped[np.concatenate(fallback)] = True
-            below &= ~dropped
-            keep &= ~dropped
-        i = np.flatnonzero(below)
-        out[i] = (residues.take(x.take(i).view(np.int64)) + acc.take(i)) % modulus
-        pos = np.flatnonzero(keep)
-        return x.take(pos), pos, acc.take(pos), 1
-
-    def start_of(lanes):
-        return np.uint64(lo) + lanes.astype(np.uint64)
-
-    return _jump_loop(basis, size, first_jump, start_of, floor, residues, max_steps, walk)
-
-
-def _jump_loop(basis, size, enter, start_of, floor, residues, max_steps, walk):
-    """The jump loop both kernel entries share: the residues of ``size`` lanes.
-
-    Unless one jump could already exceed ``max_steps`` base steps, when every
-    lane goes to the walk before any jump, ``enter(out, fallback)`` hands
-    the lanes over. It writes the residue of each lane it retires into
-    ``out``, appends the positions of those it sends to the walk to
-    ``fallback``, and returns the rest as (values, positions, residue
-    advances, jumps taken). ``start_of(positions)`` gives lanes' starts as
-    a uint64 array.
-
-    The loop moves every lane in lockstep by k ``pdcr`` steps at a time
-    through :func:`_jump_tables` until its value v lands below ``floor``,
-    then adds ``residues[v]`` (a uint8 array covering [0, floor)) to the
-    residue advance the lane carried through its jumps. Residues stay
-    additive even when a jump passes through 1, because the terminal cycle
-    is as long as the modulus.
+    Each lane moves in lockstep by k ``pdcr`` steps at a time through
+    :func:`_jump_tables` until its value v lands below ``floor``, then adds
+    ``residues[v]`` (a uint8 array covering [0, floor)) to the residue
+    advance it carried through its jumps. Residues stay additive even when a
+    jump passes through 1, because the terminal cycle is as long as the
+    modulus. The first jump is read off the tables: since m divides 2^k, the
+    members of a piece [2^k*q, 2^k*(q + 1)) sit at the same offsets rho =
+    m*t + r, r in ``classes``, in every piece, so their first jumps are
+    ``mult[rho]*q + add[rho]`` over a slice of the tables gathered once at
+    rho, and with every class the tables themselves: no start array and no
+    per-lane gathers.
 
     A lane whose next jump would leave uint64, and every lane still
     descending once one more jump could exceed ``max_steps`` base steps, is
     finished by ``walk(basis, start, floor, residues, max_steps)`` from its
-    start, in ascending order of start. Every lane the vector loop retires
-    fell below ``floor`` in at most ``max_steps`` base steps in all, so it
-    meets :func:`_walk`'s rule on the way and stayed within 128 bits: the
-    accept/reject decision is that of the walk. With :func:`_descend_scalar`
-    as ``walk`` the error names the smallest failing start and the call
-    stops there; with :func:`_descend_or_fail` a failing lane reads
-    ``_FAILED``.
+    start, in ascending order of start; if one jump could already exceed
+    ``max_steps``, that is every lane, before any jump. Every lane the
+    vector loop retires fell below ``floor`` in at most ``max_steps`` base
+    steps in all, so it meets :func:`_walk`'s rule on the way and stayed
+    within 128 bits: the accept/reject decision is that of the walk. With
+    :func:`_descend_scalar` as ``walk`` the error names the smallest failing
+    start and the call stops there; with :func:`_descend_or_fail` a failing
+    lane reads ``_FAILED``.
     """
     modulus = basis_modulus(basis)
     k = _JUMP_BITS
-    mult, add, limit, advance = _jump_tables(basis)
+    m = 1 << _SIEVE_BITS
+    tables = _jump_tables(basis)
+    mult, add, limit, advance = tables
     max_advance = 2 * k if basis is MapKind.CR else k
     mask = np.uint64((1 << k) - 1)
     shift = np.uint64(k)
     q_safe = limit.min()  # no lane with q at or below this can overflow
+    cls = classes.tolist()
+    c = len(cls)
+    if c < m:
+        rho = (m * np.arange((1 << k) // m)[:, None] + classes).ravel()
+        tables = [t.take(rho) for t in tables]
+    mult0, add0, limit0, advance0 = tables
+    width = len(mult0)  # members per piece
+    first = lo // m * c + bisect.bisect_left(cls, lo % m)  # members below lo
+    end = (hi + 1) // m * c + bisect.bisect_left(cls, (hi + 1) % m)
+    size = end - first
 
     out = np.empty(size, dtype=np.uint8)
     fallback = []
@@ -516,7 +464,28 @@ def _jump_loop(basis, size, enter, start_of, floor, residues, max_steps, walk):
         x = np.empty(0, dtype=np.uint64)
         fallback.append(np.arange(size, dtype=np.intp))
     else:
-        x, pos, acc, jumps = enter(out, fallback)
+        # off the tables: a gathered first pass cost ~85 000 page faults per above-bound-cr3 call
+        x = np.empty(size, dtype=np.uint64)
+        acc = np.empty(size, dtype=np.uint8)
+        for q in range(first // width, (end + width - 1) // width):
+            i0, i1 = max(first, q * width), min(end, (q + 1) * width)
+            lanes, span = slice(i0 - first, i1 - first), slice(i0 - q * width, i1 - q * width)
+            # wraps only on the lanes the guard below drops
+            np.multiply(mult0[span], np.uint64(q), out=x[lanes])
+            x[lanes] += add0[span]
+            acc[lanes] = advance0[span]
+            if q > q_safe:
+                fallback.append(i0 - first + np.flatnonzero(limit0[span] < q))
+        below = x < floor
+        keep = ~below
+        if fallback:
+            guarded = np.concatenate(fallback)
+            below[guarded] = keep[guarded] = False
+        i = np.flatnonzero(below)
+        out[i] = (residues.take(x.take(i).view(np.int64)) + acc.take(i)) % modulus
+        pos = np.flatnonzero(keep)
+        x, acc, jumps = x.take(pos), acc.take(pos), 1
+        del below, keep, i  # the loop's first pass allocates: free the range-sized arrays now
     while x.size:
         if (jumps + 1) * max_advance > max_steps:
             fallback.append(pos)
@@ -545,11 +514,10 @@ def _jump_loop(basis, size, enter, start_of, floor, residues, max_steps, walk):
             x, pos, acc = x.take(i), pos.take(i), acc.take(i)
 
     if fallback:
-        lanes = np.concatenate(fallback)
-        first = start_of(lanes)
-        order = np.argsort(first, kind="stable")
-        for p, n in zip(lanes[order].tolist(), first[order].tolist()):
-            out[p] = walk(basis, n, floor, residues, max_steps)
+        # members ascend with their position, so sorted positions walk in ascending start order
+        for p in np.sort(np.concatenate(fallback)).tolist():
+            i = first + p
+            out[p] = walk(basis, m * (i // c) + cls[i % c], floor, residues, max_steps)
     return out
 
 
@@ -570,9 +538,11 @@ def build_residue_cache(
     progression stride*q + landing. If the largest landing of the class in
     the block is below a for some j whose base-step cost is within
     ``max_steps``, the smallest such j writes the whole class as one strided
-    slice of the entries it lands on, plus the residue advance. Every other
-    lane goes through :func:`_descend_residues` with floor a, in ascending
-    order. A sieved lane falls below a within ``max_steps`` steps, so the
+    slice of the entries it lands on, plus the residue advance. The other
+    classes go through :func:`_descend_range` as one call over [a, b - 1]
+    with floor a, which returns their members' residues in ascending order;
+    each class's share is written back as one strided slice. A sieved lane
+    falls below a within ``max_steps`` steps, so the
     kernel would accept it with the same residue: the residues, and the
     start a budget or overflow error names (the smallest failing one), are
     those of a build that sends every lane through the kernel.
@@ -614,11 +584,10 @@ def build_residue_cache(
             v = res[lo:hi:step] + adv
             res[first:b:m] = np.minimum(v, v - modulus)
         rest = classes[~sieved]
-        lanes = (m * np.arange(a // m, (b - 1) // m + 1)[:, None] + rest).ravel()
-        lanes = lanes[(lanes >= a) & (lanes < b)]
-        res[lanes] = _descend_residues(
-            basis, lanes.astype(np.uint64), a, res, max_steps, _descend_scalar
-        )
+        out = _descend_range(basis, a, b - 1, a, res, max_steps, _descend_scalar, rest)
+        # out ascends, so the classes take turns: the p-th to start holds out[p::len(rest)]
+        for p, first in enumerate(sorted(a + (r - a) % m for r in rest.tolist())):
+            res[first:b:m] = out[p :: len(rest)]
         a = b
     return ResidueCache(basis, bound, max_steps, res)
 

@@ -28,7 +28,7 @@ from collatz_census import (
     verify_range,
 )
 from collatz_census import classifier
-from collatz_census.classifier import _descend_residues, _direct_block
+from collatz_census.classifier import _descend_range, _direct_block
 from oracles import oracle_label, oracle_sigma, oracle_step, oracle_stopping
 
 
@@ -179,7 +179,6 @@ class TestResidueCache:
         def forbidden(*args, **kwargs):
             raise AssertionError("computed before checking the range")
 
-        monkeypatch.setattr(classifier, "_descend_residues", forbidden)
         monkeypatch.setattr(classifier, "_descend_range", forbidden)
         monkeypatch.setattr(classifier, "_descend_scalar", forbidden)
         with pytest.raises(ValueError):
@@ -491,7 +490,6 @@ class TestDirectBlock:
             "ResidueCache",
             "build_residue_cache",
             "_jump_tables",
-            "_descend_residues",
             "_descend_range",
             "_descend_scalar",
             "_descend_or_fail",
@@ -649,15 +647,10 @@ def _steps_below(basis, n, floor):
     return longest
 
 
-def _descend(basis, starts, floor, max_steps=DEFAULT_STEP_BUDGET):
+def _descend(basis, lo, hi, floor, max_steps=DEFAULT_STEP_BUDGET):
     cache = build_residue_cache(basis, floor)
-    return _descend_residues(
-        basis,
-        np.array(starts, dtype=np.uint64),
-        floor,
-        cache._residues,
-        max_steps,
-        classifier._descend_scalar,
+    return _descend_range(
+        basis, lo, hi, floor, cache._residues, max_steps, classifier._descend_scalar
     )
 
 
@@ -721,9 +714,9 @@ class TestDescentKernel:
         t = _steps_below(basis, n, floor)
         expected = stopping_time(basis, n).residue
         for budget in (t, t + 1):
-            assert _descend(basis, [n], floor, budget).tolist() == [expected]
+            assert _descend(basis, n, n, floor, budget).tolist() == [expected]
         with pytest.raises(StepBudgetExceeded) as exc:
-            _descend(basis, [n], floor, t - 1)
+            _descend(basis, n, n, floor, t - 1)
         assert exc.value.n == n
 
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
@@ -733,7 +726,7 @@ class TestDescentKernel:
         failing = [n for n in starts if _steps_below(basis, n, 16) > budget]
         assert failing
         with pytest.raises(StepBudgetExceeded) as exc:
-            _descend(basis, starts, 16, budget)
+            _descend(basis, 40, 139, 16, budget)
         assert exc.value.n == min(failing)
 
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
@@ -742,9 +735,8 @@ class TestDescentKernel:
         def no_fallback(*args):
             raise AssertionError(f"start {args[1]} fell back to the exact descent")
 
-        starts = np.arange(2, 1001, dtype=np.uint64)
-        residues = _descend_residues(
-            basis, starts, 2, np.zeros(2, dtype=np.uint8), DEFAULT_STEP_BUDGET, no_fallback
+        residues = _descend_range(
+            basis, 2, 1000, 2, np.zeros(2, dtype=np.uint8), DEFAULT_STEP_BUDGET, no_fallback
         )
         assert residues.tolist() == [
             stopping_time(basis, n).residue for n in range(2, 1001)
@@ -752,37 +744,43 @@ class TestDescentKernel:
 
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
     def test_each_lane_gets_its_own_residue(self, basis):
-        # Shuffled starts mixing lanes that retire after several jumps (2^40
-        # and up over a 2^12 floor: a jump divides by at most 2^13), lanes
-        # the uint64 guard sends back (low 13 bits all odd steps, just below
-        # 2^64), lanes cut off by a 14-jump budget, and duplicates.
+        # Class-subset ranges mixing lanes that retire after several jumps
+        # (2^40 and up over a 2^12 floor: a jump divides by at most 2^13),
+        # lanes the uint64 guard sends back (class 63 holds r = 2^13 - 1, all
+        # 13 steps odd, just below 2^64) and lanes cut off by a 14-jump budget.
         floor = 1 << 12
         residues = build_residue_cache(basis, floor)._residues
         max_advance = 2 * classifier._JUMP_BITS if basis is MapKind.CR else classifier._JUMP_BITS
         budget = 14 * max_advance
         rng = random.Random(14)
-        far = [rng.randrange(2**40, 2**48) for _ in range(300)]
+        far_lo = rng.randrange(2**40, 2**48)
+        far_hi, far_classes = far_lo + 25 * 64 - 1, sorted(rng.sample(range(64), 16))
+        far = _members(far_lo, far_hi, far_classes)
         guarded = [2**64 - 1 - (i << classifier._JUMP_BITS) for i in range(4)]
-        starts = far + guarded
-        starts += rng.sample(starts, 40) + guarded[:1]
-        rng.shuffle(starts)
         walked = []
 
         def recording(basis, start, *args):
             walked.append(start)
             return classifier._descend_or_fail(basis, start, *args)
 
-        out = _descend_residues(
-            basis, np.array(starts, dtype=np.uint64), floor, residues, budget, recording
-        )
-        assert out.tolist() == [
-            classifier._descend_or_fail(basis, n, floor, residues, budget) for n in starts
-        ]
-        assert walked == sorted(walked)
+        for lo, hi, classes in [(far_lo, far_hi, far_classes), (guarded[-1], guarded[0], [63])]:
+            members = _members(lo, hi, classes)
+            calls = len(walked)
+            out = _descend_range(
+                basis, lo, hi, floor, residues, budget, recording, np.array(classes)
+            )
+            assert out.tolist() == [
+                classifier._descend_or_fail(basis, n, floor, residues, budget) for n in members
+            ]
+            assert walked[calls:] == sorted(walked[calls:])
         assert set(guarded) <= set(walked)
         assert any(n < 2**63 for n in walked)  # cut off by the budget
-        assert len(set(walked)) < len(walked)  # duplicates among the walked
         assert len(set(far) - set(walked)) > 100  # retired by the vector loop
+
+
+def _members(lo, hi, classes):
+    """The n in [lo, hi] whose residue mod 2^6 is in ``classes``, ascending."""
+    return [n for n in range(lo, hi + 1) if n % 64 in classes]
 
 
 _K = classifier._JUMP_BITS
@@ -871,6 +869,74 @@ class TestRangeEntry:
             cache.residues(lo, hi)
         assert exc.value.n == failing[0]
 
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize(
+        "lo, hi, classes",
+        [
+            (5 * _PIECE + 1037, 7 * _PIECE + 3001, [0, 13, 14, 57, 63]),
+            (5 * _PIECE + 1037, 7 * _PIECE + 3001, [12, 14, 56, 58]),
+            (4 * _PIECE - 10, 5 * _PIECE + 100, [5, 20]),
+            (6 * _PIECE + 65, 6 * _PIECE + 70, [0, 10]),
+            (3 * _PIECE + 4000, 6 * _PIECE + 17, [27]),
+            (3 * _PIECE + 4001, 5 * _PIECE + 17, [r for r in range(64) if r != 37]),
+            (((_Q_SAFE + 1) << _K) + _PIECE - 200, ((_Q_SAFE + 2) << _K) + 60, [7, 31, 62, 63]),
+            (2**64 - 3 * _PIECE - 50, 2**64 - 1, [1, 33, 63]),
+        ],
+        ids=[
+            "ends-are-members",
+            "ends-are-not-members",
+            "piece-without-members",
+            "no-member",
+            "one-class",
+            "all-classes-but-one",
+            "across-the-guard",
+            "up-to-2^64-1",
+        ],
+    )
+    def test_class_subset_matches_scalar_descent(self, basis, lo, hi, classes):
+        # lo % 64 = 13 and hi sits mid-piece with hi % 64 = 57, in the first
+        # two cases once as a member and once between two member classes
+        cache = _cache(basis, 1 << 10)
+        table, budget = cache._residues, cache.max_steps
+        walked = []
+
+        def recording(basis, start, *args):
+            walked.append(start)
+            return classifier._descend_scalar(basis, start, *args)
+
+        members = _members(lo, hi, classes)
+        out = _descend_range(
+            basis, lo, hi, cache.bound, table, budget, recording, np.array(classes)
+        )
+        assert out.tolist() == [
+            classifier._descend_scalar(basis, n, cache.bound, table, budget) for n in members
+        ]
+        assert walked == sorted(walked)
+        limit = classifier._jump_tables(basis)[2]
+        guarded = [n for n in members if n >> _K > int(limit[n % _PIECE])]
+        assert set(guarded) <= set(walked)
+        if lo >> _K == _Q_SAFE + 1:
+            assert guarded == [((_Q_SAFE + 1) << _K) + _PIECE - 1]
+
+    @pytest.mark.parametrize("basis, budget", [(MapKind.CR, 25), (MapKind.PDCR, 12)])
+    def test_class_subset_budget_below_one_jump_walks_every_member(self, basis, budget):
+        cache = build_residue_cache(basis, 17, budget)
+        lo, hi, classes = 60, 3 * _PIECE // 2 + 5, [3, 40, 41, 63]
+        walked = []
+
+        def recording(basis, start, *args):
+            walked.append(start)
+            return classifier._descend_or_fail(basis, start, *args)
+
+        members = _members(lo, hi, classes)
+        out = _descend_range(
+            basis, lo, hi, 17, cache._residues, budget, recording, np.array(classes)
+        )
+        assert walked == members
+        assert out.tolist() == [
+            classifier._descend_or_fail(basis, n, 17, cache._residues, budget) for n in members
+        ]
+
 
 def _kernel_build(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
     """Residues built one whole block at a time through the descent kernel,
@@ -879,8 +945,7 @@ def _kernel_build(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
     a = 2
     while a < bound:
         b = min(bound, 2 * a, a + classifier._MAX_BLOCK)
-        starts = np.arange(a, b, dtype=np.uint64)
-        res[a:b] = _descend_residues(basis, starts, a, res, max_steps, classifier._descend_scalar)
+        res[a:b] = _descend_range(basis, a, b - 1, a, res, max_steps, classifier._descend_scalar)
         a = b
     return res
 
@@ -901,13 +966,14 @@ class TestSieveBuild:
         bound = 2 * 10**5 + 17
         expected = _kernel_build(basis, bound)
         kernel_lanes = {}
-        exact = classifier._descend_residues
+        exact = classifier._descend_range
 
-        def recording(basis, starts, floor, *args):
-            kernel_lanes[floor] = len(starts)
-            return exact(basis, starts, floor, *args)
+        def recording(basis, lo, hi, floor, *args):
+            out = exact(basis, lo, hi, floor, *args)
+            kernel_lanes[floor] = len(out)
+            return out
 
-        monkeypatch.setattr(classifier, "_descend_residues", recording)
+        monkeypatch.setattr(classifier, "_descend_range", recording)
         assert np.array_equal(build_residue_cache(basis, bound)._residues, expected)
         full_blocks = range(1 << 12, bound - (1 << 12), 1 << 12)
         assert len(full_blocks) == 47
