@@ -12,6 +12,7 @@ from .census import (
     CHECKPOINT_VERSION,
     CensusAbortError,
     CensusConfig,
+    CensusInterrupted,
     CensusResult,
     Checkpoint,
     CheckpointError,
@@ -65,6 +66,7 @@ __all__ = [
     "NAT_MAX",
     "CensusAbortError",
     "CensusConfig",
+    "CensusInterrupted",
     "CensusResult",
     "Checkpoint",
     "CheckpointError",

@@ -5,8 +5,11 @@ belong to it. The residue cache is built first, serially; then the range
 is cut into fixed-size chunks, worker threads count what the shared
 read-only cache's ``ResidueCache.residues`` (the call ``verify_range``
 checks) gives for each chunk, and the per-chunk counts are merged in
-ascending range order. Counting is exact integer arithmetic, so the result
-is identical for every chunk size and worker count.
+ascending range order. A chunk counts its uint8 residues in place, one
+``count_nonzero`` pass per residue, never through ``np.bincount``, which
+would widen them to 8 bytes each first. Counting is exact integer
+arithmetic, so the result is identical for every chunk size and worker
+count.
 
 ``run_census`` and ``run_series`` share that engine: a series is a census
 whose sample points are forced chunk cuts. Every result carries its counts
@@ -17,6 +20,9 @@ sample point, and a checkpoint holds the completed prefix [1, next_n - 1].
 Long runs can periodically write a checkpoint file (a small versioned JSON
 document covering the completed contiguous prefix, fsync'd and renamed into
 place); a run resumed from a checkpoint finishes with byte-identical counts.
+An interrupted census (``KeyboardInterrupt``) cancels its queued chunks,
+saves the completed prefix to its checkpoint, if it has one, and raises
+:class:`CensusInterrupted`.
 """
 
 from __future__ import annotations
@@ -71,6 +77,26 @@ class CensusAbortError(RuntimeError):
 
 class CheckpointError(ValueError):
     """A checkpoint file is unreadable, malformed, or does not match the run."""
+
+
+class CensusInterrupted(KeyboardInterrupt):
+    """A census was interrupted; the counts over the completed prefix are kept.
+
+    :func:`run_census` raises it in place of a ``KeyboardInterrupt`` that
+    arrives during the build or the tally, after the queued chunks were
+    cancelled and, when the run has a checkpoint path, ``prefix`` was saved
+    there. ``next_n`` is the first n not counted. It is still a
+    ``KeyboardInterrupt``, so a caller that does not catch it stops as before.
+    """
+
+    def __init__(self, prefix: "ClassCounts", checkpoint_path=None):
+        super().__init__(f"census interrupted at next_n={prefix.hi + 1}")
+        self.prefix = prefix
+        self.checkpoint_path = checkpoint_path
+
+    @property
+    def next_n(self) -> int:
+        return self.prefix.hi + 1
 
 
 def decimal_fraction(count: int, total: int, places: int = 6) -> str:
@@ -170,6 +196,13 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     in spans of at most 2^20 numbers: a slice of the cache below its bound,
     a descent into the cache above it, under the cache's ``max_steps``. Any
     member that fails aborts the chunk with the smallest offending n.
+
+    Each span is counted at uint8 width, one ``count_nonzero(residues == r)``
+    per residue r below the cache's modulus (3 passes for ``cr``, 2 for
+    ``pdcr``). ``np.bincount`` would first copy the residues to intp, 8 bytes
+    per number. Every residue is counted, none is "the rest", so a residue
+    at or above the modulus leaves the counts short of the chunk's width and
+    :class:`ClassCounts` raises ``ValueError``.
     """
     labels = labels_for(map_kind)
     _check_cache_basis(map_kind, cache)
@@ -178,15 +211,16 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     if lo > hi:
         raise ValueError(f"empty chunk [{lo}, {hi}]")
 
-    residue_totals = np.zeros(cache.modulus, dtype=np.int64)
+    residue_totals = [0] * cache.modulus
     for a in range(lo, hi + 1, _VECTOR_SPAN):
         b = min(hi, a + _VECTOR_SPAN - 1)
         try:
             residues = cache.residues(a, b)
         except (NatOverflowError, StepBudgetExceeded) as e:
             raise CensusAbortError(e.n, e) from e
-        residue_totals += np.bincount(residues, minlength=cache.modulus)
-    counts = {label: int(residue_totals[r]) for r, label in enumerate(labels)}
+        for r in range(cache.modulus):
+            residue_totals[r] += int(np.count_nonzero(residues == r))
+    counts = {label: residue_totals[r] for r, label in enumerate(labels)}
     return ClassCounts(map_kind, lo, hi, counts)
 
 
@@ -439,7 +473,9 @@ def run_census(
     and scheduling. With a ``checkpoint_path`` the completed prefix is saved
     at most once per ``checkpoint_interval``, plus once at completion;
     ``resume=True`` continues from such a file after checking that its
-    version, map, target and step budget match.
+    version, map, target and step budget match. A ``KeyboardInterrupt``
+    saves the completed prefix there too and surfaces as
+    :class:`CensusInterrupted`.
     """
     config = config or CensusConfig()
     validate_nat(s)
@@ -486,7 +522,12 @@ def run_census(
         if config.progress is not None:
             config.progress(total.hi, s)
 
-    _tally(map_kind, config, workers, bound, total.hi + 1, [s], absorb)
+    try:
+        _tally(map_kind, config, workers, bound, total.hi + 1, [s], absorb)
+    except KeyboardInterrupt as e:
+        if checkpoint_path is not None:
+            write_checkpoint()
+        raise CensusInterrupted(total, checkpoint_path) from e
 
     if total.lo != 1 or total.hi != s:
         raise RuntimeError(f"census covered [{total.lo}, {total.hi}], expected [1, {s}]")

@@ -6,7 +6,9 @@ sample points), ``verify`` (fast-vs-direct cross-check). Census and series
 render as a table, csv, or a single json document.
 
 Exit codes: 0 success, 1 run failure (overflow, exhausted budget, checkpoint
-problems, verification mismatches), 2 usage errors.
+problems, verification mismatches), 2 usage errors, 130 interrupted (Ctrl-C).
+An interrupted ``census`` prints the first n it did not count, and, with
+``--checkpoint``, saves the completed prefix there for ``--resume``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 from .census import (
     CensusAbortError,
     CensusConfig,
+    CensusInterrupted,
     CensusResult,
     CheckpointError,
     ClassCounts,
@@ -288,6 +291,16 @@ def main(argv=None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except CensusInterrupted as e:
+        if e.checkpoint_path is None:
+            kept = "no checkpoint was given"
+        else:
+            kept = f"{e.checkpoint_path} holds [1, {e.next_n - 1}]; continue with --resume"
+        print(f"interrupted: census stopped at next_n={e.next_n}; {kept}", file=sys.stderr)
+        return 130
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

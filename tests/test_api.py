@@ -6,6 +6,7 @@ PUBLIC = [
     "CHECKPOINT_VERSION",
     "CensusAbortError",
     "CensusConfig",
+    "CensusInterrupted",
     "CensusResult",
     "Checkpoint",
     "CheckpointError",

@@ -3,8 +3,10 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,13 @@ from collatz_census import (
     CHECKPOINT_VERSION,
     CensusAbortError,
     CensusConfig,
+    CensusInterrupted,
     Checkpoint,
     CheckpointError,
     ClassCounts,
     ClassLabel,
     MapKind,
+    ResidueCache,
     StepBudgetExceeded,
     build_residue_cache,
     census_chunk,
@@ -112,6 +116,44 @@ class TestCensusChunk:
         with pytest.raises(ValueError):
             census_chunk(MapKind.CR3, 1, 10, pdcr_cache)
 
+    @pytest.mark.parametrize("span", [1, 7, 64])
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize(
+        "lo, hi", [(2**16 - 150, 2**16 + 150), (2**64 - 20, 2**64 + 20)],
+        ids=["cache-bound", "2^64"],
+    )
+    def test_spans_sum_to_the_oracle(
+        self, span, map_kind, lo, hi, cr_cache, pdcr_cache, monkeypatch
+    ):
+        # a chunk wider than one span adds the counts of several residues calls
+        monkeypatch.setattr(census_module, "_VECTOR_SPAN", span)
+        cache = cr_cache if map_kind is MapKind.CR3 else pdcr_cache
+        chunk = census_chunk(map_kind, lo, hi, cache)
+        expected = {int(label): 0 for label in chunk.counts}
+        for n in range(lo, hi + 1):
+            expected[oracle_label(n, map_kind.value)] += 1
+        assert counts_as_ints(chunk.counts) == expected
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_residue_at_the_modulus_is_never_counted(self, map_kind, cr_cache, pdcr_cache):
+        cache = cr_cache if map_kind is MapKind.CR3 else pdcr_cache
+        table = np.array(cache._residues)  # a writable copy of the table
+        table[10] = cache.modulus
+        bad = ResidueCache(cache.basis, cache.bound, cache.max_steps, table)
+        with pytest.raises(ValueError):
+            census_chunk(map_kind, 1, 100, bad)
+
+    def test_counting_a_cached_chunk_makes_no_wide_copy(self):
+        # a uint8 residue costs one byte; np.bincount's intp copy cost eight
+        cache = build_residue_cache(MapKind.CR, (1 << 16) + 1)
+        census_chunk(MapKind.CR3, 1, 1 << 16, cache)
+        tracemalloc.start()
+        try:
+            census_chunk(MapKind.CR3, 1, 1 << 16, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (1 << 16)
 
 class TestClassCounts:
     def test_sum_identity_enforced(self):
@@ -676,6 +718,62 @@ class TestResume:
         saved = load_checkpoint(path)
         assert saved.prefix == first.counts
         assert saved.created_at != "then"  # the final checkpoint was written
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_progress_interrupt_saves_the_prefix_and_resumes(self, workers, tmp_path):
+        s = 10_000
+        path = tmp_path / "census.ckpt"
+        uninterrupted = run_census(MapKind.CR3, s, CensusConfig(chunk_size=512))
+
+        def tripwire(done_through, target):
+            if done_through >= s // 2:
+                raise KeyboardInterrupt
+
+        before = threading.active_count()
+        config = CensusConfig(chunk_size=512, workers=workers, progress=tripwire)
+        with pytest.raises(CensusInterrupted) as exc:
+            run_census(MapKind.CR3, s, config, checkpoint_path=path)
+        assert threading.active_count() == before
+        assert exc.value.next_n == 5121  # the first chunk end past s // 2, plus one
+        assert exc.value.checkpoint_path == path
+        assert load_checkpoint(path).prefix == exc.value.prefix
+        assert exc.value.prefix == run_census(MapKind.CR3, 5120).counts
+
+        resumed = run_census(
+            MapKind.CR3, s, CensusConfig(chunk_size=512, workers=workers),
+            checkpoint_path=path, resume=True,
+        )
+        assert resumed.counts == uninterrupted.counts
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_interrupted_chunk_absorbs_nothing_after_it(self, workers, interrupt_at, monkeypatch):
+        interrupt_at(1001)
+        calls = record_chunks(monkeypatch, delay=0.01)
+        config = CensusConfig(chunk_size=100, workers=workers)
+        with pytest.raises(CensusInterrupted) as exc:
+            run_census(MapKind.CR3, 100_000, config)
+        assert exc.value.next_n == 1001
+        assert exc.value.checkpoint_path is None
+        assert exc.value.prefix == run_census(MapKind.CR3, 1000).counts
+        assert len(calls) <= 10 + 4 * workers  # the queued chunks were cancelled, not run
+
+    def test_interrupt_during_the_build_keeps_the_resumed_prefix(self, tmp_path, monkeypatch):
+        path = tmp_path / "census.ckpt"
+        prefix = run_census(MapKind.CR3, 300).counts
+        save_checkpoint(Checkpoint(prefix, 1000, 1001, "then"), path)
+
+        def interrupted_build(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(census_module, "build_residue_cache", interrupted_build)
+        with pytest.raises(CensusInterrupted) as exc:
+            run_census(MapKind.CR3, 1000, checkpoint_path=path, resume=True)
+        assert exc.value.next_n == 301
+        saved = load_checkpoint(path)
+        assert saved.prefix == prefix
+        assert saved.created_at != "then"
 
 
 class TestRunSeries:

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -191,6 +195,67 @@ class TestCensusCommand:
             "range [1, 100] holds 100 numbers\n"
         )
 
+    def test_interrupt_saves_the_prefix_and_resume_gives_the_same_bytes(
+        self, capsys, tmp_path, interrupt_at, monkeypatch
+    ):
+        argv = ["census", "30000", "--chunk-size", "1000", "--format", "csv"]
+        _, uninterrupted, _ = run_cli(capsys, *argv)
+        path = tmp_path / "run.ckpt"
+        interrupt_at(12001)
+        code, out, err = run_cli(capsys, *argv, "--checkpoint", str(path))
+        assert (code, out) == (130, "")
+        assert err == (
+            f"interrupted: census stopped at next_n=12001; {path} holds [1, 12000]; "
+            "continue with --resume\n"
+        )
+        assert json.loads(path.read_text())["next_n"] == 12001
+        monkeypatch.undo()
+        code, resumed, _ = run_cli(capsys, *argv, "--checkpoint", str(path), "--resume")
+        assert (code, resumed) == (0, uninterrupted)
+
+    def test_interrupt_without_checkpoint_names_next_n(self, capsys, interrupt_at):
+        interrupt_at(1)
+        code, out, err = run_cli(capsys, "census", "5000", "--chunk-size", "1000")
+        assert (code, out) == (130, "")
+        assert err == "interrupted: census stopped at next_n=1; no checkpoint was given\n"
+
+    def test_sigint_exits_130_without_a_traceback(self, capsys, tmp_path):
+        # a real SIGINT, sent from a worker thread once the tally is running
+        script = textwrap.dedent(
+            """
+            import os, signal, sys
+            from collatz_census import census, cli
+            exact = census.census_chunk
+            def chunk(map_kind, lo, hi, cache):
+                if lo == 40001:
+                    os.kill(os.getpid(), signal.SIGINT)
+                return exact(map_kind, lo, hi, cache)
+            census.census_chunk = chunk
+            sys.exit(cli.main(sys.argv[1:]))
+            """
+        )
+        path = tmp_path / "run.ckpt"
+        argv = ["census", "100000", "--chunk-size", "1000", "--workers", "2", "--format", "csv"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--checkpoint", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (130, "")
+        match = re.fullmatch(
+            r"interrupted: census stopped at next_n=(\d+); (.+) holds \[1, (\d+)\]; "
+            r"continue with --resume\n",
+            proc.stderr,
+        )
+        assert match, proc.stderr
+        next_n = int(match[1])
+        assert match[2] == str(path) and int(match[3]) == next_n - 1
+        assert next_n <= 40001 and next_n % 1000 == 1
+        assert json.loads(path.read_text())["next_n"] == next_n
+        resumed = run_cli(capsys, *argv, "--checkpoint", str(path), "--resume")
+        assert resumed[:2] == (0, run_cli(capsys, *argv)[1])
+
     def test_missing_checkpoint_is_anomaly(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "census", "100", "--checkpoint", str(tmp_path / "no.ckpt"), "--resume"
@@ -231,6 +296,11 @@ class TestSeriesCommand:
         code, _, err = run_cli(capsys, "series", "5", "--points", "6")
         assert code == 2
         assert "points" in err
+
+    def test_interrupt_exits_130_without_a_traceback(self, capsys, interrupt_at):
+        interrupt_at(1)
+        code, out, err = run_cli(capsys, "series", "5000")
+        assert (code, out, err) == (130, "", "interrupted\n")
 
 
 class TestVerifyCommand:
