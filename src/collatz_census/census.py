@@ -1,15 +1,14 @@
 """Exhaustive class censuses over [1, S].
 
 A census counts, for every class of a composite map, how many n in [1, S]
-belong to it. The residue cache is built first, serially; then the range
-is cut into fixed-size chunks, worker threads count what the shared
-read-only cache's ``ResidueCache.residues`` (the call ``verify_range``
-checks) gives for each chunk, and the per-chunk counts are merged in
-ascending range order. A chunk counts its uint8 residues in place, one
+belong to it. The residue cache is built first; then the range is cut into
+fixed-size chunks, counted one after another in ascending order from what
+the cache's ``ResidueCache.residues`` (the call ``verify_range`` checks)
+gives for each, and each chunk's counts are merged into the running total
+as it completes. A chunk counts its uint8 residues in place, one
 ``count_nonzero`` pass per residue, never through ``np.bincount``, which
 would widen them to 8 bytes each first. Counting is exact integer
-arithmetic, so the result is identical for every chunk size and worker
-count.
+arithmetic, so the result is identical for every chunk size.
 
 ``run_census`` and ``run_series`` share that engine: a series is a census
 whose sample points are forced chunk cuts. Every result carries its counts
@@ -20,9 +19,8 @@ sample point, and a checkpoint holds the completed prefix [1, next_n - 1].
 Long runs can periodically write a checkpoint file (a small versioned JSON
 document covering the completed contiguous prefix, fsync'd and renamed into
 place); a run resumed from a checkpoint finishes with byte-identical counts.
-An interrupted census (``KeyboardInterrupt``) cancels its queued chunks,
-saves the completed prefix to its checkpoint, if it has one, and raises
-:class:`CensusInterrupted`.
+An interrupted census (``KeyboardInterrupt``) saves the completed prefix to
+its checkpoint, if it has one, and raises :class:`CensusInterrupted`.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ import json
 import numbers
 import os
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -83,9 +79,9 @@ class CensusInterrupted(KeyboardInterrupt):
     """A census was interrupted; the counts over the completed prefix are kept.
 
     :func:`run_census` raises it in place of a ``KeyboardInterrupt`` that
-    arrives during the build or the tally, after the queued chunks were
-    cancelled and, when the run has a checkpoint path, ``prefix`` was saved
-    there. ``next_n`` is the first n not counted. It is still a
+    arrives during the build or the tally. ``prefix`` holds every chunk
+    counted before the interrupt, and was saved to the run's checkpoint
+    path, if it has one. ``next_n`` is the first n not counted. It is still a
     ``KeyboardInterrupt``, so a caller that does not catch it stops as before.
     """
 
@@ -229,7 +225,6 @@ class EngineInfo:
     """How a census was executed; informational only."""
 
     chunk_size: int
-    workers: int
     cache_bound: int
     max_steps: int
     elapsed_seconds: float
@@ -274,7 +269,9 @@ _CHECKPOINT_FIELDS = {
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Write a checkpoint atomically and durably (temp file, fsync, rename).
 
-    The temp file is per process, so runs sharing a path never share it.
+    The temp file is per process, so runs sharing a path never share it, and
+    any failure, an interrupt included, removes it. Only ``OSError`` becomes
+    :class:`CheckpointError`; anything else propagates unchanged.
     """
     prefix = checkpoint.prefix
     doc = {
@@ -296,10 +293,12 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             f.flush()
             os.fsync(f.fileno())  # the rename must never expose unwritten data
         os.replace(tmp, path)
-    except OSError as e:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise CheckpointError(f"cannot write checkpoint {path!r}: {e.strerror or e}") from e
+        if isinstance(e, OSError):
+            raise CheckpointError(f"cannot write checkpoint {path!r}: {e.strerror or e}") from e
+        raise
 
 
 def _check_checkpoint_writable(path) -> None:
@@ -376,7 +375,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass(frozen=True)
 class CensusConfig:
-    """Engine knobs. None of them changes the result, only how it is computed.
+    """Engine knobs. None of them changes the counts, only how they are computed.
 
     ``max_steps`` is the step budget, with one meaning on every route: until
     the trajectory of n reaches 1, every run of ``max_steps`` base-map steps
@@ -389,21 +388,18 @@ class CensusConfig:
     """
 
     chunk_size: int = 1 << 16
-    workers: int | None = None  # default: one per CPU
     cache_bound: int = 1 << 25
     max_steps: int = DEFAULT_STEP_BUDGET
     checkpoint_interval: float = 10.0  # seconds between checkpoint writes
     progress: Callable[[int, int], None] | None = None  # (done_through, target)
 
 
-def _resolve_config(config: CensusConfig, s: int) -> tuple[int, int]:
-    """Check every field before any compute; return the worker count and the
-    cache bound for a run over [1, s] (never built past s + 1)."""
-    workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
+def _resolve_config(config: CensusConfig, s: int) -> int:
+    """Check every field before any compute; return the cache bound for a
+    run over [1, s] (never built past s + 1)."""
     for name, value, least in (
         ("chunk_size", config.chunk_size, 1),
         ("cache_bound", config.cache_bound, 2),
-        ("workers", workers, 1),
     ):
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -413,24 +409,22 @@ def _resolve_config(config: CensusConfig, s: int) -> tuple[int, int]:
         raise ValueError(f"checkpoint_interval must be a number >= 0, got {interval!r}")
     if config.progress is not None and not callable(config.progress):
         raise ValueError(f"progress must be callable or None, got {config.progress!r}")
-    return workers, max(2, min(config.cache_bound, s + 1))
+    return max(2, min(config.cache_bound, s + 1))
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).replace(microsecond=0).isoformat()
 
 
-def _tally(map_kind, config, workers, bound, start, cuts, absorb) -> None:
+def _tally(map_kind, config, bound, start, cuts, absorb) -> None:
     """The ordered-absorb engine under :func:`run_census` and :func:`run_series`.
 
-    Builds the cache below ``bound``, then opens a pool of ``workers``
-    threads and classifies [start, cuts[-1]] on it in lazily generated
-    chunks that end at or before each cut, handing their counts to
-    ``absorb`` in range order. A build abort therefore leaves no pool
-    behind. At most 4 x ``workers`` chunks are in flight and the oldest is
-    collected first, so an abort names the same n for every worker count.
-    Any error in the tally cancels the queued chunks and joins the pool
-    before it propagates. With nothing left to classify it builds nothing.
+    Builds the cache below ``bound``, then classifies [start, cuts[-1]] in
+    ascending chunks that end at or before each cut, handing each chunk's
+    counts to ``absorb`` before the next is classified. An abort therefore
+    names the smallest failing n, and an error or interrupt leaves exactly
+    the chunks before it absorbed. With nothing left to classify it builds
+    nothing.
     """
     if start > cuts[-1]:
         return
@@ -444,19 +438,8 @@ def _tally(map_kind, config, workers, bound, start, cuts, absorb) -> None:
         cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
     except (NatOverflowError, StepBudgetExceeded) as e:
         raise CensusAbortError(e.n, e) from e
-    in_flight = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            for lo, hi in chunks:
-                in_flight.append(pool.submit(census_chunk, map_kind, lo, hi, cache))
-                if len(in_flight) == 4 * workers:
-                    absorb(in_flight.popleft().result())
-            while in_flight:
-                absorb(in_flight.popleft().result())
-        except BaseException:
-            for fut in in_flight:
-                fut.cancel()
-            raise
+    for lo, hi in chunks:
+        absorb(census_chunk(map_kind, lo, hi, cache))
 
 
 def run_census(
@@ -468,10 +451,10 @@ def run_census(
 ) -> CensusResult:
     """Count class memberships over [1, s].
 
-    Chunks are classified concurrently but merged strictly in ascending
-    range order, so the counts are independent of chunk size, worker count,
-    and scheduling. With a ``checkpoint_path`` the completed prefix is saved
-    at most once per ``checkpoint_interval``, plus once at completion;
+    Chunks are classified and merged one at a time in ascending range
+    order, so the counts are independent of chunk size. With a
+    ``checkpoint_path`` the completed prefix is saved at most once per
+    ``checkpoint_interval``, plus once at completion;
     ``resume=True`` continues from such a file after checking that its
     version, map, target and step budget match. A ``KeyboardInterrupt``
     saves the completed prefix there too and surfaces as
@@ -479,7 +462,7 @@ def run_census(
     """
     config = config or CensusConfig()
     validate_nat(s)
-    workers, bound = _resolve_config(config, s)
+    bound = _resolve_config(config, s)
     started = time.perf_counter()
 
     if resume:
@@ -523,7 +506,7 @@ def run_census(
             config.progress(total.hi, s)
 
     try:
-        _tally(map_kind, config, workers, bound, total.hi + 1, [s], absorb)
+        _tally(map_kind, config, bound, total.hi + 1, [s], absorb)
     except KeyboardInterrupt as e:
         if checkpoint_path is not None:
             write_checkpoint()
@@ -536,7 +519,6 @@ def run_census(
 
     engine = EngineInfo(
         chunk_size=config.chunk_size,
-        workers=workers,
         cache_bound=bound,
         max_steps=config.max_steps,
         elapsed_seconds=time.perf_counter() - started,
@@ -580,7 +562,7 @@ def run_series(
         raise ValueError(f"points must be a positive integer, got {points!r}")
     if s_max < points:
         raise ValueError(f"need s_max >= points, got s_max={s_max}, points={points}")
-    workers, bound = _resolve_config(config, s_max)
+    bound = _resolve_config(config, s_max)
     samples = _series_samples(s_max, points, spacing)
 
     total = ClassCounts.empty(map_kind, at=1)
@@ -592,5 +574,5 @@ def run_series(
         if total.hi == samples[len(out)]:
             out.append(total)
 
-    _tally(map_kind, config, workers, bound, 1, samples, absorb)
+    _tally(map_kind, config, bound, 1, samples, absorb)
     return out

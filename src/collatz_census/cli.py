@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("S", type=_nat_arg)
     p.add_argument("--map", choices=["cr3", "pdcr2"], default="cr3")
     p.add_argument("--chunk-size", type=_positive_arg, default=CensusConfig.chunk_size)
-    p.add_argument("--workers", type=_positive_arg, default=None)
+    # accepted and ignored: the census runs serially, but existing scripts pass it
+    p.add_argument("--workers", type=_positive_arg, help=argparse.SUPPRESS)
     p.add_argument("--cache-bound", type=_positive_arg, default=CensusConfig.cache_bound)
     p.add_argument("--checkpoint", metavar="FILE", default=None)
     p.add_argument("--resume", action="store_true")
@@ -149,11 +150,7 @@ def _cmd_census(args) -> int:
     if args.resume and args.checkpoint is None:
         print("error: --resume requires --checkpoint FILE", file=sys.stderr)
         return 2
-    config = CensusConfig(
-        chunk_size=args.chunk_size,
-        workers=args.workers,
-        cache_bound=args.cache_bound,
-    )
+    config = CensusConfig(chunk_size=args.chunk_size, cache_bound=args.cache_bound)
     result = run_census(
         MapKind(args.map),
         args.S,
@@ -219,7 +216,6 @@ def _render_census(result: CensusResult, fmt: str) -> str:
             ],
             "engine": {
                 "chunk_size": result.engine.chunk_size,
-                "workers": result.engine.workers,
                 "cache_bound": result.engine.cache_bound,
                 "max_steps": result.engine.max_steps,
                 "elapsed_seconds": round(result.engine.elapsed_seconds, 3),
@@ -232,7 +228,7 @@ def _render_census(result: CensusResult, fmt: str) -> str:
         lines.append(f"  {int(label):>5}  {count:>12}  {decimals[label]}")
     e = result.engine
     lines.append(
-        f"  engine: chunk_size={e.chunk_size} workers={e.workers} "
+        f"  engine: chunk_size={e.chunk_size} "
         f"cache_bound={e.cache_bound} max_steps={e.max_steps} "
         f"elapsed={e.elapsed_seconds:.2f}s"
     )

@@ -101,19 +101,17 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_chunking_determinism():
     s = 10**4
     outcomes = set()
-    for chunk_size in (1, 7, 1000, 10**4):
-        for workers in (1, 4, 16):
-            result = run_census(
-                MapKind.CR3, s, CensusConfig(chunk_size=chunk_size, workers=workers)
+    chunk_sizes = (1, 7, 1000, 9973, 10**4)
+    for chunk_size in chunk_sizes:
+        result = run_census(MapKind.CR3, s, CensusConfig(chunk_size=chunk_size))
+        outcomes.add(
+            (
+                tuple(sorted((int(l), c) for l, c in result.counts.counts.items())),
+                tuple(sorted((int(l), f) for l, f in result.counts.fractions.items())),
             )
-            outcomes.add(
-                (
-                    tuple(sorted((int(l), c) for l, c in result.counts.counts.items())),
-                    tuple(sorted((int(l), f) for l, f in result.counts.fractions.items())),
-                )
-            )
+        )
     ok = len(outcomes) == 1
-    _report(4, ok, f"12 chunk/worker combinations, {len(outcomes)} distinct result(s)")
+    _report(4, ok, f"{len(chunk_sizes)} chunk sizes, {len(outcomes)} distinct result(s)")
 
 
 def test_criterion_5_kernel_properties_exhaustive():

@@ -2,7 +2,6 @@ import itertools
 import json
 import os
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -267,10 +266,9 @@ class TestRunCensus:
             direct[int(classify_direct(MapKind.CR3, n).label)] += 1
         assert counts_as_ints(result.counts.counts) == direct
 
-    @pytest.mark.parametrize("chunk_size", [1, 7, 250, 2000])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_chunking_determinism_small(self, chunk_size, workers):
-        config = CensusConfig(chunk_size=chunk_size, workers=workers)
+    @pytest.mark.parametrize("chunk_size", [1, 7, 97, 250, 1999, 2000])
+    def test_chunking_determinism_small(self, chunk_size):
+        config = CensusConfig(chunk_size=chunk_size)
         result = run_census(MapKind.CR3, 2000, config)
         assert counts_as_ints(result.counts.counts) == {1: 665, 2: 669, 4: 666}
         points = run_series(MapKind.CR3, 2000, points=4, spacing="linear", config=config)
@@ -280,45 +278,63 @@ class TestRunCensus:
     def test_small_matrix_expectation_from_oracle(self):
         assert oracle_census(2000, "cr3") == {1: 665, 2: 669, 4: 666}
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_abort_names_first_failing_n_for_every_worker_count(self, workers):
-        # several chunks fail; the one collected first must be the lowest
-        config = CensusConfig(cache_bound=2**10, max_steps=150, chunk_size=1000, workers=workers)
-        named = set()
-        for _ in range(10):
-            with pytest.raises(CensusAbortError) as exc:
-                run_census(MapKind.CR3, 2 * 10**5, config)
-            named.add(exc.value.n)
-        assert named == {10087}
+    @pytest.mark.parametrize("chunk_size", [1000, 997, 1 << 16])
+    def test_abort_names_first_failing_n(self, chunk_size):
+        # several chunks (or one wide one) fail; the lowest n aborts the run
+        config = CensusConfig(cache_bound=2**10, max_steps=150, chunk_size=chunk_size)
+        with pytest.raises(CensusAbortError) as exc:
+            run_census(MapKind.CR3, 2 * 10**5, config)
+        assert exc.value.n == 10087
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_build_abort_names_the_serial_start_and_joins_the_pool(self, workers):
-        # the build runs before the pool opens, so an abort leaves no thread behind
-        config = CensusConfig(max_steps=150, workers=workers)
-        before = threading.active_count()
-        for _ in range(5):
-            with pytest.raises(CensusAbortError) as exc:
-                run_census(MapKind.CR3, 2 * 10**5, config)
-            assert exc.value.n == 10087
-            assert threading.active_count() == before
+    @pytest.mark.parametrize("chunk_size", [1, 1000, 1 << 16])
+    def test_build_abort_names_the_serial_start(self, chunk_size, monkeypatch):
+        # the build fails before the first chunk, whatever the chunk size
+        calls = record_chunks(monkeypatch)
+        with pytest.raises(CensusAbortError) as exc:
+            run_census(MapKind.CR3, 2 * 10**5, CensusConfig(max_steps=150, chunk_size=chunk_size))
+        assert exc.value.n == 10087
+        assert calls == []
 
-    def test_cache_is_built_before_the_pool_opens(self, monkeypatch):
+    def test_cache_is_built_before_the_first_chunk(self, monkeypatch):
         events = []
         exact_build = census_module.build_residue_cache
-
-        class RecordingPool(census_module.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                events.append("pool")
-                super().__init__(*args, **kwargs)
+        exact_chunk = census_module.census_chunk
 
         def recording_build(*args, **kwargs):
             events.append("build")
             return exact_build(*args, **kwargs)
 
-        monkeypatch.setattr(census_module, "ThreadPoolExecutor", RecordingPool)
+        def recording_chunk(*args):
+            events.append("chunk")
+            return exact_chunk(*args)
+
         monkeypatch.setattr(census_module, "build_residue_cache", recording_build)
-        run_census(MapKind.CR3, 1000, CensusConfig(workers=2))
-        assert events == ["build", "pool"]
+        monkeypatch.setattr(census_module, "census_chunk", recording_chunk)
+        run_census(MapKind.CR3, 1000, CensusConfig(chunk_size=250))
+        assert events == ["build"] + ["chunk"] * 4
+
+    def test_census_and_series_start_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        seen = []
+        exact = census_module.census_chunk
+
+        def counting_chunk(*args):
+            seen.append(threading.active_count())
+            return exact(*args)
+
+        def progress(done_through, target):
+            seen.append(threading.active_count())
+
+        config = CensusConfig(chunk_size=100, progress=progress)
+        run_census(MapKind.CR3, 1000, config)
+        assert len(seen) == 10 and set(seen) == {before}
+        monkeypatch.setattr(census_module, "census_chunk", counting_chunk)
+        run_series(MapKind.CR3, 1000, points=3, config=config)
+        assert len(seen) > 10 and set(seen) == {before}
+
+    def test_workers_is_no_longer_a_field(self):
+        with pytest.raises(TypeError):
+            CensusConfig(workers=2)
 
     def test_abort_propagates_from_build(self):
         with pytest.raises(CensusAbortError) as exc:
@@ -376,21 +392,18 @@ class TestOneStepBudget:
         self, map_kind, max_steps, first_failing, monkeypatch
     ):
         # the glide record after σ = max_steps, whatever the cache, chunks,
-        # workers, build blocks or route
+        # build blocks or route
         s = 2 * 10**4
         named = set()
-        for bound, chunk_size, workers, block in itertools.product(
+        for bound, chunk_size, block in itertools.product(
             [2, 17, 1024, 4096, 10_000, 1 << 25],
             [1000, 1 << 16],
-            [1, 2],
             [1 << 8, 1 << 12, 1 << 19],
         ):
             if block < 1 << 19 and 2 * block >= min(bound, s + 1):
                 continue  # blocks are at most half the built bound: the default run again
             monkeypatch.setattr(classifier, "_MAX_BLOCK", block)
-            config = CensusConfig(
-                chunk_size=chunk_size, workers=workers, cache_bound=bound, max_steps=max_steps
-            )
+            config = CensusConfig(chunk_size=chunk_size, cache_bound=bound, max_steps=max_steps)
             with pytest.raises(CensusAbortError) as exc:
                 run_census(map_kind, s, config)
             named.add(exc.value.n)
@@ -398,14 +411,13 @@ class TestOneStepBudget:
         assert _first_direct_failure(map_kind, max_steps) == first_failing
 
 
-def record_chunks(monkeypatch, delay=0.0):
+def record_chunks(monkeypatch):
     """Wrap census_chunk so every classified [lo, hi] is recorded."""
     calls = []
     exact = census_module.census_chunk
 
     def recording(map_kind, lo, hi, *args):
         calls.append((lo, hi))
-        time.sleep(delay)
         return exact(map_kind, lo, hi, *args)
 
     monkeypatch.setattr(census_module, "census_chunk", recording)
@@ -413,24 +425,24 @@ def record_chunks(monkeypatch, delay=0.0):
 
 
 class TestEngine:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_census_chunks_tile_from_resume_point(self, workers, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("chunk_size", [64, 97])
+    def test_census_chunks_tile_from_resume_point(self, chunk_size, tmp_path, monkeypatch):
         path = tmp_path / "census.ckpt"
         prefix = run_census(MapKind.CR3, 100).counts
         save_checkpoint(Checkpoint(prefix, 1000, 1001, "2026-01-01T00:00:00+00:00"), path)
         calls = record_chunks(monkeypatch)
-        config = CensusConfig(chunk_size=64, workers=workers)
+        config = CensusConfig(chunk_size=chunk_size)
         result = run_census(MapKind.CR3, 1000, config, checkpoint_path=path, resume=True)
-        assert sorted(calls) == [(lo, min(lo + 63, 1000)) for lo in range(101, 1001, 64)]
+        expected = [(lo, min(lo + chunk_size - 1, 1000)) for lo in range(101, 1001, chunk_size)]
+        assert calls == expected
         assert counts_as_ints(result.counts.counts) == oracle_census(1000, "cr3")
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_series_chunks_cut_at_every_sample(self, workers, monkeypatch):
-        samples = census_module._series_samples(1000, 7, "log")
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    def test_series_chunks_cut_at_every_sample(self, spacing, monkeypatch):
+        samples = census_module._series_samples(1000, 7, spacing)
         calls = record_chunks(monkeypatch)
-        config = CensusConfig(chunk_size=64, workers=workers)
-        points = run_series(MapKind.CR3, 1000, points=7, spacing="log", config=config)
-        calls.sort()
+        config = CensusConfig(chunk_size=64)
+        points = run_series(MapKind.CR3, 1000, points=7, spacing=spacing, config=config)
         assert [lo for lo, _ in calls] == [1] + [hi + 1 for _, hi in calls[:-1]]
         assert calls[-1][1] == 1000
         for lo, hi in calls:
@@ -440,34 +452,31 @@ class TestEngine:
         for point in points:
             assert point == run_census(MapKind.CR3, point.hi).counts
 
-    def test_failing_progress_cancels_and_joins_the_pool(self, monkeypatch):
+    def test_failing_progress_stops_the_tally(self, monkeypatch):
         class Interrupt(RuntimeError):
             pass
 
         def interrupt(done_through, target):
             raise Interrupt
 
-        # slow chunks: the first result arrives while most of the window is queued
-        calls = record_chunks(monkeypatch, delay=0.05)
-        before = threading.active_count()
-        config = CensusConfig(chunk_size=100, workers=4, progress=interrupt)
+        calls = record_chunks(monkeypatch)
+        config = CensusConfig(chunk_size=100, progress=interrupt)
         with pytest.raises(Interrupt):
             run_census(MapKind.CR3, 100_000, config)
-        assert threading.active_count() == before
-        assert len(calls) < 4 * 4  # the queued chunks were cancelled, not run
+        assert calls == [(1, 100)]  # no chunk is classified after the failing absorb
 
 
 _BAD_CONFIGS = [
     {"chunk_size": 2.5},
     {"chunk_size": True},
     {"chunk_size": 0},
-    {"workers": 2.5},
-    {"workers": 0},
     {"cache_bound": 2.5},
     {"cache_bound": 1},
+    {"cache_bound": True},
     {"max_steps": -1},
     {"max_steps": 1.5},
     {"checkpoint_interval": "10"},
+    {"checkpoint_interval": True},
     {"checkpoint_interval": -1.0},
     {"checkpoint_interval": float("nan")},
     {"progress": 5},
@@ -536,6 +545,15 @@ class TestCheckpointFile:
 
         monkeypatch.setattr(census_module.os, failing, fail)
         with pytest.raises(CheckpointError, match="Input/output error"):
+            save_checkpoint(self.checkpoint(), tmp_path / "census.ckpt")
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no stray temp file
+
+    def test_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def interrupt(fd):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(census_module.os, "fsync", interrupt)
+        with pytest.raises(KeyboardInterrupt):  # unwrapped, not a CheckpointError
             save_checkpoint(self.checkpoint(), tmp_path / "census.ckpt")
         assert list(tmp_path.iterdir()) == []  # no checkpoint, no stray temp file
 
@@ -721,43 +739,40 @@ class TestResume:
 
 
 class TestInterrupt:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_progress_interrupt_saves_the_prefix_and_resumes(self, workers, tmp_path):
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_progress_interrupt_saves_the_prefix_and_resumes(self, map_kind, tmp_path):
         s = 10_000
         path = tmp_path / "census.ckpt"
-        uninterrupted = run_census(MapKind.CR3, s, CensusConfig(chunk_size=512))
+        uninterrupted = run_census(map_kind, s, CensusConfig(chunk_size=512))
 
         def tripwire(done_through, target):
             if done_through >= s // 2:
                 raise KeyboardInterrupt
 
-        before = threading.active_count()
-        config = CensusConfig(chunk_size=512, workers=workers, progress=tripwire)
+        config = CensusConfig(chunk_size=512, progress=tripwire)
         with pytest.raises(CensusInterrupted) as exc:
-            run_census(MapKind.CR3, s, config, checkpoint_path=path)
-        assert threading.active_count() == before
+            run_census(map_kind, s, config, checkpoint_path=path)
         assert exc.value.next_n == 5121  # the first chunk end past s // 2, plus one
         assert exc.value.checkpoint_path == path
         assert load_checkpoint(path).prefix == exc.value.prefix
-        assert exc.value.prefix == run_census(MapKind.CR3, 5120).counts
+        assert exc.value.prefix == run_census(map_kind, 5120).counts
 
         resumed = run_census(
-            MapKind.CR3, s, CensusConfig(chunk_size=512, workers=workers),
+            map_kind, s, CensusConfig(chunk_size=512),
             checkpoint_path=path, resume=True,
         )
         assert resumed.counts == uninterrupted.counts
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_interrupted_chunk_absorbs_nothing_after_it(self, workers, interrupt_at, monkeypatch):
+    def test_interrupted_chunk_absorbs_nothing_after_it(self, interrupt_at, monkeypatch):
         interrupt_at(1001)
-        calls = record_chunks(monkeypatch, delay=0.01)
-        config = CensusConfig(chunk_size=100, workers=workers)
+        calls = record_chunks(monkeypatch)
+        config = CensusConfig(chunk_size=100)
         with pytest.raises(CensusInterrupted) as exc:
             run_census(MapKind.CR3, 100_000, config)
+        assert calls == [(lo, lo + 99) for lo in range(1, 1002, 100)]  # none after 1001
         assert exc.value.next_n == 1001
         assert exc.value.checkpoint_path is None
         assert exc.value.prefix == run_census(MapKind.CR3, 1000).counts
-        assert len(calls) <= 10 + 4 * workers  # the queued chunks were cancelled, not run
 
     def test_interrupt_during_the_build_keeps_the_resumed_prefix(self, tmp_path, monkeypatch):
         path = tmp_path / "census.ckpt"

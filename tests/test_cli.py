@@ -115,11 +115,24 @@ class TestCensusCommand:
             assert row[4] == entry["fraction"]
 
     def test_reinvocation_deterministic(self, capsys):
-        _, first, _ = run_cli(capsys, "census", "3000", "--format", "csv",
-                              "--chunk-size", "100", "--workers", "4")
-        _, second, _ = run_cli(capsys, "census", "3000", "--format", "csv",
-                               "--chunk-size", "17", "--workers", "1")
+        _, first, _ = run_cli(capsys, "census", "3000", "--format", "csv", "--chunk-size", "100")
+        _, second, _ = run_cli(capsys, "census", "3000", "--format", "csv", "--chunk-size", "17")
         assert first == second  # csv carries no engine metadata
+
+    def test_workers_is_accepted_and_ignored(self, capsys):
+        code, with_workers, err = run_cli(capsys, "census", "3000", "--workers", "4",
+                                          "--format", "json")
+        assert (code, err) == (0, "")
+        _, without, _ = run_cli(capsys, "census", "3000", "--format", "json")
+        assert mask_elapsed(with_workers) == mask_elapsed(without)
+
+    def test_workers_is_still_validated_and_hidden(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "3000", "--workers", "0"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["census", "--help"])
+        assert "--workers" not in capsys.readouterr().out
 
     def test_json_exact_ratio(self, capsys):
         _, out, _ = run_cli(capsys, "census", "10", "--format", "json")
@@ -220,7 +233,7 @@ class TestCensusCommand:
         assert err == "interrupted: census stopped at next_n=1; no checkpoint was given\n"
 
     def test_sigint_exits_130_without_a_traceback(self, capsys, tmp_path):
-        # a real SIGINT, sent from a worker thread once the tally is running
+        # a real SIGINT, sent from inside a chunk once the tally is running
         script = textwrap.dedent(
             """
             import os, signal, sys
@@ -235,7 +248,7 @@ class TestCensusCommand:
             """
         )
         path = tmp_path / "run.ckpt"
-        argv = ["census", "100000", "--chunk-size", "1000", "--workers", "2", "--format", "csv"]
+        argv = ["census", "100000", "--chunk-size", "1000", "--format", "csv"]
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
@@ -370,11 +383,10 @@ class TestGoldenOutput:
 
 _GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# every report is pinned in table, csv and json; --workers is fixed because
-# the engine line prints it
+# every report is pinned in table, csv and json
 _REPORTS = [
-    (["census", "100000", "--map", "cr3", "--workers", "2"], "census-cr3"),
-    (["census", "100000", "--map", "pdcr2", "--workers", "2"], "census-pdcr2"),
+    (["census", "100000", "--map", "cr3"], "census-cr3"),
+    (["census", "100000", "--map", "pdcr2"], "census-pdcr2"),
     (["series", "100000", "--map", "cr3", "--points", "7"], "series-cr3-log7"),
     (
         ["series", "100000", "--map", "pdcr2", "--points", "4", "--spacing", "linear"],
