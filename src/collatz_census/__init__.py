@@ -4,8 +4,8 @@ The base map sends odd n to 3n+1 and even n to n/2; its accelerated variant
 sends odd n to (3n+1)/2. Their triple and double compositions have genuine
 fixed points (1, 2, 4 and 1, 2 respectively), which partition the positive
 integers into classes. This package classifies numbers by those fixed
-points, counts the classes exhaustively over [1, S] with a deterministic
-parallel engine, and tracks how the class fractions evolve as S grows.
+points, counts the classes exhaustively over [1, S] in one ascending pass
+over ordered chunks, and tracks how the class fractions evolve as S grows.
 """
 
 from .census import (

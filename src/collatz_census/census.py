@@ -555,6 +555,7 @@ def run_series(
     final point always lands on s_max and equals the counts
     :func:`run_census` reports there. Log spacing collapses duplicate sample
     points, so fewer than ``points`` entries can come back for small ranges.
+    Like :func:`run_census`, it calls ``config.progress`` after each chunk.
     """
     config = config or CensusConfig()
     validate_nat(s_max)
@@ -573,6 +574,8 @@ def run_series(
         total = merge(total, part)
         if total.hi == samples[len(out)]:
             out.append(total)
+        if config.progress is not None:
+            config.progress(total.hi, s_max)
 
     _tally(map_kind, config, bound, 1, samples, absorb)
     return out

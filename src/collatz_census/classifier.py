@@ -57,12 +57,15 @@ pass, until each value repeats. The base step is branch-free arithmetic on
 y >> 1 and the parity bit, and a pass checks for overflow once: a lane
 above the largest value B from which one composite step stays within
 uint64, (2(2^64 - 1) - 5)//9 for ``cr3`` and (4(2^64 - 1) - 5)//9 for
-``pdcr2``, goes to :func:`classify_direct` with the rest. The direct side
-never touches the cache, the jump tables or the residue rule. Its fast
-side is one call per block to the code behind :meth:`ResidueCache.residues`,
-the route a census chunk counts, with only the walk swapped so that a
-failing member reads as label 0 instead of stopping the block: the check
-covers the code that produces the census counts.
+``pdcr2``, goes to :func:`classify_direct` with the rest. A lane that
+lands on a member the loop has already settled takes that member's label,
+where the loop would have retired it anyway: the composite map is
+deterministic. The direct side never touches the cache, the jump tables
+or the residue rule. Its fast side is one call per block to the code
+behind :meth:`ResidueCache.residues`, the route a census chunk counts,
+with only the walk swapped so that a failing member reads as label 0
+instead of stopping the block: the check covers the code that produces
+the census counts.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ _ALL_CLASSES = np.arange(1 << _SIEVE_BITS)  # a whole range, as descent-kernel c
 _VERIFY_BLOCK = 1 << 14
 _U64_LIMIT = 2**64         # members at or above this bypass the vector kernels
 _FAILED = 255              # verify's mark for a failing member: no residue, never added to
+_MEMO_PASSES = 1 << 13     # verify's memo entries hold pass counts below this
 
 
 class ClassLabel(enum.IntEnum):
@@ -615,7 +619,7 @@ def classify_fast(map_kind: MapKind, n: int, cache: ResidueCache) -> Classificat
     return ClassificationOutcome(label, None, "fast")
 
 
-def _direct_block(map_kind, lo, hi, max_steps):
+def _direct_block(map_kind, lo, hi, max_steps, settled=None, base=0):
     """Labels of every n in [lo, hi], in order, by literal composite iteration.
 
     Applies the composite map to every member below 2^64 at once, one
@@ -624,6 +628,22 @@ def _direct_block(map_kind, lo, hi, max_steps):
     ``max_steps // reps`` passes, so a retired lane reached 1 within
     ``max_steps`` base steps in all and meets :func:`_walk`'s rule: every
     run of ``max_steps`` base steps before 1 reaches a new low.
+
+    The oracle memoizes its own results. ``settled`` is a uint16 array whose
+    entry ``settled[v - base]`` belongs to the member v, ``P << 3 | label``:
+    P is the pass on which this loop saw v's value repeat, and 0 means not
+    known (not retired yet, restarted in :func:`classify_direct`, or
+    P >= 2^13). An entry is written the moment its lane retires. A lane
+    whose iterate y after pass p has a nonzero entry retires with y's label
+    on pass p + P, if that is at most ``max_steps // reps`` (and below
+    2^13, so that its own entry fits): y is a composite iterate of the
+    lane's start, the lane passed the overflow check of every pass up to p,
+    and y's own P passes passed it too, so the literal loop would have seen
+    the same value repeat on that very pass. Every other lane keeps
+    iterating. So each label, each accept or reject and the set of members
+    restarted below are those of the loop without the memo; the memo uses
+    only the determinism of the composite map. A call without ``settled``
+    memoizes the block's own members.
 
     A base step has no branch. With h = y >> 1 it sends y to
     h + (y & 1)*(a*h + c): a*h + c is 5h + 4 under ``cr``, so an odd
@@ -644,12 +664,28 @@ def _direct_block(map_kind, lo, hi, max_steps):
     """
     reps, a, c = _LOCKSTEP[map_kind]
     pass_max = _DIRECT_PASS_MAX[map_kind]
-    one, a, c = np.uint64(1), np.uint64(a), np.uint64(c)
-    out = np.zeros(hi - lo + 1, dtype=np.uint64)
+    a, c = np.uint64(a), np.uint64(c)
+    out = np.zeros(hi - lo + 1, dtype=np.uint8)
     x = _u64_span(lo, hi)
+    if settled is None:
+        settled, base = np.zeros(len(x), dtype=np.uint16), lo
+    mine = settled[lo - base :]  # from the entry of member lo on
+    partial = len(mine) < len(x)  # the memo ends inside this block
+    if len(settled):  # an empty memo, as from 2^64 on, builds no uint64 bounds
+        first, last = np.uint64(base), np.uint64(base + len(settled) - 1)
+    limit = max_steps // reps
+    cap = min(limit, _MEMO_PASSES - 1)  # the most passes a memo retirement totals
     pos = np.arange(len(x), dtype=np.intp)
     fallback = [np.arange(len(x), len(out), dtype=np.intp)]
-    for _ in range(max_steps // reps):
+
+    def retire(members, entries):
+        out[members] = entries & 7
+        if partial:
+            keep = members < len(mine)
+            members, entries = members[keep], entries[keep]
+        mine[members] = entries
+
+    for p in range(1, limit + 1):
         if not x.size:
             break
         if x.max() > pass_max:
@@ -657,25 +693,48 @@ def _direct_block(map_kind, lo, hi, max_steps):
             fallback.append(pos[over])
             keep = ~over
             x, pos = x[keep], pos[keep]
-        y = x
-        for _ in range(reps):
-            h = y >> one  # y -> h + (y & 1)*(a*h + c), in place on one temporary
-            step = a * h
-            step += c
-            step *= y & one
-            step += h
-            y = step
-        fixed = y == x
+        x, fixed = _composite_step(x, reps, a, c)
         if fixed.any():
-            out[pos[fixed]] = y[fixed]
+            labels = x[fixed].astype(np.uint16)
+            if p <= cap:
+                retire(pos[fixed], labels | np.uint16(p << 3))
+            else:
+                out[pos[fixed]] = labels
             keep = ~fixed
-            y, pos = y[keep], pos[keep]
-        x = y
+            x, pos = x[keep], pos[keep]
+        if p < cap and len(settled):
+            near = x <= last
+            if base > 1:  # every value is at least 1
+                near &= x >= first
+            e = settled.take((x[near] - first).view(np.int64))
+            # nonzero with P <= cap - p; an entry of 0 wraps to 2^16 - 1
+            hit = e - np.uint16(1) < ((cap - p) << 3 | 7)
+            if hit.any():
+                near[near] = hit  # now marks the lanes that hit
+                retire(pos[near], e[hit] + np.uint16(p << 3))
+                keep = ~near
+                x, pos = x[keep], pos[keep]
     fallback.append(pos)
-    for p in fallback:
-        for i in p:
+    for lanes in fallback:
+        for i in lanes:
             out[i] = _direct_label(map_kind, lo + int(i), max_steps)
     return out
+
+
+def _composite_step(x, reps, a, c):
+    """One composite step on every lane of the uint64 array ``x``: the new
+    values, and whether each reproduced its input. A base step sends y to
+    h + (y & 1)*(a*h + c), h = y >> 1, in place on one temporary."""
+    one = np.uint64(1)
+    y = x
+    for _ in range(reps):
+        h = y >> one
+        step = a * h
+        step += c
+        step *= y & one
+        step += h
+        y = step
+    return y, y == x
 
 
 def _direct_label(map_kind, n, max_steps):
@@ -692,6 +751,9 @@ def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> li
     Expected empty. An n where either route fails (budget, overflow) is
     reported as a mismatch rather than skipped. The range runs in blocks of
     at most 2^14 numbers: the direct labels come from :func:`_direct_block`,
+    whose memo, 2 bytes for each of the first min(hi - lo + 1,
+    ``cache.bound``) members below 2^64, is shared by every block, so a lane
+    stops once it lands on a member an earlier pass or block has settled;
     the fast ones from one call per block to the code of
     :meth:`ResidueCache.residues`, the call a census chunk counts, with
     :func:`_descend_or_fail` as its walk: a failing member reads
@@ -705,13 +767,15 @@ def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> li
     validate_nat(hi)
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    labels = np.zeros(_FAILED + 1, dtype=np.uint64)  # _FAILED reads as label 0
+    # the memo of _direct_block: the first members of the range, below 2^64
+    settled = np.zeros(max(0, min(hi + 1, lo + cache.bound, _U64_LIMIT) - lo), dtype=np.uint16)
+    labels = np.zeros(_FAILED + 1, dtype=np.uint8)  # _FAILED reads as label 0
     labels[: cache.modulus] = labels_for(map_kind)
     mismatches = []
     for a in range(lo, hi + 1, _VERIFY_BLOCK):
         b = min(hi, a + _VERIFY_BLOCK - 1)
         fast = labels[cache._residues_by(a, b, _descend_or_fail)]
-        direct = _direct_block(map_kind, a, b, cache.max_steps)
+        direct = _direct_block(map_kind, a, b, cache.max_steps, settled, lo)
         bad = (fast == 0) | (fast != direct)
         # Python-int offsets: a + index would overflow int64 for a >= 2^63
         mismatches.extend(a + int(i) for i in np.flatnonzero(bad))

@@ -839,6 +839,13 @@ class TestRunSeries:
         for point in points:
             assert point == run_census(MapKind.CR3, point.hi).counts
 
+    def test_progress_reports_every_chunk(self):
+        # chunks of 300 cut at the samples 333, 666 and 1000
+        calls = []
+        config = CensusConfig(chunk_size=300, progress=lambda *args: calls.append(args))
+        run_series(MapKind.CR3, 1000, points=3, spacing="linear", config=config)
+        assert calls == [(d, 1000) for d in (300, 333, 633, 666, 966, 1000)]
+
     def test_rejects_more_points_than_numbers(self):
         with pytest.raises(ValueError):
             run_series(MapKind.CR3, 5, points=6)

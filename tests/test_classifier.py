@@ -1,6 +1,7 @@
 import functools
 import inspect
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from collatz_census import (
 )
 from collatz_census import classifier
 from collatz_census.classifier import _descend_range, _direct_block
-from oracles import oracle_label, oracle_sigma, oracle_step, oracle_stopping
+from oracles import oracle_composite, oracle_label, oracle_sigma, oracle_step, oracle_stopping
 
 
 @pytest.fixture(scope="module")
@@ -356,9 +357,9 @@ class TestVerifyRange:
         budgets = []
         exact = classifier._direct_block
 
-        def recording(map_kind, lo, hi, max_steps):
+        def recording(map_kind, lo, hi, max_steps, *memo):
             budgets.append(max_steps)
-            return exact(map_kind, lo, hi, max_steps)
+            return exact(map_kind, lo, hi, max_steps, *memo)
 
         monkeypatch.setattr(classifier, "_direct_block", recording)
         cache = build_residue_cache(MapKind.CR, 17, 95)
@@ -468,6 +469,62 @@ class TestVerifyRangeMatchesScalarLoop:
             expected = _verify_range_scalar(map_kind, lo, hi, cache)
             assert verify_range(map_kind, lo, hi, cache) == expected, budget
 
+    @given(
+        data=st.data(),
+        map_kind=st.sampled_from([MapKind.CR3, MapKind.PDCR2]),
+        budget=st.sampled_from([0, 3, 150, DEFAULT_STEP_BUDGET]),
+        block=st.sampled_from([97, 1 << 14]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_memo_keeps_every_result(self, data, map_kind, budget, block):
+        # random windows, small, around the pass bound B and across 2^64,
+        # in blocks that end inside the memo or hold it whole
+        lo = data.draw(
+            st.one_of(
+                st.integers(1, 10**5),
+                st.integers(_PASS_MAX[map_kind] - 300, _PASS_MAX[map_kind] + 100),
+                st.integers(2**64 - 300, 2**64 + 50),
+            ),
+            label="lo",
+        )
+        hi = lo + data.draw(st.integers(0, 300), label="length")
+        # a bound-2 cache is the only one budgets 0 and 3 build; the memo
+        # covers the first min(hi - lo + 1, cache.bound) members
+        bound = 2 if budget < 150 else data.draw(st.sampled_from([200, 1 << 10]), label="bound")
+        cache = _cache(classifier.basis_for(map_kind), bound, budget)
+        expected = _verify_range_scalar(map_kind, lo, hi, cache)
+        with mock.patch.object(classifier, "_VERIFY_BLOCK", block):
+            assert verify_range(map_kind, lo, hi, cache) == expected
+
+    def test_settled_member_past_the_budget_is_no_shortcut(self, monkeypatch):
+        # Under budget 150 (50 cr3 passes) 10087 is the first start to fail, so
+        # 10087 is the largest cache bound it builds. 10087's 42nd composite
+        # iterate is 15977, which settles on pass 33 of the same block:
+        # 42 + 33 > 50, so the lane may not retire there and 10087 still fails.
+        lo, hi, n, y = 10087, 16000, 10087, 15977
+        assert _composite_iterate(MapKind.CR3, n, 42) == y
+        assert _literal_passes(MapKind.CR3, y) == 33
+        cache = _cache(MapKind.CR, 10087, 150)
+        expected = _verify_range_scalar(MapKind.CR3, lo, hi, cache)
+        assert n in expected
+        assert verify_range(MapKind.CR3, lo, hi, cache) == expected
+
+        exact = classifier.classify_direct
+        restarted = []
+
+        def recording(map_kind, m, max_steps):
+            restarted.append(m)
+            return exact(map_kind, m, max_steps)
+
+        monkeypatch.setattr(classifier, "classify_direct", recording)
+        settled = np.zeros(hi - lo + 1, dtype=np.uint16)
+        labels = _direct_block(MapKind.CR3, lo, hi, 150, settled, lo)
+        assert settled[y - lo] == 33 << 3 | oracle_label(y, "cr3")
+        assert labels[n - lo] == 0 and n in restarted
+        # the memo restarts exactly the lanes the literal loop does
+        leaving = [m for m in range(lo, hi + 1) if _leaves_numpy(MapKind.CR3, m, 150)]
+        assert restarted == leaving
+
     def test_direct_budget_boundary(self):
         # 27 lies above a bound-17 cache, which passes under all three budgets
         t = _steps_below(MapKind.CR, 27, 2)
@@ -498,6 +555,17 @@ class TestDirectBlock:
             monkeypatch.setattr(classifier, name, forbidden)
         labels = _direct_block(map_kind, 1, 20_000, DEFAULT_STEP_BUDGET)
         assert labels.tolist() == [oracle_label(n, map_kind.value) for n in range(1, 20_001)]
+        # and through one memo shared by two blocks, as verify_range runs it
+        settled = np.zeros(20_000, dtype=np.uint16)
+        shared = [
+            _direct_block(map_kind, a, b, DEFAULT_STEP_BUDGET, settled, 1)
+            for a, b in ((1, 9_000), (9_001, 20_000))
+        ]
+        assert np.concatenate(shared).tolist() == labels.tolist()
+        # every member settled, with its label and the pass its value repeated on
+        assert (settled & 7).tolist() == labels.tolist()
+        for n in random.Random(19).sample(range(1, 20_001), 500):
+            assert settled[n - 1] >> 3 == _literal_passes(map_kind, n)
 
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     def test_verify_through_cache_descent(self, map_kind):
@@ -567,6 +635,21 @@ def _pass_peak(map_kind, x):
         x = oracle_step(x, basis)
         peak = max(peak, x)
     return peak
+
+
+def _composite_iterate(map_kind, n, count):
+    """The ``count``-th composite iterate of n, in exact arithmetic."""
+    for _ in range(count):
+        n = oracle_composite(n, map_kind.value)
+    return n
+
+
+def _literal_passes(map_kind, n):
+    """The composite step on which n's value first repeats."""
+    p, x = 1, n
+    while (y := oracle_composite(x, map_kind.value)) != x:
+        p, x = p + 1, y
+    return p
 
 
 def _leaves_numpy(map_kind, n, budget):
