@@ -27,10 +27,14 @@ budget and takes none of its own, so a cache's entries and the descent
 above its bound are always judged by the same rule.
 
 The cache build and the descent above the bound (:meth:`ResidueCache.residues`)
-share one kernel, :func:`_descend_range`. It moves whole arrays of values k
-base steps per numpy pass through Terras' jump tables, T^k(2^k*q + r) =
-3^c(r)*q + d(r) under ``pdcr``, reads landing residues from the uint8 table,
-and hands the rare lane that would outgrow uint64 or the step budget to a
+share one kernel, :func:`_descend_range`, and every descent goes into a
+:class:`ResidueCache`: its bound is the floor, its table gives the landing
+residues and its ``max_steps`` is the budget. A build block [a, b) descends
+into a read-only view of the cache built so far, bound a; ``classify
+--path fast`` into the two-entry cache of bound 2, so it builds no table.
+The kernel moves whole arrays of values k base steps per numpy pass through
+Terras' jump tables, T^k(2^k*q + r) = 3^c(r)*q + d(r) under ``pdcr``, and
+hands the rare lane that would outgrow uint64 or the step budget to a
 per-lane walk, the exact big-int descent. That walk alone decides what a
 failing member does: the build, the census and ``classify_fast`` pass
 :func:`_descend_scalar`, which raises at the smallest failing start, and
@@ -286,20 +290,14 @@ class ResidueCache:
         validate_nat(hi)
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        table = self._residues
-        cached = table[min(lo, self.bound) : min(hi + 1, self.bound)]
+        cached = self._residues[min(lo, self.bound) : min(hi + 1, self.bound)]
         if hi < self.bound:
             return cached
         start, stop = max(lo, self.bound), min(hi, _U64_LIMIT - 1)
-        descended = (
-            _descend_range(self.basis, start, stop, self.bound, table, self.max_steps, walk)
-            if start <= stop
-            else np.empty(0, dtype=np.uint8)
-        )
-        walked = [
-            walk(self.basis, n, self.bound, table, self.max_steps)
-            for n in range(max(lo, _U64_LIMIT), hi + 1)
-        ]
+        descended = np.empty(0, dtype=np.uint8)
+        if start <= stop:
+            descended = _descend_range(self, start, stop, walk)
+        walked = [walk(self, n) for n in range(max(lo, _U64_LIMIT), hi + 1)]
         return np.concatenate([cached, descended, np.array(walked, dtype=np.uint8)])
 
     def __repr__(self) -> str:
@@ -315,26 +313,26 @@ def _u64_span(lo, hi):
     return np.uint64(lo) + np.arange(hi - lo + 1, dtype=np.uint64)
 
 
-def _descend_scalar(basis, start, floor, residues, max_steps):
-    """Residue of one start >= ``floor``: walk it until it drops below ``floor``.
+def _descend_scalar(cache, start):
+    """Residue of one start >= ``cache.bound``: walk it down into the cache.
 
-    The uint8 array ``residues`` holds the residue of every v below
-    ``floor`` at index v; the result adds the steps taken. The walk is
-    :func:`_walk`, so until the value drops below ``floor`` every run of
-    ``max_steps`` steps must reach a new low, or :class:`StepBudgetExceeded`
-    names ``start``. As ``floor`` <= ``start``, the landing v is a new low
-    and the rest of the trajectory is v's own walk: the rule holds for
-    ``start`` if it holds up to v and for v, whose entry was made under it.
+    The walk drops below the bound onto some v and adds the steps it took to
+    v's entry. It is :func:`_walk` under ``cache.max_steps``, so until the
+    value drops below the bound every run of ``max_steps`` steps must reach
+    a new low, or :class:`StepBudgetExceeded` names ``start``. As the bound
+    is at most ``start``, the landing v is a new low and the rest of the
+    trajectory is v's own walk: the rule holds for ``start`` if it holds up
+    to v and for v, whose entry was made under it.
     """
-    for steps, x in enumerate(_walk(basis, start, max_steps), 1):
-        if x < floor:
-            return (steps + int(residues[x])) % basis_modulus(basis)
+    for steps, x in enumerate(_walk(cache.basis, start, cache.max_steps), 1):
+        if x < cache.bound:
+            return (steps + int(cache._residues[x])) % cache.modulus
 
 
-def _descend_or_fail(basis, start, floor, residues, max_steps):
+def _descend_or_fail(cache, start):
     """:func:`_descend_scalar`, but ``_FAILED`` where it raises."""
     try:
-        return _descend_scalar(basis, start, floor, residues, max_steps)
+        return _descend_scalar(cache, start)
     except (NatOverflowError, StepBudgetExceeded):
         return _FAILED
 
@@ -408,41 +406,43 @@ def _sieve_tables(basis):
     return _frozen(stride, xs.astype(np.int64), cost, advance)
 
 
-def _descend_range(basis, lo, hi, floor, residues, max_steps, walk, classes=_ALL_CLASSES):
-    """Stopping-time residues of the members of [lo, hi], floor <= lo <= hi < 2^64.
+def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
+    """Stopping-time residues of the members of [lo, hi], descended into ``cache``.
 
-    The descent kernel, shared by :meth:`ResidueCache.residues` and the cache
-    build. The members are the n whose residue mod m = 2^s, s =
+    Needs ``cache.bound`` <= lo <= hi < 2^64. The descent kernel, shared by
+    :meth:`ResidueCache.residues` and the cache build, which passes the
+    cache built so far. The members are the n whose residue mod m = 2^s, s =
     ``_SIEVE_BITS``, is in the sorted array ``classes``; the result holds
     theirs in ascending order of n. The range route passes every class, the
     build the classes its sieve leaves. Counted from 0, member i is
     m*(i // len(classes)) + classes[i % len(classes)].
 
     Each lane moves in lockstep by k ``pdcr`` steps at a time through
-    :func:`_jump_tables` until its value v lands below ``floor``, then adds
-    ``residues[v]`` (a uint8 array covering [0, floor)) to the residue
-    advance it carried through its jumps. Residues stay additive even when a
-    jump passes through 1, because the terminal cycle is as long as the
-    modulus. The first jump is read off the tables: since m divides 2^k, the
-    members of a piece [2^k*q, 2^k*(q + 1)) sit at the same offsets rho =
-    m*t + r, r in ``classes``, in every piece, so their first jumps are
+    :func:`_jump_tables` until its value v lands below the floor
+    ``cache.bound``, then adds v's entry in the cache to the residue advance
+    it carried through its jumps. Residues stay additive even when a jump
+    passes through 1, because the terminal cycle is as long as the modulus.
+    The first jump is read off the tables: since m divides 2^k, the members
+    of a piece [2^k*q, 2^k*(q + 1)) sit at the same offsets rho = m*t + r,
+    r in ``classes``, in every piece, so their first jumps are
     ``mult[rho]*q + add[rho]`` over a slice of the tables gathered once at
     rho, and with every class the tables themselves: no start array and no
     per-lane gathers.
 
     A lane whose next jump would leave uint64, and every lane still
-    descending once one more jump could exceed ``max_steps`` base steps, is
-    finished by ``walk(basis, start, floor, residues, max_steps)`` from its
-    start, in ascending order of start; if one jump could already exceed
-    ``max_steps``, that is every lane, before any jump. Every lane the
-    vector loop retires fell below ``floor`` in at most ``max_steps`` base
-    steps in all, so it meets :func:`_walk`'s rule on the way and stayed
-    within 128 bits: the accept/reject decision is that of the walk. With
-    :func:`_descend_scalar` as ``walk`` the error names the smallest failing
-    start and the call stops there; with :func:`_descend_or_fail` a failing
-    lane reads ``_FAILED``.
+    descending once one more jump could exceed ``cache.max_steps`` base
+    steps, is finished by ``walk(cache, start)`` from its start, in
+    ascending order of start; if one jump could already exceed the budget,
+    that is every lane, before any jump. Every lane the vector loop retires
+    fell below the floor in at most ``max_steps`` base steps in all, so it
+    meets :func:`_walk`'s rule on the way and stayed within 128 bits: the
+    accept/reject decision is that of the walk. With :func:`_descend_scalar`
+    as ``walk`` the error names the smallest failing start and the call
+    stops there; with :func:`_descend_or_fail` a failing lane reads
+    ``_FAILED``.
     """
-    modulus = basis_modulus(basis)
+    basis, floor, residues, max_steps = cache.basis, cache.bound, cache._residues, cache.max_steps
+    modulus = cache.modulus
     k = _JUMP_BITS
     m = 1 << _SIEVE_BITS
     tables = _jump_tables(basis)
@@ -521,7 +521,7 @@ def _descend_range(basis, lo, hi, floor, residues, max_steps, walk, classes=_ALL
         # members ascend with their position, so sorted positions walk in ascending start order
         for p in np.sort(np.concatenate(fallback)).tolist():
             i = first + p
-            out[p] = walk(basis, m * (i // c) + cls[i % c], floor, residues, max_steps)
+            out[p] = walk(cache, m * (i // c) + cls[i % c])
     return out
 
 
@@ -531,10 +531,12 @@ def build_residue_cache(
     """Precompute stopping-time residues for every n in [1, bound).
 
     Built in ascending blocks [a, b) with b <= 2a: each entry descends only
-    until its value drops below a, into already-computed territory, then
-    extends that entry by the steps taken (the stopping time is additive
-    along a trajectory). Trajectories are free to climb far above ``bound``
-    in the process.
+    until its value drops below a, into the cache built so far, then extends
+    that entry by the steps taken (the stopping time is additive along a
+    trajectory). Trajectories are free to climb far above ``bound`` in the
+    process. A block reads through ``ResidueCache(basis, a, max_steps,
+    res[:a])``, a read-only view of the entries below a, so an index at or
+    above a raises instead of reading an entry not yet filled.
 
     A block is filled by residue class r mod M = 2^k, k = ``_SIEVE_BITS``
     (:func:`_sieve_tables`). The lanes M*q + r of a class share their first
@@ -544,9 +546,9 @@ def build_residue_cache(
     ``max_steps``, the smallest such j writes the whole class as one strided
     slice of the entries it lands on, plus the residue advance. The other
     classes go through :func:`_descend_range` as one call over [a, b - 1]
-    with floor a, which returns their members' residues in ascending order;
-    each class's share is written back as one strided slice. A sieved lane
-    falls below a within ``max_steps`` steps, so the
+    into the cache below a, which returns their members' residues in
+    ascending order; each class's share is written back as one strided
+    slice. A sieved lane falls below a within ``max_steps`` steps, so the
     kernel would accept it with the same residue: the residues, and the
     start a budget or overflow error names (the smallest failing one), are
     those of a build that sends every lane through the kernel.
@@ -568,6 +570,7 @@ def build_residue_cache(
     a = 2
     while a < bound:
         b = min(bound, 2 * a, a + _MAX_BLOCK)
+        below = ResidueCache(basis, a, max_steps, res[:a])
         q0 = (a - classes + m - 1) // m  # first lane of class r is m*q0 + r
         q1 = (b - 1 - classes) // m  # last lane
         top = stride * q1 + landing  # each class's largest landing after j steps
@@ -585,10 +588,10 @@ def build_residue_cache(
             advance[j, r].tolist(),
         ):
             # (v + adv) mod modulus; uint8 v - modulus wraps high when v < modulus
-            v = res[lo:hi:step] + adv
+            v = below._residues[lo:hi:step] + adv
             res[first:b:m] = np.minimum(v, v - modulus)
         rest = classes[~sieved]
-        out = _descend_range(basis, a, b - 1, a, res, max_steps, _descend_scalar, rest)
+        out = _descend_range(below, a, b - 1, _descend_scalar, rest)
         # out ascends, so the classes take turns: the p-th to start holds out[p::len(rest)]
         for p, first in enumerate(sorted(a + (r - a) % m for r in rest.tolist())):
             res[first:b:m] = out[p :: len(rest)]
@@ -619,7 +622,7 @@ def classify_fast(map_kind: MapKind, n: int, cache: ResidueCache) -> Classificat
     return ClassificationOutcome(label, None, "fast")
 
 
-def _direct_block(map_kind, lo, hi, max_steps, settled=None, base=0):
+def _direct_block(map_kind, lo, hi, max_steps, settled, base):
     """Labels of every n in [lo, hi], in order, by literal composite iteration.
 
     Applies the composite map to every member below 2^64 at once, one
@@ -642,8 +645,7 @@ def _direct_block(map_kind, lo, hi, max_steps, settled=None, base=0):
     the same value repeat on that very pass. Every other lane keeps
     iterating. So each label, each accept or reject and the set of members
     restarted below are those of the loop without the memo; the memo uses
-    only the determinism of the composite map. A call without ``settled``
-    memoizes the block's own members.
+    only the determinism of the composite map.
 
     A base step has no branch. With h = y >> 1 it sends y to
     h + (y & 1)*(a*h + c): a*h + c is 5h + 4 under ``cr``, so an odd
@@ -667,8 +669,6 @@ def _direct_block(map_kind, lo, hi, max_steps, settled=None, base=0):
     a, c = np.uint64(a), np.uint64(c)
     out = np.zeros(hi - lo + 1, dtype=np.uint8)
     x = _u64_span(lo, hi)
-    if settled is None:
-        settled, base = np.zeros(len(x), dtype=np.uint16), lo
     mine = settled[lo - base :]  # from the entry of member lo on
     partial = len(mine) < len(x)  # the memo ends inside this block
     if len(settled):  # an empty memo, as from 2^64 on, builds no uint64 bounds

@@ -41,26 +41,11 @@ from .kernel import (
     iterate,
 )
 
-_CLASSIFY_CACHE_BOUND = 1 << 16
-
 _DECIMAL = re.compile(r"^[0-9]+$")
 
 
-def _nat_arg(text: str) -> int:
-    # strict decimal: no signs, no whitespace, no separators
-    if not _DECIMAL.match(text):
-        raise argparse.ArgumentTypeError(
-            f"expected an unsigned decimal integer, got {text!r}"
-        )
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    if value > NAT_MAX:
-        raise argparse.ArgumentTypeError("value exceeds the 128-bit limit")
-    return value
-
-
 def _count_arg(text: str) -> int:
+    # strict decimal: no signs, no whitespace, no separators
     if not _DECIMAL.match(text):
         raise argparse.ArgumentTypeError(
             f"expected an unsigned decimal integer, got {text!r}"
@@ -72,6 +57,13 @@ def _positive_arg(text: str) -> int:
     value = _count_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
+    return value
+
+
+def _nat_arg(text: str) -> int:
+    value = _positive_arg(text)
+    if value > NAT_MAX:
+        raise argparse.ArgumentTypeError("value exceeds the 128-bit limit")
     return value
 
 
@@ -128,9 +120,8 @@ def _cmd_classify(args) -> int:
     if args.path == "direct":
         outcome = classify_direct(map_kind, args.n)
     else:
-        bound = max(2, min(_CLASSIFY_CACHE_BOUND, args.n + 1))
-        cache = build_residue_cache(basis_for(map_kind), bound)
-        outcome = classify_fast(map_kind, args.n, cache)
+        # n descends into the two-entry cache the build starts from
+        outcome = classify_fast(map_kind, args.n, build_residue_cache(basis_for(map_kind), 2))
     parts = [f"n={args.n}", f"map={map_kind.value}", f"label={outcome.label}"]
     if outcome.composite_steps is not None:
         parts.append(f"steps={outcome.composite_steps}")

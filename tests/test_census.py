@@ -97,9 +97,9 @@ class TestCensusChunk:
         calls = []
         exact = classifier._descend_scalar
 
-        def counting(*args):
-            calls.append(args[1])
-            return exact(*args)
+        def counting(cache, start):
+            calls.append(start)
+            return exact(cache, start)
 
         monkeypatch.setattr(classifier, "_descend_scalar", counting)
         cache = cr_cache if map_kind is MapKind.CR3 else pdcr_cache

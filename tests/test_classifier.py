@@ -376,8 +376,8 @@ class TestVerifyRange:
         before = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
         descend = classifier._descend_range
 
-        def corrupted(basis, lo, hi, floor, residues, max_steps, walk):
-            out = descend(basis, lo, hi, floor, residues, max_steps, walk).copy()
+        def corrupted(cache, lo, hi, walk):
+            out = descend(cache, lo, hi, walk).copy()
             if lo <= 5000 <= hi:
                 out[5000 - lo] += 1
             return out % 3
@@ -412,16 +412,14 @@ def _verify_range_scalar(map_kind, lo, hi, cache):
     """The per-n loop ``verify_range`` replaced, kept as its reference. Its
     fast label is a second route to the residue: a table read below the
     bound, one scalar walk into the table above it, never the vector kernel."""
-    basis, labels = cache.basis, labels_for(map_kind)
+    labels = labels_for(map_kind)
     mismatches = []
     for n in range(lo, hi + 1):
         try:
             if n < cache.bound:
                 residue = cache._residues[n]
             else:
-                residue = classifier._descend_scalar(
-                    basis, n, cache.bound, cache._residues, cache.max_steps
-                )
+                residue = classifier._descend_scalar(cache, n)
             direct = classify_direct(map_kind, n, cache.max_steps)
         except (NatOverflowError, StepBudgetExceeded):
             mismatches.append(n)
@@ -534,7 +532,8 @@ class TestVerifyRangeMatchesScalarLoop:
             assert _verify_range_scalar(MapKind.CR3, 27, 27, cache) == expected
             assert verify_range(MapKind.CR3, 27, 27, cache) == expected
             label = 0 if expected else oracle_label(27, "cr3")
-            assert _direct_block(MapKind.CR3, 27, 27, budget).tolist() == [label]
+            settled = np.zeros(1, dtype=np.uint16)
+            assert _direct_block(MapKind.CR3, 27, 27, budget, settled, 27).tolist() == [label]
 
 
 class TestDirectBlock:
@@ -553,7 +552,8 @@ class TestDirectBlock:
             "classify_fast",
         ):
             monkeypatch.setattr(classifier, name, forbidden)
-        labels = _direct_block(map_kind, 1, 20_000, DEFAULT_STEP_BUDGET)
+        own = np.zeros(20_000, dtype=np.uint16)
+        labels = _direct_block(map_kind, 1, 20_000, DEFAULT_STEP_BUDGET, own, 1)
         assert labels.tolist() == [oracle_label(n, map_kind.value) for n in range(1, 20_001)]
         # and through one memo shared by two blocks, as verify_range runs it
         settled = np.zeros(20_000, dtype=np.uint16)
@@ -599,7 +599,8 @@ class TestDirectBlock:
             return exact(map_kind, n, max_steps)
 
         monkeypatch.setattr(classifier, "classify_direct", recording)
-        assert _direct_block(map_kind, lo, hi, budget).tolist() == expected
+        settled = np.zeros(hi - lo + 1, dtype=np.uint16)
+        assert _direct_block(map_kind, lo, hi, budget, settled, lo).tolist() == expected
         leaving = [n for n in range(lo, hi + 1) if _leaves_numpy(map_kind, n, budget)]
         assert sorted(restarted) == leaving
         assert set(range(bound + 1, hi + 1)) <= set(restarted)
@@ -731,10 +732,9 @@ def _steps_below(basis, n, floor):
 
 
 def _descend(basis, lo, hi, floor, max_steps=DEFAULT_STEP_BUDGET):
-    cache = build_residue_cache(basis, floor)
-    return _descend_range(
-        basis, lo, hi, floor, cache._residues, max_steps, classifier._descend_scalar
-    )
+    """Descend [lo, hi] into the bound-``floor`` cache, under ``max_steps``."""
+    cache = ResidueCache(basis, floor, max_steps, build_residue_cache(basis, floor)._residues)
+    return _descend_range(cache, lo, hi, classifier._descend_scalar)
 
 
 class TestJumpTables:
@@ -815,12 +815,11 @@ class TestDescentKernel:
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
     def test_floor_two_finishes_without_fallback(self, basis):
         # pins the odd jump length: a lane on 2 must land on 1, not on 2 again
-        def no_fallback(*args):
-            raise AssertionError(f"start {args[1]} fell back to the exact descent")
+        def no_fallback(cache, start):
+            raise AssertionError(f"start {start} fell back to the exact descent")
 
-        residues = _descend_range(
-            basis, 2, 1000, 2, np.zeros(2, dtype=np.uint8), DEFAULT_STEP_BUDGET, no_fallback
-        )
+        cache = ResidueCache(basis, 2, DEFAULT_STEP_BUDGET, np.zeros(2, dtype=np.uint8))
+        residues = _descend_range(cache, 2, 1000, no_fallback)
         assert residues.tolist() == [
             stopping_time(basis, n).residue for n in range(2, 1001)
         ]
@@ -832,9 +831,9 @@ class TestDescentKernel:
         # lanes the uint64 guard sends back (class 63 holds r = 2^13 - 1, all
         # 13 steps odd, just below 2^64) and lanes cut off by a 14-jump budget.
         floor = 1 << 12
-        residues = build_residue_cache(basis, floor)._residues
         max_advance = 2 * classifier._JUMP_BITS if basis is MapKind.CR else classifier._JUMP_BITS
         budget = 14 * max_advance
+        cache = ResidueCache(basis, floor, budget, build_residue_cache(basis, floor)._residues)
         rng = random.Random(14)
         far_lo = rng.randrange(2**40, 2**48)
         far_hi, far_classes = far_lo + 25 * 64 - 1, sorted(rng.sample(range(64), 16))
@@ -842,19 +841,15 @@ class TestDescentKernel:
         guarded = [2**64 - 1 - (i << classifier._JUMP_BITS) for i in range(4)]
         walked = []
 
-        def recording(basis, start, *args):
+        def recording(cache, start):
             walked.append(start)
-            return classifier._descend_or_fail(basis, start, *args)
+            return classifier._descend_or_fail(cache, start)
 
         for lo, hi, classes in [(far_lo, far_hi, far_classes), (guarded[-1], guarded[0], [63])]:
             members = _members(lo, hi, classes)
             calls = len(walked)
-            out = _descend_range(
-                basis, lo, hi, floor, residues, budget, recording, np.array(classes)
-            )
-            assert out.tolist() == [
-                classifier._descend_or_fail(basis, n, floor, residues, budget) for n in members
-            ]
+            out = _descend_range(cache, lo, hi, recording, np.array(classes))
+            assert out.tolist() == [classifier._descend_or_fail(cache, n) for n in members]
             assert walked[calls:] == sorted(walked[calls:])
         assert set(guarded) <= set(walked)
         assert any(n < 2**63 for n in walked)  # cut off by the budget
@@ -905,17 +900,13 @@ class TestRangeEntry:
     )
     def test_matches_scalar_descent(self, basis, lo, hi):
         cache = _cache(basis, 1 << 10)
-        table, budget = cache._residues, cache.max_steps
         walked = []
 
-        def recording(basis, start, *args):
+        def recording(cache, start):
             walked.append(start)
-            return classifier._descend_scalar(basis, start, *args)
+            return classifier._descend_scalar(cache, start)
 
-        expected = [
-            classifier._descend_scalar(basis, n, cache.bound, table, budget)
-            for n in range(lo, hi + 1)
-        ]
+        expected = [classifier._descend_scalar(cache, n) for n in range(lo, hi + 1)]
         assert cache.residues(lo, hi).tolist() == expected
         assert cache._residues_by(lo, hi, recording).tolist() == expected
         # the first jump's uint64 guard hands its lanes to the walk
@@ -936,16 +927,13 @@ class TestRangeEntry:
         lo, hi = 17, 3 * _PIECE // 2
         walked = []
 
-        def recording(basis, start, *args):
+        def recording(cache, start):
             walked.append(start)
-            return classifier._descend_or_fail(basis, start, *args)
+            return classifier._descend_or_fail(cache, start)
 
         out = cache._residues_by(lo, hi, recording).tolist()
         assert walked == list(range(lo, hi + 1))
-        assert out == [
-            classifier._descend_or_fail(basis, n, 17, cache._residues, budget)
-            for n in range(lo, hi + 1)
-        ]
+        assert out == [classifier._descend_or_fail(cache, n) for n in range(lo, hi + 1)]
         failing = [n for n, r in zip(range(lo, hi + 1), out) if r == classifier._FAILED]
         assert failing
         with pytest.raises(StepBudgetExceeded) as exc:
@@ -980,20 +968,15 @@ class TestRangeEntry:
         # lo % 64 = 13 and hi sits mid-piece with hi % 64 = 57, in the first
         # two cases once as a member and once between two member classes
         cache = _cache(basis, 1 << 10)
-        table, budget = cache._residues, cache.max_steps
         walked = []
 
-        def recording(basis, start, *args):
+        def recording(cache, start):
             walked.append(start)
-            return classifier._descend_scalar(basis, start, *args)
+            return classifier._descend_scalar(cache, start)
 
         members = _members(lo, hi, classes)
-        out = _descend_range(
-            basis, lo, hi, cache.bound, table, budget, recording, np.array(classes)
-        )
-        assert out.tolist() == [
-            classifier._descend_scalar(basis, n, cache.bound, table, budget) for n in members
-        ]
+        out = _descend_range(cache, lo, hi, recording, np.array(classes))
+        assert out.tolist() == [classifier._descend_scalar(cache, n) for n in members]
         assert walked == sorted(walked)
         limit = classifier._jump_tables(basis)[2]
         guarded = [n for n in members if n >> _K > int(limit[n % _PIECE])]
@@ -1007,18 +990,14 @@ class TestRangeEntry:
         lo, hi, classes = 60, 3 * _PIECE // 2 + 5, [3, 40, 41, 63]
         walked = []
 
-        def recording(basis, start, *args):
+        def recording(cache, start):
             walked.append(start)
-            return classifier._descend_or_fail(basis, start, *args)
+            return classifier._descend_or_fail(cache, start)
 
         members = _members(lo, hi, classes)
-        out = _descend_range(
-            basis, lo, hi, 17, cache._residues, budget, recording, np.array(classes)
-        )
+        out = _descend_range(cache, lo, hi, recording, np.array(classes))
         assert walked == members
-        assert out.tolist() == [
-            classifier._descend_or_fail(basis, n, 17, cache._residues, budget) for n in members
-        ]
+        assert out.tolist() == [classifier._descend_or_fail(cache, n) for n in members]
 
 
 def _kernel_build(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
@@ -1028,7 +1007,8 @@ def _kernel_build(basis, bound, max_steps=DEFAULT_STEP_BUDGET):
     a = 2
     while a < bound:
         b = min(bound, 2 * a, a + classifier._MAX_BLOCK)
-        res[a:b] = _descend_range(basis, a, b - 1, a, res, max_steps, classifier._descend_scalar)
+        below = ResidueCache(basis, a, max_steps, res[:a])
+        res[a:b] = _descend_range(below, a, b - 1, classifier._descend_scalar)
         a = b
     return res
 
@@ -1051,9 +1031,9 @@ class TestSieveBuild:
         kernel_lanes = {}
         exact = classifier._descend_range
 
-        def recording(basis, lo, hi, floor, *args):
-            out = exact(basis, lo, hi, floor, *args)
-            kernel_lanes[floor] = len(out)
+        def recording(cache, lo, hi, walk, classes):
+            out = exact(cache, lo, hi, walk, classes)
+            kernel_lanes[cache.bound] = len(out)
             return out
 
         monkeypatch.setattr(classifier, "_descend_range", recording)
@@ -1062,6 +1042,26 @@ class TestSieveBuild:
         assert len(full_blocks) == 47
         for a in full_blocks:  # each has sieved classes and kernel lanes
             assert 0 < kernel_lanes[a] < 1 << 12, a
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_blocks_descend_into_the_cache_built_so_far(self, basis, monkeypatch):
+        # a block [a, b) reads a read-only view of exactly the a entries below it
+        monkeypatch.setattr(classifier, "_MAX_BLOCK", 1 << 8)
+        seen = []
+        exact = classifier._descend_range
+
+        def recording(cache, lo, hi, walk, classes):
+            seen.append((lo, cache.bound, len(cache._residues), cache._residues.flags.writeable))
+            return exact(cache, lo, hi, walk, classes)
+
+        monkeypatch.setattr(classifier, "_descend_range", recording)
+        bound = 5000
+        built = build_residue_cache(basis, bound)._residues
+        assert np.array_equal(built, _kernel_build(basis, bound))
+        starts = [2, 4, 8, 16, 32, 64, 128] + list(range(256, bound, 1 << 8))
+        assert [lo for lo, *_ in seen] == starts
+        for lo, floor, size, writeable in seen:
+            assert floor == size == lo and not writeable, lo
 
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
     @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 60, 90, 100, 150])

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from collatz_census import cli
 from collatz_census.cli import main
 
 
@@ -63,6 +64,30 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", str(2**128 - 1), "--path", "direct")
         assert code == 1
         assert "128-bit" in err
+
+    def test_fast_path_builds_only_the_two_entry_cache(self, capsys, monkeypatch):
+        bounds = []
+        exact = cli.build_residue_cache
+
+        def recording(basis, bound, *args):
+            bounds.append(bound)
+            return exact(basis, bound, *args)
+
+        monkeypatch.setattr(cli, "build_residue_cache", recording)
+        for n in (1, 27, 65537, 2**100 + 7):
+            for map_name in ("cr3", "pdcr2"):
+                assert run_cli(capsys, "classify", str(n), "--map", map_name)[0] == 0
+        assert bounds == [2] * 8
+
+    @pytest.mark.parametrize("map_name", ["cr3", "pdcr2"])
+    @pytest.mark.parametrize("n", [1, 2, 27, 65535, 65537, 2**64 - 1, 2**64 + 1, 2**100 + 7])
+    def test_fast_and_direct_labels_agree(self, capsys, map_name, n):
+        labels = []
+        for path in ("fast", "direct"):
+            code, out, err = run_cli(capsys, "classify", str(n), "--map", map_name, "--path", path)
+            assert (code, err) == (0, "")
+            labels.append(re.search(r" label=([124]) ", out).group(1))
+        assert labels[0] == labels[1]
 
 
 class TestTrace:
@@ -372,7 +397,8 @@ _GOLDEN = [
 
 class TestGoldenOutput:
     """Exact stdout, stderr and exit code of the fast route's commands, on
-    both sides of the classify cache bound (2^16) and of 2^64."""
+    both sides of 2^64. ``classify 65537`` stays pinned from when classify
+    read a 2^16-entry table; it now descends into the two-entry cache."""
 
     @pytest.mark.parametrize(
         "argv, code, out, err", [pytest.param(*g, id=" ".join(g[0])) for g in _GOLDEN]
