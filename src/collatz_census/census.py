@@ -10,6 +10,27 @@ as it completes. A chunk counts its uint8 residues in place, one
 would widen them to 8 bytes each first. Counting is exact integer
 arithmetic, so the result is identical for every chunk size.
 
+Past the cache bound a chunk descends only its odd members. One base step
+sends an even 2m to m, under either basis, and from there the walk of 2m
+is that of m, so residue(2m) = residue(m) + 1 and 2m passes the step
+budget exactly when m does, for any budget of at least one step. The
+evens of a chunk [lo, hi] are thus the members of [ceil(lo/2), floor(hi/2)]
+one class on, and the ascending census has counted those already: with
+P(y) the running residue totals through y, the evens add
+P(floor(hi/2)) - P(floor((lo - 1)/2)), class r's count moved to r + 1 mod
+the modulus. A chunk can be halved when it reaches the bound, the budget
+is at least one step and both of those P were recorded in this run, which
+holds from about twice the first n on: a resumed run counts whole chunks
+until then. The halved chunks are those of one region [floor, ceiling]:
+from the first chunk from which every chunk qualifies, up to at most 2^18
+chunk ends and 2^9 times the floor. P is kept only at the points some
+halved chunk reads, from the chunk that passes y until the sweep passes
+2y + 2, so the memo holds points of [x/2, x] at position x, near half the
+region's chunk ends at its peak (about 33 MB at most); the cap also bounds
+how far ahead each chunk looks. Past the ceiling chunks are counted whole.
+An even member is never the smallest failing n, since its half failed
+first, so aborts name the same n as before.
+
 ``run_census`` and ``run_series`` share that engine: a series is a census
 whose sample points are forced chunk cuts. Every result carries its counts
 as one :class:`ClassCounts`, from which the fractions are derived: a census
@@ -25,7 +46,10 @@ its checkpoint, if it has one, and raises :class:`CensusInterrupted`.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import contextlib
+import heapq
 import json
 import numbers
 import os
@@ -57,6 +81,11 @@ from .kernel import (
 CHECKPOINT_VERSION = 2
 
 _VECTOR_SPAN = 1 << 20  # cap on the span of one residues call inside a chunk
+# Caps on the halved region [floor, ceiling]. The memo peaks near half its
+# chunk ends, at about 254 bytes a point (33 MB for 2^18 ends), and a chunk
+# at x looks ahead about 2*ceiling/x chunk ends, at most 2^(depth + 1).
+_HALVED_ENDS = 1 << 18
+_HALVED_DEPTH = 9
 
 
 class CensusAbortError(RuntimeError):
@@ -206,18 +235,44 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     validate_nat(hi)
     if lo > hi:
         raise ValueError(f"empty chunk [{lo}, {hi}]")
+    totals = _chunk_totals(cache, lo, hi, [hi])[-1]
+    return ClassCounts(map_kind, lo, hi, {label: totals[r] for r, label in enumerate(labels)})
 
-    residue_totals = [0] * cache.modulus
+
+def _chunk_totals(cache, lo, hi, points, odd=False):
+    """Residue totals over [lo, y] for each y in ``points``, ascending, the last hi.
+
+    Reads ``cache.residues`` (with ``odd``, only the odd members) in spans
+    of at most 2^20 numbers, one call per span: a point only cuts where the
+    counting of that span's residues stops. Total r counts the residues
+    equal to r, at uint8 width. A failing member aborts with the smallest
+    offending n.
+    """
+    totals = [0] * cache.modulus
+    out = []
+    ys = iter(points)
+    y = next(ys)
     for a in range(lo, hi + 1, _VECTOR_SPAN):
         b = min(hi, a + _VECTOR_SPAN - 1)
         try:
-            residues = cache.residues(a, b)
+            residues = cache.residues(a, b, odd)
         except (NatOverflowError, StepBudgetExceeded) as e:
             raise CensusAbortError(e.n, e) from e
-        for r in range(cache.modulus):
-            residue_totals[r] += int(np.count_nonzero(residues == r))
-    counts = {label: residue_totals[r] for r, label in enumerate(labels)}
-    return ClassCounts(map_kind, lo, hi, counts)
+        i = 0
+        while y <= b:
+            j = (y + 1) // 2 - a // 2 if odd else y + 1 - a  # the span's members up to y
+            _add_counts(totals, residues[i:j])
+            out.append(totals.copy())
+            i, y = j, next(ys, hi + 1)
+        if i < len(residues):
+            _add_counts(totals, residues[i:])
+    return out
+
+
+def _add_counts(totals, residues):
+    """Add the number of residues equal to r to ``totals[r]``, for each r."""
+    for r in range(len(totals)):
+        totals[r] += int(np.count_nonzero(residues == r))
 
 
 @dataclass(frozen=True)
@@ -416,30 +471,172 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).replace(microsecond=0).isoformat()
 
 
+class _Sweep:
+    """The chunks of one ascending tally, its running totals P and the
+    points of P that halved chunks read (see the module docstring).
+
+    A halved chunk [lo, hi] reads P(floor((lo - 1)/2)) and P(floor(y/2))
+    for every y it must report P at: its end hi and each needed point
+    inside it. So the needed points are the closure of the chunk ends under
+    y -> floor(y/2), followed while y lies strictly inside a halved chunk.
+    Depth k of the closure is one lazy stream over the chunk ends from
+    about 2^k times the sweep's position, up to the ceiling; the streams
+    are merged in order and :meth:`pull` hands each chunk its points, so no
+    list of chunks or points is ever built.
+    """
+
+    def __init__(self, cache, start, cuts, size, halving):
+        self.start, self.cuts, self.size = start, cuts, size
+        self.floor = self._first_halved(cache.bound) if halving else None
+        if self.floor is not None:
+            self.ceiling = min(self.floor << _HALVED_DEPTH, self.floor + _HALVED_ENDS * size)
+        self.totals = (0,) * cache.modulus  # P of the last counted n
+        self.memo = {start - 1: self.totals}
+        self._kept = collections.deque([start - 1])  # the memo's points, ascending
+        self._points = self._needed()
+        self._next = next(self._points, None)
+
+    def _first_halved(self, bound):
+        """The lo of the first chunk from which every chunk qualifies, or None.
+
+        A chunk qualifies when it reaches the bound and both halves it reads
+        were counted before it in this run: hi >= bound, lo >= 2*start - 1
+        and hi < 2*lo. Each condition, once met, holds for every later chunk
+        with lo >= size. A qualifying chunk followed by one that fails is
+        counted whole, so the halved chunks form one region and a chain of
+        halvings never crosses a gap.
+        """
+        floor = None
+        least = max(2 * self.start - 1, (bound + 1) // 2)  # lo > hi/2 >= bound/2
+        if least > self.cuts[-1]:
+            return None
+        for lo, hi in self.chunks(least):
+            if not (hi >= bound and 2 * self.start - 1 <= lo and hi < 2 * lo):
+                floor = None
+            elif floor is None:
+                floor = lo
+            if floor is not None and lo >= self.size:
+                break
+        return floor
+
+    def halves(self, lo, hi) -> bool:
+        """Whether the chunk [lo, hi] lies in the halved region."""
+        return self.floor is not None and self.floor <= lo and hi <= self.ceiling
+
+    def chunks(self, n):
+        """The chunks [lo, hi], ascending, from the one that holds n."""
+        lo, hi = self._chunk(n)
+        yield lo, hi
+        while hi < self.cuts[-1]:
+            lo, hi = self._chunk(hi + 1)
+            yield lo, hi
+
+    def pull(self, lo, hi) -> list[int]:
+        """The needed points of the next chunk [lo, hi], ascending. First
+        drops each P(y) with 2y + 2 < lo: no chunk from lo on reads it."""
+        while self._kept and self._kept[0] < (lo - 1) // 2:
+            del self.memo[self._kept.popleft()]
+        points = []
+        while self._next is not None and self._next <= hi:
+            points.append(self._next)
+            self._next = next(self._points, None)
+        return points
+
+    def advance(self, points, totals) -> None:
+        """Record the counted chunk: ``totals[i]`` are its residue totals
+        through ``points[i]``, and ``totals[-1]`` through its end."""
+        prior = self.totals
+        for y, t in zip(points, totals):
+            self.memo[y] = tuple(p + c for p, c in zip(prior, t))
+            self._kept.append(y)
+        self.totals = tuple(p + c for p, c in zip(prior, totals[-1]))
+
+    def _chunk(self, n):
+        """The chunk [lo, hi] that holds n, for start <= n <= cuts[-1]."""
+        i = bisect.bisect_left(self.cuts, n)
+        first = self.start if i == 0 else self.cuts[i - 1] + 1
+        lo = n - (n - first) % self.size
+        return lo, min(lo + self.size - 1, self.cuts[i])
+
+    def _inside_halved(self, y) -> bool:
+        hi = self._chunk(y)[1]
+        return self.floor <= y < hi <= self.ceiling
+
+    def _needed(self):
+        """The needed points, ascending, once each."""
+        if self.floor is None:
+            return
+        levels = []
+        for k in range(1, self.cuts[-1].bit_length()):
+            # floor(e/2^k) >= start; at depth 1 e is at least the end below
+            # the floor, deeper its halving floor(e/2^(k-1)) lies from the floor on
+            least = max(self.start << k, self.floor - 1 if k == 1 else self.floor << (k - 1))
+            if least <= min(self.cuts[-1], self.ceiling):
+                levels.append(self._level(k, least))
+        last = None
+        for y in heapq.merge(*levels):
+            if y != last:
+                yield y
+                last = y
+
+    def _level(self, k, least):
+        """floor(e/2^k), ascending, for each chunk end e >= ``least`` whose
+        halvings floor(e/2^j), 0 < j < k, lie strictly inside halved chunks."""
+        for _, e in self.chunks(least):
+            if e > self.ceiling:  # no later end borders a halved chunk
+                return
+            if all(self._inside_halved(e >> j) for j in range(k - 1, 0, -1)):
+                yield e >> k
+
+
+def _count_chunk(map_kind, lo, hi, cache, sweep) -> ClassCounts:
+    """Counts of the tally's next chunk [lo, hi].
+
+    A halved chunk counts its odd members' residues and adds its evens off
+    the running totals; a chunk with needed points inside counts its
+    residues in pieces; any other chunk is :func:`census_chunk`.
+    """
+    points = sweep.pull(lo, hi)
+    ends = points if points[-1:] == [hi] else [*points, hi]
+    if sweep.halves(lo, hi):
+        totals = _chunk_totals(cache, lo, hi, ends, odd=True)
+        base, memo = sweep.memo[(lo - 1) // 2], sweep.memo
+        for y, t in zip(ends, totals):
+            half = memo[y // 2]
+            for r in range(len(t)):  # index r - 1 = -1 is the last class: the shift
+                t[r] += half[r - 1] - base[r - 1]
+    elif len(ends) > 1:
+        totals = _chunk_totals(cache, lo, hi, ends)
+    else:
+        part = census_chunk(map_kind, lo, hi, cache)
+        sweep.advance(points, [list(part.counts.values())])
+        return part
+    sweep.advance(points, totals)
+    labels = labels_for(map_kind)
+    return ClassCounts(map_kind, lo, hi, {label: totals[-1][r] for r, label in enumerate(labels)})
+
+
 def _tally(map_kind, config, bound, start, cuts, absorb) -> None:
     """The ordered-absorb engine under :func:`run_census` and :func:`run_series`.
 
     Builds the cache below ``bound``, then classifies [start, cuts[-1]] in
     ascending chunks that end at or before each cut, handing each chunk's
-    counts to ``absorb`` before the next is classified. An abort therefore
-    names the smallest failing n, and an error or interrupt leaves exactly
-    the chunks before it absorbed. With nothing left to classify it builds
-    nothing.
+    counts (:func:`_count_chunk`) to ``absorb`` before the next is
+    classified. An abort therefore names the smallest failing n, and an
+    error or interrupt leaves exactly the chunks before it absorbed. With
+    nothing left to classify it builds nothing.
     """
     if start > cuts[-1]:
         return
-    size = config.chunk_size
-    chunks = (
-        (lo, min(lo + size - 1, cut))
-        for first, cut in zip([start, *(c + 1 for c in cuts)], cuts)
-        for lo in range(first, cut + 1, size)
-    )
     try:
         cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
     except (NatOverflowError, StepBudgetExceeded) as e:
         raise CensusAbortError(e.n, e) from e
-    for lo, hi in chunks:
-        absorb(census_chunk(map_kind, lo, hi, cache))
+    # under a budget of no steps 2 fails while 1 passes: no chunk is halved
+    halving = config.max_steps >= 1 and cuts[-1] >= bound
+    sweep = _Sweep(cache, start, cuts, config.chunk_size, halving)
+    for lo, hi in sweep.chunks(start):
+        absorb(_count_chunk(map_kind, lo, hi, cache, sweep))
 
 
 def run_census(

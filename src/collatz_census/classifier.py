@@ -41,7 +41,8 @@ failing member does: the build, the census and ``classify_fast`` pass
 ``verify_range`` passes :func:`_descend_or_fail`, which marks it
 ``_FAILED``. The kernel's lanes are the members of a range [lo, hi] in a
 set of residue classes mod 2^s, s = ``_SIEVE_BITS``: every class for a
-range above the bound, the classes the sieve leaves for a build block. As
+range above the bound, the odd ones for a census chunk there, the classes
+the sieve leaves for a build block. As
 2^s divides 2^k, the members of a piece [2^k*q, 2^k*(q + 1)) share q and
 sit at the same offsets rho in every piece, so their first jumps are
 ``mult[rho]*q + add[rho]``: slices of the tables gathered once at rho, or
@@ -68,8 +69,11 @@ deterministic. The direct side never touches the cache, the jump tables
 or the residue rule. Its fast side is one call per block to the code
 behind :meth:`ResidueCache.residues`, the route a census chunk counts,
 with only the walk swapped so that a failing member reads as label 0
-instead of stopping the block: the check covers the code that produces
-the census counts.
+instead of stopping the block. Past the cache bound a census counts the
+odd-class call of that code, the same kernel on half the classes, and
+takes its even members from residue(2m) = residue(m) + 1; verify checks
+the all-class call, and the tier-1 tests check the odd call and the
+identity against it.
 """
 
 from __future__ import annotations
@@ -99,6 +103,7 @@ _JUMP_BITS = 13
 _MAX_BLOCK = 1 << 19       # cap on cache-build block length
 _SIEVE_BITS = 6            # the cache build sieves residue classes mod 2^6
 _ALL_CLASSES = np.arange(1 << _SIEVE_BITS)  # a whole range, as descent-kernel classes
+_ODD_CLASSES = _ALL_CLASSES[1::2]  # its odd members
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
 _U64_LIMIT = 2**64         # members at or above this bypass the vector kernels
@@ -246,16 +251,33 @@ class ResidueCache:
     call that takes the cache descends above the bound under it:
     :meth:`residues`, and through it :func:`classify_fast`,
     :func:`verify_range` and ``census_chunk``. So whether n passes never
-    depends on the bound.
+    depends on the bound. The constructor checks its arguments, the table's
+    type and length but not its entries, and raises ``ValueError``.
     """
 
     __slots__ = ("basis", "bound", "max_steps", "modulus", "_residues")
 
     def __init__(self, basis: MapKind, bound: int, max_steps: int, residues: np.ndarray):
+        if not isinstance(basis, MapKind):
+            raise ValueError(f"cache basis must be a MapKind, got {basis!r}")
+        self.modulus = basis_modulus(basis)  # validates the basis
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 2:
+            raise ValueError(f"cache bound must be an integer >= 2, got {bound!r}")
+        _validate_budget(max_steps)
+        # shape and type only: a scan of every entry would read up to 32 MiB
+        if (
+            not isinstance(residues, np.ndarray)
+            or residues.dtype != np.uint8
+            or residues.shape != (bound,)
+        ):
+            raise ValueError(
+                f"a cache of bound {bound} needs a 1-D uint8 table of {bound} entries, got "
+                f"{getattr(residues, 'dtype', type(residues).__name__)} of shape "
+                f"{getattr(residues, 'shape', None)}"
+            )
         self.basis = basis
         self.bound = bound
         self.max_steps = max_steps
-        self.modulus = basis_modulus(basis)
         residues.setflags(write=False)
         self._residues = residues
 
@@ -263,7 +285,7 @@ class ResidueCache:
     def nbytes(self) -> int:
         return self._residues.nbytes
 
-    def residues(self, lo: int, hi: int) -> np.ndarray:
+    def residues(self, lo: int, hi: int, odd: bool = False) -> np.ndarray:
         """Stopping-time residue of every n in [lo, hi], in order, one uint8 each.
 
         The one route from a range to its residues, and from a single n as
@@ -273,31 +295,40 @@ class ResidueCache:
         2^64 - 1 the range descends into the table through
         :func:`_descend_range`, the kernel the cache build runs, whose first
         jump is read off the jump tables; from 2^64 on each n walks alone
-        through :func:`_descend_scalar`. A failing member raises
-        :class:`StepBudgetExceeded` or :class:`NatOverflowError` naming the
-        smallest one. The budget is the cache's ``max_steps``. The range is
-        checked before any compute.
+        through :func:`_descend_scalar`. With ``odd``, only the odd members
+        of [lo, hi]. A failing member raises :class:`StepBudgetExceeded` or
+        :class:`NatOverflowError` naming the smallest one. The budget is the
+        cache's ``max_steps``. The range is checked before any compute.
         """
-        return self._residues_by(lo, hi, _descend_scalar)
+        return self._residues_by(lo, hi, _descend_scalar, odd)
 
-    def _residues_by(self, lo, hi, walk):
+    def _residues_by(self, lo, hi, walk, odd=False):
         """:meth:`residues` with ``walk`` in place of :func:`_descend_scalar`,
         for the lanes :func:`_descend_range` hands back and the members from
         2^64 on. The members from ``bound`` to 2^64 - 1 go to the kernel as
-        one range of every residue class, the call the cache build makes
-        with the classes its sieve leaves."""
+        one range of every residue class mod 2^6, the call the cache build
+        makes with the classes its sieve leaves.
+
+        ``odd`` keeps the odd members, which a census past the bound counts
+        (its evens are residue(2m) = residue(m) + 1): a stride-2 slice of
+        the table, the same kernel call with the 32 odd classes, and every
+        other member from 2^64 on. :func:`verify_range` checks the all-class
+        call; the tests pin the odd call to its odd members."""
         validate_nat(lo)
         validate_nat(hi)
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        cached = self._residues[min(lo, self.bound) : min(hi + 1, self.bound)]
+        step, classes = (2, _ODD_CLASSES) if odd else (1, _ALL_CLASSES)
+        first = lo | 1 if odd else lo  # the first member
+        cached = self._residues[min(first, self.bound) : min(hi + 1, self.bound) : step]
         if hi < self.bound:
             return cached
         start, stop = max(lo, self.bound), min(hi, _U64_LIMIT - 1)
         descended = np.empty(0, dtype=np.uint8)
         if start <= stop:
-            descended = _descend_range(self, start, stop, walk)
-        walked = [walk(self, n) for n in range(max(lo, _U64_LIMIT), hi + 1)]
+            descended = _descend_range(self, start, stop, walk, classes)
+        tail = max(first, _U64_LIMIT + step - 1)  # the first member from 2^64 on
+        walked = [walk(self, n) for n in range(tail, hi + 1, step)]
         return np.concatenate([cached, descended, np.array(walked, dtype=np.uint8)])
 
     def __repr__(self) -> str:
@@ -413,8 +444,9 @@ def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
     :meth:`ResidueCache.residues` and the cache build, which passes the
     cache built so far. The members are the n whose residue mod m = 2^s, s =
     ``_SIEVE_BITS``, is in the sorted array ``classes``; the result holds
-    theirs in ascending order of n. The range route passes every class, the
-    build the classes its sieve leaves. Counted from 0, member i is
+    theirs in ascending order of n. The range route passes every class (the
+    odd ones for a census chunk past the bound), the build the classes its
+    sieve leaves. Counted from 0, member i is
     m*(i // len(classes)) + classes[i % len(classes)].
 
     Each lane moves in lockstep by k ``pdcr`` steps at a time through

@@ -5,16 +5,16 @@ from collatz_census import census as census_module
 
 @pytest.fixture
 def interrupt_at(monkeypatch):
-    """Arm ``census_chunk`` to raise KeyboardInterrupt on the chunk starting at n."""
+    """Arm the tally's chunk count to raise KeyboardInterrupt on the chunk starting at n."""
 
     def arm(stop):
-        exact = census_module.census_chunk
+        exact = census_module._count_chunk
 
         def chunk(map_kind, lo, hi, *args):
             if lo == stop:
                 raise KeyboardInterrupt
             return exact(map_kind, lo, hi, *args)
 
-        monkeypatch.setattr(census_module, "census_chunk", chunk)
+        monkeypatch.setattr(census_module, "_count_chunk", chunk)
 
     return arm

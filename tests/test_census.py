@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -20,8 +21,10 @@ from collatz_census import (
     ClassCounts,
     ClassLabel,
     MapKind,
+    NatOverflowError,
     ResidueCache,
     StepBudgetExceeded,
+    basis_for,
     build_residue_cache,
     census_chunk,
     classify_direct,
@@ -298,7 +301,7 @@ class TestRunCensus:
     def test_cache_is_built_before_the_first_chunk(self, monkeypatch):
         events = []
         exact_build = census_module.build_residue_cache
-        exact_chunk = census_module.census_chunk
+        exact_chunk = census_module._count_chunk
 
         def recording_build(*args, **kwargs):
             events.append("build")
@@ -309,14 +312,14 @@ class TestRunCensus:
             return exact_chunk(*args)
 
         monkeypatch.setattr(census_module, "build_residue_cache", recording_build)
-        monkeypatch.setattr(census_module, "census_chunk", recording_chunk)
+        monkeypatch.setattr(census_module, "_count_chunk", recording_chunk)
         run_census(MapKind.CR3, 1000, CensusConfig(chunk_size=250))
         assert events == ["build"] + ["chunk"] * 4
 
     def test_census_and_series_start_no_thread(self, monkeypatch):
         before = threading.active_count()
         seen = []
-        exact = census_module.census_chunk
+        exact = census_module._count_chunk
 
         def counting_chunk(*args):
             seen.append(threading.active_count())
@@ -328,7 +331,7 @@ class TestRunCensus:
         config = CensusConfig(chunk_size=100, progress=progress)
         run_census(MapKind.CR3, 1000, config)
         assert len(seen) == 10 and set(seen) == {before}
-        monkeypatch.setattr(census_module, "census_chunk", counting_chunk)
+        monkeypatch.setattr(census_module, "_count_chunk", counting_chunk)
         run_series(MapKind.CR3, 1000, points=3, config=config)
         assert len(seen) > 10 and set(seen) == {before}
 
@@ -412,15 +415,15 @@ class TestOneStepBudget:
 
 
 def record_chunks(monkeypatch):
-    """Wrap census_chunk so every classified [lo, hi] is recorded."""
+    """Wrap the tally's chunk count so every classified [lo, hi] is recorded."""
     calls = []
-    exact = census_module.census_chunk
+    exact = census_module._count_chunk
 
     def recording(map_kind, lo, hi, *args):
         calls.append((lo, hi))
         return exact(map_kind, lo, hi, *args)
 
-    monkeypatch.setattr(census_module, "census_chunk", recording)
+    monkeypatch.setattr(census_module, "_count_chunk", recording)
     return calls
 
 
@@ -876,3 +879,201 @@ class TestDecimalFraction:
         # 0.0000005 rounds to even last digit
         assert decimal_fraction(5, 10_000_000) == "0.000000"
         assert decimal_fraction(15, 10_000_000) == "0.000002"
+
+
+def _reference(map_kind, cuts, bound, max_steps, start=1):
+    """The running totals at each cut, counted by one ``census_chunk`` per
+    stretch between cuts, or ("abort", n) for the smallest failing n."""
+    try:
+        cache = build_residue_cache(basis_for(map_kind), bound, max_steps)
+    except (StepBudgetExceeded, NatOverflowError) as e:
+        return ("abort", e.n)
+    total = ClassCounts.empty(map_kind, at=start)
+    out = []
+    for first, cut in zip([start, *(c + 1 for c in cuts)], cuts):
+        try:
+            total = merge(total, census_chunk(map_kind, first, cut, cache))
+        except CensusAbortError as e:
+            return ("abort", e.n)
+        out.append(total)
+    return out
+
+
+def _tally(map_kind, cuts, config, start=1):
+    """The census engine's running totals at each cut, or ("abort", n)."""
+    total = ClassCounts.empty(map_kind, at=start)
+    out = []
+
+    def absorb(part):
+        nonlocal total
+        total = merge(total, part)
+        if total.hi in cuts:
+            out.append(total)
+
+    try:
+        census_module._tally(map_kind, config, config.cache_bound, start, cuts, absorb)
+    except CensusAbortError as e:
+        return ("abort", e.n)
+    return out
+
+
+class TestHalvedChunks:
+    """Past the cache bound a chunk descends its odd members only and reads
+    its evens off the running totals; every count, cut and abort must be
+    that of counting each chunk whole."""
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("bound", [2, 3, 17, 1 << 12])
+    @pytest.mark.parametrize("max_steps", [0, 1, 30, 10**6])
+    def test_tally_equals_whole_chunks(self, map_kind, bound, max_steps):
+        rng = random.Random(f"{map_kind.value}-{bound}-{max_steps}")
+        # a chunk [1, 2] reaches a bound of 2 but holds its own half: counted whole
+        for chunk_size in (1, 2, 7, 97, 1 << 16):
+            s = 700 if chunk_size <= 2 else 5000
+            config = CensusConfig(chunk_size=chunk_size, cache_bound=bound, max_steps=max_steps)
+            cuts = sorted({*rng.sample(range(1, s), 5), s})
+            for start in (1, rng.randrange(2, s // 3)):
+                cut_list = [c for c in cuts if c >= start]
+                expected = _reference(map_kind, cut_list, bound, max_steps, start)
+                assert _tally(map_kind, cut_list, config, start) == expected, (chunk_size, start)
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_lowest_chunk_a_bound_can_halve(self, map_kind):
+        # [9, 17] reaches a bound of 17 and holds no half of its own: it
+        # reads P(4) at the end of [1, 8], the lowest point a chunk can read
+        config = CensusConfig(chunk_size=9, cache_bound=17)
+        cuts = [8, 17, 60]
+        assert _tally(map_kind, cuts, config) == _reference(map_kind, cuts, 17, config.max_steps)
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("bound", [2, 17, 1 << 12])
+    @pytest.mark.parametrize("chunk_size, s", [(7, 2000), (97, 12_000), (1 << 16, 140_000)])
+    def test_census_series_and_resume(self, map_kind, bound, chunk_size, s, tmp_path):
+        # 2^16 chunks are halved from the third on, past 2^17
+        config = CensusConfig(chunk_size=chunk_size, cache_bound=bound)
+        whole = _reference(map_kind, [s], bound, config.max_steps)[-1]
+        assert run_census(map_kind, s, config).counts == whole
+        for spacing in ("log", "linear"):
+            points = run_series(map_kind, s, points=6, spacing=spacing, config=config)
+            samples = [p.hi for p in points]
+            assert points == _reference(map_kind, samples, bound, config.max_steps)
+        # a resume halves nothing until about twice its first n
+        path = tmp_path / "run.ckpt"
+        for next_n in (2, s // 5, s // 2 + 1):
+            prefix = _reference(map_kind, [next_n - 1], bound, config.max_steps)[-1]
+            save_checkpoint(Checkpoint(prefix, s, bound, "then"), path)
+            resumed = run_census(map_kind, s, config, checkpoint_path=path, resume=True)
+            assert resumed.counts == whole
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize(
+        "chunk_size, record, bound", [(1, 703, 17), (7, 703, 17), (97, 10087, 17), (1 << 16, 270271, 1 << 12)]
+    )
+    def test_abort_inside_halved_chunks(self, map_kind, chunk_size, record, bound, tmp_path):
+        # each glide record is odd and past the bound; the budget is the σ of
+        # the record before it, so it is the first n to fail
+        max_steps = {
+            MapKind.CR3: {703: 96, 10087: 132, 270271: 220},
+            MapKind.PDCR2: {703: 59, 10087: 81, 270271: 135},
+        }[map_kind][record]
+        s = record + 1000
+        config = CensusConfig(chunk_size=chunk_size, cache_bound=bound, max_steps=max_steps)
+        with pytest.raises(CensusAbortError) as exc:
+            run_census(map_kind, s, config)
+        assert exc.value.n == record
+        # and the same from a resume that halves from about 2*next_n on
+        path = tmp_path / "run.ckpt"
+        next_n = record // 3
+        prefix = _reference(map_kind, [next_n - 1], bound, max_steps)[-1]
+        save_checkpoint(Checkpoint(prefix, s, bound, "then", max_steps), path)
+        with pytest.raises(CensusAbortError) as exc:
+            run_census(map_kind, s, config, checkpoint_path=path, resume=True)
+        assert exc.value.n == record
+
+    def test_halving_starts_where_every_later_chunk_qualifies(self):
+        # [6, 7] could be halved, but [8, 65543] holds its own half, so the
+        # halved region starts after it and [6, 7] is counted whole
+        cache = build_residue_cache(MapKind.CR, 2)
+        sweep = census_module._Sweep(cache, 1, [5, 7, 10**6], 1 << 16, True)
+        assert sweep.floor == 65544
+        assert not sweep.halves(6, 7) and sweep.halves(65544, 131079)
+        cuts = [5, 7, 300_000]
+        config = CensusConfig(cache_bound=2)
+        assert _tally(MapKind.CR3, cuts, config) == _reference(MapKind.CR3, cuts, 2, 10**6)
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_chunks_past_the_ceiling_are_counted_whole(self, map_kind, monkeypatch):
+        monkeypatch.setattr(census_module, "_HALVED_ENDS", 20)
+        calls = []
+        residues_by = classifier.ResidueCache._residues_by
+
+        def recording(self, lo, hi, walk, odd=False):
+            calls.append((lo, odd))
+            return residues_by(self, lo, hi, walk, odd)
+
+        monkeypatch.setattr(classifier.ResidueCache, "_residues_by", recording)
+        config = CensusConfig(chunk_size=100, cache_bound=1000)
+        cuts = [20_000]
+        assert _tally(map_kind, cuts, config) == _reference(map_kind, cuts, 1000, 10**6)
+        # the region is [901, 901 + 20 * 100]
+        assert [lo for lo, odd in calls if odd] == list(range(901, 2901, 100))
+
+    def test_a_vast_census_starts_counting_at_once(self):
+        # the look-ahead and the memo stop at the ceiling, however far S is
+        cache = build_residue_cache(MapKind.CR, 2)
+        sweep = census_module._Sweep(cache, 1, [2**100], 1 << 16, True)
+        for (lo, hi), _ in zip(sweep.chunks(1), range(600)):
+            points = sweep.pull(lo, hi)
+            sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
+            assert len(sweep.memo) <= census_module._HALVED_ENDS
+        assert sweep.ceiling == 65537 << census_module._HALVED_DEPTH
+
+    def test_halved_chunks_descend_only_odd_members(self, monkeypatch):
+        calls = []
+        residues_by = classifier.ResidueCache._residues_by
+
+        def recording(self, lo, hi, walk, odd=False):
+            calls.append((lo, hi, odd))
+            return residues_by(self, lo, hi, walk, odd)
+
+        monkeypatch.setattr(classifier.ResidueCache, "_residues_by", recording)
+        run_census(MapKind.CR3, 1 << 16, CensusConfig(chunk_size=1 << 10, cache_bound=1 << 12))
+        # chunks below the bound read the table; every chunk that reaches it is halved
+        assert [lo for lo, _, odd in calls if not odd] == list(range(1, 3 << 10, 1 << 10))
+        assert [lo for lo, _, odd in calls if odd] == list(range(3 << 10 | 1, 1 << 16, 1 << 10))
+
+    def test_no_chunk_is_halved_under_a_budget_of_no_steps(self, monkeypatch):
+        calls = record_chunks(monkeypatch)
+        odd_calls = []
+        residues_by = classifier.ResidueCache._residues_by
+
+        def recording(self, lo, hi, walk, odd=False):
+            odd_calls.append(odd)
+            return residues_by(self, lo, hi, walk, odd)
+
+        monkeypatch.setattr(classifier.ResidueCache, "_residues_by", recording)
+        with pytest.raises(CensusAbortError) as exc:
+            run_census(MapKind.CR3, 100, CensusConfig(chunk_size=1, cache_bound=2, max_steps=0))
+        assert exc.value.n == 2 and calls == [(1, 1), (2, 2)]
+        assert not any(odd_calls)
+
+    def test_the_memo_stays_bounded(self, monkeypatch):
+        # a point is kept from the chunk that passes it until the chunk past
+        # twice it; the live set is a small share of all the points ever kept
+        exact = census_module._count_chunk
+        seen = set()
+        peak = 0
+
+        def watching(map_kind, lo, hi, cache, sweep):
+            nonlocal peak
+            part = exact(map_kind, lo, hi, cache, sweep)
+            assert all((lo - 1) // 2 <= y <= hi for y in sweep.memo)
+            seen.update(sweep.memo)
+            peak = max(peak, len(sweep.memo))
+            return part
+
+        monkeypatch.setattr(census_module, "_count_chunk", watching)
+        s = 1 << 19
+        result = run_census(MapKind.CR3, s, CensusConfig(chunk_size=1000, cache_bound=1 << 10))
+        assert result.counts == _reference(MapKind.CR3, [s], 1 << 10, 10**6)[-1]
+        assert len(seen) > 1000 and peak < len(seen) // 4

@@ -376,8 +376,8 @@ class TestVerifyRange:
         before = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
         descend = classifier._descend_range
 
-        def corrupted(cache, lo, hi, walk):
-            out = descend(cache, lo, hi, walk).copy()
+        def corrupted(cache, lo, hi, walk, *classes):
+            out = descend(cache, lo, hi, walk, *classes).copy()
             if lo <= 5000 <= hi:
                 out[5000 - lo] += 1
             return out % 3
@@ -392,8 +392,8 @@ class TestVerifyRange:
         before = census_chunk(MapKind.CR3, 1, 10_000, cache).counts
         residues_by = classifier.ResidueCache._residues_by
 
-        def corrupted(self, lo, hi, walk):
-            out = residues_by(self, lo, hi, walk).copy()
+        def corrupted(self, lo, hi, walk, *odd):
+            out = residues_by(self, lo, hi, walk, *odd).copy()
             if lo <= 5000 <= hi:
                 out[5000 - lo] = (out[5000 - lo] + 1) % self.modulus
             return out
@@ -1210,3 +1210,123 @@ class TestBudgetIsTheCaches:
             "verify_range",
         } <= checked
         assert build_residue_cache(MapKind.CR, 100, 500).max_steps == 500
+
+
+class TestResidueCacheChecksItsInput:
+    # the three calls that once returned short or raised a bare IndexError
+    # now stop at the constructor, before any compute
+    def test_short_table_is_refused(self):
+        with pytest.raises(ValueError, match="100 entries"):
+            ResidueCache(MapKind.CR, 100, 10**6, np.zeros(10, np.uint8))
+
+    @pytest.mark.parametrize(
+        "basis, bound, max_steps, table",
+        [
+            (MapKind.CR, 100, 10**6, np.zeros(101, np.uint8)),
+            (MapKind.CR, 100, 10**6, np.zeros((10, 10), np.uint8)),
+            (MapKind.CR, 100, 10**6, np.zeros(100, np.int64)),
+            (MapKind.CR, 100, 10**6, [0] * 100),
+            (MapKind.CR, 1, 10**6, np.zeros(1, np.uint8)),
+            (MapKind.CR, True, 10**6, np.zeros(1, np.uint8)),
+            (MapKind.CR, 2.0, 10**6, np.zeros(2, np.uint8)),
+            (MapKind.CR3, 100, 10**6, np.zeros(100, np.uint8)),
+            ("cr", 100, 10**6, np.zeros(100, np.uint8)),
+            (MapKind.CR, 100, -1, np.zeros(100, np.uint8)),
+            (MapKind.CR, 100, 1.5, np.zeros(100, np.uint8)),
+        ],
+        ids=[
+            "long", "2-D", "int64", "list", "bound-1", "bound-True", "bound-float",
+            "composite-basis", "basis-str", "budget-negative", "budget-float",
+        ],
+    )
+    def test_bad_input_is_a_value_error(self, basis, bound, max_steps, table):
+        with pytest.raises(ValueError):
+            ResidueCache(basis, bound, max_steps, table)
+
+    def test_a_valid_table_is_wrapped_uncopied(self):
+        table = build_residue_cache(MapKind.PDCR, 100)._residues
+        cache = ResidueCache(MapKind.PDCR, 100, 7, table)
+        assert cache._residues is table and cache.max_steps == 7 and cache.modulus == 2
+
+
+# windows of m for residue(2m) = residue(m) + 1: 2m below, across and above
+# a 2^10 bound, and m and 2m on both sides of 2^63 and 2^64, where the
+# kernel's uint64 guard and the walked tail take over
+_HALF_WINDOWS = [
+    (1, 300),
+    (400, 700),
+    (10**6, 10**6 + 400),
+    (2**63 - 40, 2**63 + 40),
+    (2**64 - 40, 2**64 + 40),
+]
+
+
+class TestEvenMembers:
+    """The identity the census counts its even members by: one base step
+    sends 2m to m, and from m on the walk of 2m is m's own."""
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize(
+        "lo, hi, bound, budget",
+        [(lo, hi, 1 << 10, budget) for lo, hi in _HALF_WINDOWS for budget in (10**6, 150)]
+        # one step: every member from 3 on fails, and so does its double
+        + [(lo, hi, 2, 1) for lo, hi in _HALF_WINDOWS[:2]],
+    )
+    def test_residue_of_2m_is_one_more_than_m(self, basis, lo, hi, bound, budget):
+        # under any budget of at least one step, 2m fails exactly when m does
+        cache = _cache(basis, bound, budget)
+        halves = cache._residues_by(lo, hi, classifier._descend_or_fail)
+        doubles = cache._residues_by(2 * lo, 2 * hi, classifier._descend_or_fail)[::2]
+        failed = halves == classifier._FAILED
+        assert (doubles[failed] == classifier._FAILED).all()
+        assert (doubles[~failed] == (halves[~failed] + 1) % cache.modulus).all()
+        if budget == DEFAULT_STEP_BUDGET:
+            assert not failed.any()
+            assert (cache.residues(2 * lo, 2 * hi)[::2] == doubles).all()
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    def test_a_budget_of_no_steps_breaks_it(self, basis):
+        # why the census halves nothing at max_steps = 0: 1 passes, 2 fails
+        cache = _cache(basis, 2, 0)
+        assert cache.residues(1, 1).tolist() == [0]
+        with pytest.raises(StepBudgetExceeded):
+            cache.residues(2, 2)
+
+
+class TestOddRoute:
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize("bound", [2, 3, 17, 1 << 12])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (1, 1), (2, 2), (1, 40), (2, 41), (4000, 4200), (4095, 4097),
+            (10**9, 10**9 + 3000), (2**64 - 41, 2**64 + 40), (2**64, 2**64 + 1),
+        ],
+    )
+    def test_odd_members_of_the_all_class_result(self, basis, bound, lo, hi):
+        cache = _cache(basis, bound, 150)
+        every = cache._residues_by(lo, hi, classifier._descend_or_fail)
+        odd = cache._residues_by(lo, hi, classifier._descend_or_fail, odd=True)
+        first = lo | 1  # the first odd member
+        assert odd.tolist() == every[first - lo :: 2].tolist()
+        # the census's walk names the smallest failing odd member, or passes
+        failing = [first + 2 * int(i) for i in np.flatnonzero(odd == classifier._FAILED)]
+        if failing:
+            with pytest.raises(StepBudgetExceeded) as exc:
+                cache.residues(lo, hi, odd=True)
+            assert exc.value.n == failing[0]
+        else:
+            assert cache.residues(lo, hi, odd=True).tolist() == odd.tolist()
+
+    def test_one_kernel_call_with_the_odd_classes(self, monkeypatch):
+        cache = _cache(MapKind.CR, 1 << 10)
+        calls = []
+        descend = classifier._descend_range
+
+        def recording(cache, lo, hi, walk, classes=classifier._ALL_CLASSES):
+            calls.append((lo, hi, classes.tolist()))
+            return descend(cache, lo, hi, walk, classes)
+
+        monkeypatch.setattr(classifier, "_descend_range", recording)
+        cache.residues(1000, 5000, odd=True)
+        assert calls == [(1024, 5000, list(range(1, 64, 2)))]

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -22,6 +23,46 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def _signal_from_a_chunk(capsys, tmp_path, signame, word, code, *knobs):
+    """Send a real signal from inside the chunk at 40001 of a checkpointed
+    census in a child process: no traceback, one stderr line, the prefix
+    saved, and a resume that prints the uninterrupted bytes."""
+    script = textwrap.dedent(
+        f"""
+        import os, signal, sys
+        from collatz_census import census, cli
+        exact = census._count_chunk
+        def chunk(map_kind, lo, hi, *args):
+            if lo == 40001:
+                os.kill(os.getpid(), signal.{signame})
+            return exact(map_kind, lo, hi, *args)
+        census._count_chunk = chunk
+        sys.exit(cli.main(sys.argv[1:]))
+        """
+    )
+    path = tmp_path / "run.ckpt"
+    argv = ["census", "100000", "--chunk-size", "1000", "--format", "csv", *knobs]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--checkpoint", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    match = re.fullmatch(
+        rf"{word}: census stopped at next_n=(\d+); (.+) holds \[1, (\d+)\]; "
+        r"continue with --resume\n",
+        proc.stderr,
+    )
+    assert match, proc.stderr
+    next_n = int(match[1])
+    assert match[2] == str(path) and int(match[3]) == next_n - 1
+    assert next_n <= 40001 and next_n % 1000 == 1
+    assert json.loads(path.read_text())["next_n"] == next_n
+    resumed = run_cli(capsys, *argv, "--checkpoint", str(path), "--resume")
+    assert resumed[:2] == (0, run_cli(capsys, *argv)[1])
 
 
 class TestClassify:
@@ -259,40 +300,19 @@ class TestCensusCommand:
 
     def test_sigint_exits_130_without_a_traceback(self, capsys, tmp_path):
         # a real SIGINT, sent from inside a chunk once the tally is running
-        script = textwrap.dedent(
-            """
-            import os, signal, sys
-            from collatz_census import census, cli
-            exact = census.census_chunk
-            def chunk(map_kind, lo, hi, cache):
-                if lo == 40001:
-                    os.kill(os.getpid(), signal.SIGINT)
-                return exact(map_kind, lo, hi, cache)
-            census.census_chunk = chunk
-            sys.exit(cli.main(sys.argv[1:]))
-            """
+        _signal_from_a_chunk(capsys, tmp_path, "SIGINT", "interrupted", 130)
+
+    def test_sigterm_saves_the_prefix_and_exits_143(self, capsys, tmp_path):
+        # SIGTERM takes the Ctrl-C path, here from a chunk past the cache
+        # bound, whose odd members descend and whose evens are read off
+        _signal_from_a_chunk(
+            capsys, tmp_path, "SIGTERM", "terminated", 143, "--cache-bound", "4096"
         )
-        path = tmp_path / "run.ckpt"
-        argv = ["census", "100000", "--chunk-size", "1000", "--format", "csv"]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv, "--checkpoint", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert (proc.returncode, proc.stdout) == (130, "")
-        match = re.fullmatch(
-            r"interrupted: census stopped at next_n=(\d+); (.+) holds \[1, (\d+)\]; "
-            r"continue with --resume\n",
-            proc.stderr,
-        )
-        assert match, proc.stderr
-        next_n = int(match[1])
-        assert match[2] == str(path) and int(match[3]) == next_n - 1
-        assert next_n <= 40001 and next_n % 1000 == 1
-        assert json.loads(path.read_text())["next_n"] == next_n
-        resumed = run_cli(capsys, *argv, "--checkpoint", str(path), "--resume")
-        assert resumed[:2] == (0, run_cli(capsys, *argv)[1])
+
+    def test_census_restores_the_sigterm_handler(self, capsys):
+        before = signal.getsignal(signal.SIGTERM)
+        assert run_cli(capsys, "census", "1000")[0] == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_missing_checkpoint_is_anomaly(self, capsys, tmp_path):
         code, _, err = run_cli(
