@@ -48,11 +48,12 @@ sit at the same offsets rho in every piece, so their first jumps are
 ``mult[rho]*q + add[rho]``: slices of the tables gathered once at rho, or
 of the jump tables themselves for a range, with no start array and no
 per-lane gathers. The build runs serially and sends the kernel only
-what a residue-class sieve over the same Terras coefficients leaves: a
-class of lanes 2^s*q + r whose landings after
-j <= s ``pdcr`` steps all fall below the block floor, within the step
-budget, is written as one strided slice of the entries it lands on, with
-no per-lane arithmetic.
+what a sieve over the parity tree of the same Terras coefficients
+leaves. A leaf is a class of lanes 2^j*q + r, j <= s, whose landings
+after j ``pdcr`` steps all fall below the block floor, within the step
+budget, and that no shallower such class holds. It is written as one
+strided slice of the entries it lands on, with no per-lane arithmetic:
+the evens of a block are the one leaf 2q + 0.
 
 The residue rule is derived engineering, so ``verify_range`` cross-checks
 the two routes in blocks of at most 2^14 numbers. Its direct side,
@@ -101,7 +102,7 @@ from .kernel import (
 # fall below a floor of 2.
 _JUMP_BITS = 13
 _MAX_BLOCK = 1 << 19       # cap on cache-build block length
-_SIEVE_BITS = 6            # the cache build sieves residue classes mod 2^6
+_SIEVE_BITS = 6            # the cache build sieves the parity tree down to classes mod 2^6
 _ALL_CLASSES = np.arange(1 << _SIEVE_BITS)  # a whole range, as descent-kernel classes
 _ODD_CLASSES = _ALL_CLASSES[1::2]  # its odd members
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
@@ -557,6 +558,36 @@ def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
     return out
 
 
+def _sieve_leaves(basis, a, b, max_steps):
+    """The leaves of the parity tree over a build block [a, b), 2^k <= a < b,
+    k = ``_SIEVE_BITS``, and the classes mod 2^k under none of them.
+
+    A node (j, r), j <= k and r < 2^j, holds the members 2^j*q + r of the
+    block. They share their first j ``pdcr`` parities, so j steps send them
+    to 3^c*q + T^j(r) (Terras 1976; :func:`_sieve_tables` gives these for
+    every class mod 2^k). A node qualifies when all of its members land
+    below a after j steps, at a base-step cost within ``max_steps``: when
+    every class mod 2^k under it does, or has no member in the block. A leaf
+    is a qualifying node with no qualifying ancestor. Returns the leaves as
+    (j, r) pairs, shallowest first, and the sorted array of classes mod 2^k
+    under no leaf, which the descent kernel takes.
+    """
+    stride, landing, cost, _ = _sieve_tables(basis)
+    m = 1 << _SIEVE_BITS
+    q0 = (a - _ALL_CLASSES + m - 1) // m  # first lane of class r is m*q0 + r
+    q1 = (b - 1 - _ALL_CLASSES) // m  # last lane
+    top = stride * q1 + landing  # each class's largest landing after j steps
+    fits = (top < a) & (cost <= max_steps) | (q0 > q1)  # an empty class fits
+    under = np.zeros(m, dtype=bool)  # the classes under a leaf found so far
+    leaves = []
+    for j in range(_SIEVE_BITS + 1):
+        # a node's classes mod m share one status, so class r stands for node (j, r)
+        new = fits[j].reshape(-1, 1 << j).all(axis=0) & ~under[: 1 << j]
+        leaves += [(j, r) for r in np.flatnonzero(new).tolist()]
+        under.reshape(-1, 1 << j)[:] |= new  # every class mod m under a new leaf
+    return leaves, _ALL_CLASSES[~under]
+
+
 def build_residue_cache(
     basis: MapKind, bound: int, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> ResidueCache:
@@ -570,20 +601,22 @@ def build_residue_cache(
     res[:a])``, a read-only view of the entries below a, so an index at or
     above a raises instead of reading an entry not yet filled.
 
-    A block is filled by residue class r mod M = 2^k, k = ``_SIEVE_BITS``
-    (:func:`_sieve_tables`). The lanes M*q + r of a class share their first
-    k parities, so after j <= k ``pdcr`` steps they land on the arithmetic
-    progression stride*q + landing. If the largest landing of the class in
-    the block is below a for some j whose base-step cost is within
-    ``max_steps``, the smallest such j writes the whole class as one strided
-    slice of the entries it lands on, plus the residue advance. The other
-    classes go through :func:`_descend_range` as one call over [a, b - 1]
-    into the cache below a, which returns their members' residues in
-    ascending order; each class's share is written back as one strided
-    slice. A sieved lane falls below a within ``max_steps`` steps, so the
-    kernel would accept it with the same residue: the residues, and the
-    start a budget or overflow error names (the smallest failing one), are
-    those of a build that sends every lane through the kernel.
+    A block from a = 2^k on, k = ``_SIEVE_BITS``, is filled leaf by leaf
+    (:func:`_sieve_leaves`). A leaf (j, r) holds the members 2^j*q + r
+    whose first j ``pdcr`` steps take them to 3^c*q + T^j(r) below a,
+    within ``max_steps``; it is written as one strided slice of the entries
+    those landings hit, plus the residue advance of the j steps. The evens
+    form the leaf (1, 0) of every block: one slice, since residue(2m) =
+    residue(m) + 1 under ``cr`` and ``pdcr``. The classes mod 2^k under no
+    leaf go through :func:`_descend_range` as one call over [a, b - 1] into
+    the cache below a, which returns their members' residues in ascending
+    order; each class's share is written back as one strided slice. A block
+    with no such class makes no kernel call. A leaf's lane falls below a
+    within ``max_steps`` steps, so the kernel would accept it with the same
+    residue: the residues, and the start a budget or overflow error names
+    (the smallest failing one), are those of a build that sends every lane
+    through the kernel. The blocks below 2^k, where a class holds at most
+    one lane, go to the kernel whole.
 
     The budget is :func:`_walk`'s, whatever the block layout: until its
     trajectory reaches 1, every run of ``max_steps`` base steps from n must
@@ -594,39 +627,31 @@ def build_residue_cache(
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 2:
         raise ValueError(f"cache bound must be an integer >= 2, got {bound!r}")
     _validate_budget(max_steps)
-    stride, landing, cost, advance = _sieve_tables(basis)
-    m = 1 << _SIEVE_BITS
-    classes = np.arange(m)
-    within_budget = cost <= max_steps
+    stride, landing, _, advance = _sieve_tables(basis)
+    k = _SIEVE_BITS
+    m = 1 << k
     res = np.zeros(bound, dtype=np.uint8)
     a = 2
     while a < bound:
         b = min(bound, 2 * a, a + _MAX_BLOCK)
         below = ResidueCache(basis, a, max_steps, res[:a])
-        q0 = (a - classes + m - 1) // m  # first lane of class r is m*q0 + r
-        q1 = (b - 1 - classes) // m  # last lane
-        top = stride * q1 + landing  # each class's largest landing after j steps
-        fits = (top < a) & within_budget & (q0 <= q1)
-        j = fits.argmax(axis=0)
-        sieved = fits[j, classes]
-        r = classes[sieved]
-        j, q0, q1 = j[sieved], q0[sieved], q1[sieved]
-        s, d = stride[j, r], landing[j, r]
-        for first, lo, hi, step, adv in zip(
-            (m * q0 + r).tolist(),
-            (s * q0 + d).tolist(),
-            (s * q1 + d + 1).tolist(),
-            s.tolist(),
-            advance[j, r].tolist(),
-        ):
+        if a < m:  # a class holds at most one lane: nothing to sieve
+            res[a:b] = _descend_range(below, a, b - 1, _descend_scalar, _ALL_CLASSES)
+            a = b
+            continue
+        leaves, rest = _sieve_leaves(basis, a, b, max_steps)
+        for j, r in leaves:
+            first = a + (r - a) % (1 << j)  # the leaf's first member, 2^j*q0 + r
+            q0, q1 = (first - r) >> j, (b - 1 - r) >> j
+            s, d = int(stride[j, r]) >> (k - j), int(landing[j, r])  # s = 3^c
             # (v + adv) mod modulus; uint8 v - modulus wraps high when v < modulus
-            v = below._residues[lo:hi:step] + adv
-            res[first:b:m] = np.minimum(v, v - modulus)
-        rest = classes[~sieved]
-        out = _descend_range(below, a, b - 1, _descend_scalar, rest)
-        # out ascends, so the classes take turns: the p-th to start holds out[p::len(rest)]
-        for p, first in enumerate(sorted(a + (r - a) % m for r in rest.tolist())):
-            res[first:b:m] = out[p :: len(rest)]
+            v = below._residues[s * q0 + d : s * q1 + d + 1 : s] + advance[j, r]
+            res[first : b : 1 << j] = np.minimum(v, v - modulus, out=v)
+        if rest.size:
+            out = _descend_range(below, a, b - 1, _descend_scalar, rest)
+            # out ascends, so the classes take turns: the p-th to start holds out[p::len(rest)]
+            for p, first in enumerate(sorted(a + (r - a) % m for r in rest.tolist())):
+                res[first:b:m] = out[p :: len(rest)]
         a = b
     return ResidueCache(basis, bound, max_steps, res)
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import random
 from unittest import mock
@@ -1044,24 +1045,53 @@ class TestSieveBuild:
             assert 0 < kernel_lanes[a] < 1 << 12, a
 
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
-    def test_blocks_descend_into_the_cache_built_so_far(self, basis, monkeypatch):
-        # a block [a, b) reads a read-only view of exactly the a entries below it
+    @pytest.mark.parametrize("bound", [5000, 4868])
+    def test_blocks_descend_into_the_cache_built_so_far(self, basis, bound, monkeypatch):
+        # a block [a, b) with kernel lanes reads a read-only view of exactly the
+        # a entries below it; a block of leaves alone makes no kernel call
         monkeypatch.setattr(classifier, "_MAX_BLOCK", 1 << 8)
         seen = []
         exact = classifier._descend_range
 
         def recording(cache, lo, hi, walk, classes):
-            seen.append((lo, cache.bound, len(cache._residues), cache._residues.flags.writeable))
+            seen.append(
+                (lo, cache.bound, len(cache._residues), cache._residues.flags.writeable, len(classes))
+            )
             return exact(cache, lo, hi, walk, classes)
 
         monkeypatch.setattr(classifier, "_descend_range", recording)
-        bound = 5000
         built = build_residue_cache(basis, bound)._residues
         assert np.array_equal(built, _kernel_build(basis, bound))
         starts = [2, 4, 8, 16, 32, 64, 128] + list(range(256, bound, 1 << 8))
-        assert [lo for lo, *_ in seen] == starts
-        for lo, floor, size, writeable in seen:
+        with_lanes = [
+            a
+            for a in starts
+            if a < 64
+            or classifier._sieve_leaves(basis, a, min(bound, 2 * a, a + (1 << 8)), DEFAULT_STEP_BUDGET)[1].size
+        ]
+        assert [lo for lo, *_ in seen] == with_lanes
+        if bound == 4868:  # [4864, 4868) holds the classes 0 to 3 mod 64, all leaves
+            assert with_lanes == starts[:-1]
+        else:
+            assert with_lanes == starts
+        for lo, floor, size, writeable, classes in seen:
             assert floor == size == lo and not writeable, lo
+            # below 64 the block goes whole; above, the evens are always a leaf
+            assert 0 < classes <= 64 and (classes == 64) == (lo < 64), lo
+
+    @pytest.mark.parametrize(
+        "basis, bound, digest",
+        [
+            (MapKind.CR, 10**7 + 1, "b5a247b4c0a67ced1c3d84309671e18ed0bd64ea387a6d83003885715aa741e7"),
+            (MapKind.PDCR, 10**7 + 1, "d7f2333b09ffc4783a6cf79c711b9a5196aabb4c3f2d93508fb2f09f9b168527"),
+            (MapKind.CR, 1 << 20, "e0e96c36b473e3ce52626cd231238639ba09b1cd4df5ab8a3cafa7917dde72df"),
+            (MapKind.PDCR, 1 << 20, "f867ba1dd313199f7a917d56a0b61b1b3506f995b9e1dede500eeeb064186cec"),
+        ],
+    )
+    def test_cache_bytes_are_pinned(self, basis, bound, digest):
+        # digests of the tables one slice per class mod 64 built: leaves change no byte
+        built = build_residue_cache(basis, bound)._residues
+        assert hashlib.sha256(built.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
     @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 60, 90, 100, 150])
@@ -1087,6 +1117,63 @@ class TestSieveBuild:
         with pytest.raises(StepBudgetExceeded) as exc:
             build_residue_cache(basis, 2 * 10**5, budget)
         assert exc.value.n == first_failing
+
+
+def _pdcr_walk(basis, members, j):
+    """The values of ``members`` after each of 0..j ``pdcr`` steps, literally
+    iterated, with the base-step cost of each: rows 0..j."""
+    x, odd = members.copy(), np.zeros_like(members)
+    values, costs = [], []
+    for i in range(j + 1):
+        values.append(x)
+        costs.append(i + odd if basis is MapKind.CR else np.full_like(x, i))
+        step = x & 1
+        x = np.where(step == 1, (3 * x + 1) // 2, x // 2)
+        odd = odd + step
+    return values, costs
+
+
+class TestSieveLeaves:
+    """The parity tree of a build block against brute force over its members."""
+
+    @pytest.mark.parametrize("basis", [MapKind.CR, MapKind.PDCR])
+    @pytest.mark.parametrize("budget", [0, 1, 3, 8, 60, 10**6])
+    def test_leaves_match_brute_force(self, basis, budget):
+        k = classifier._SIEVE_BITS
+        m = 1 << k
+        rng = random.Random(f"leaves-{basis.value}-{budget}")
+        for _ in range(12):
+            a = rng.randrange(m, 1 << rng.choice([8, 12, 16, 20, 23]))
+            widest = min(a, 1 << 19)  # b <= min(2a, a + 2^19)
+            b = a + rng.choice([widest, rng.randint(1, widest), rng.randint(1, 200)])
+            members = np.arange(a, b, dtype=np.int64)
+            values, costs = _pdcr_walk(basis, members, k)
+            # failing[j]: the nodes (j, r) with a member not below a within the budget
+            failing = [
+                set(np.unique(members[(x >= a) | (c > budget)] % (1 << j)).tolist())
+                for j, (x, c) in enumerate(zip(values, costs))
+            ]
+
+            def qualifies(j, r):
+                return r % (1 << j) not in failing[j]
+
+            leaves, rest = classifier._sieve_leaves(basis, a, b, budget)
+            under = []
+            for j, r in leaves:
+                assert 0 <= r < 1 << j and j <= k, (a, b, j, r)
+                assert qualifies(j, r), (a, b, j, r)
+                assert not any(qualifies(i, r) for i in range(j)), (a, b, j, r)
+                under += range(r, m, 1 << j)
+                own = members[members % (1 << j) == r]
+                for n in own[:1].tolist() + own[-1:].tolist():  # the ends, stepwise
+                    y, odd = n, 0
+                    for _ in range(j):
+                        odd += y & 1
+                        y = pdcr_step(y)
+                    assert y < a and j + odd * (basis is MapKind.CR) <= budget, (a, b, n)
+            assert sorted(under + rest.tolist()) == list(range(m)), (a, b)
+            for r in rest.tolist():
+                assert not any(qualifies(j, r) for j in range(k + 1)), (a, b, r)
 
 
 @functools.cache
