@@ -21,15 +21,19 @@ P(floor(hi/2)) - P(floor((lo - 1)/2)), class r's count moved to r + 1 mod
 the modulus. A chunk can be halved when it reaches the bound, the budget
 is at least one step and both of those P were recorded in this run, which
 holds from about twice the first n on: a resumed run counts whole chunks
-until then. The halved chunks are those of one region [floor, ceiling]:
-from the first chunk from which every chunk qualifies, up to at most 2^18
-chunk ends and 2^9 times the floor. P is kept only at the points some
-halved chunk reads, from the chunk that passes y until the sweep passes
-2y + 2, so the memo holds points of [x/2, x] at position x, near half the
-region's chunk ends at its peak (about 33 MB at most); the cap also bounds
-how far ahead each chunk looks. Past the ceiling chunks are counted whole.
-An even member is never the smallest failing n, since its half failed
-first, so aborts name the same n as before.
+until then. The halved chunks are those of one region [floor, ceiling].
+The floor is the first chunk start at least the chunk size and
+2*start - 1 that is not below the chunk holding the bound; every chunk
+from it on qualifies, since hi < lo + size <= 2*lo. The ceiling is at most
+2^18 chunk ends and 2^9 times the floor. P is kept only at the points some
+halved chunk reads, floor(e/2^k) for the chunk ends e up to the ceiling
+whose halvings stay in the region, from the chunk that passes y until the
+sweep passes 2y + 2, so the memo holds points of [x/2, x] at position x,
+near half the region's chunk ends at its peak (about 33 MB at most); the
+cap also bounds how many chunk ends a chunk walks to find its points. Past
+the ceiling chunks are counted whole. An even member is never the smallest
+failing n, since its half failed first, so aborts name the same n as
+before.
 
 ``run_census`` and ``run_series`` share that engine: a series is a census
 whose sample points are forced chunk cuts. Every result carries its counts
@@ -49,7 +53,6 @@ from __future__ import annotations
 import bisect
 import collections
 import contextlib
-import heapq
 import json
 import numbers
 import os
@@ -82,8 +85,9 @@ CHECKPOINT_VERSION = 2
 
 _VECTOR_SPAN = 1 << 20  # cap on the span of one residues call inside a chunk
 # Caps on the halved region [floor, ceiling]. The memo peaks near half its
-# chunk ends, at about 254 bytes a point (33 MB for 2^18 ends), and a chunk
-# at x looks ahead about 2*ceiling/x chunk ends, at most 2^(depth + 1).
+# chunk ends, at about 254 bytes a point (33 MB for 2^18 ends). A chunk at x
+# finds its points in the about 2^k chunk ends past x*2^k, for each depth k
+# up to ceiling/x: about 2*ceiling/x ends in all, at most 2^(depth + 1).
 _HALVED_ENDS = 1 << 18
 _HALVED_DEPTH = 9
 
@@ -92,12 +96,17 @@ class CensusAbortError(RuntimeError):
     """A census member failed to classify; the whole run is abandoned.
 
     Skipping the member silently would break the count identity and could
-    hide a genuine counterexample, so the offending n is surfaced instead.
+    hide a genuine counterexample, so the offending n is surfaced instead,
+    with the ``phase`` it failed in: ``"build"`` for the residue-cache
+    build, ``"tally"`` for counting the chunks.
     """
 
-    def __init__(self, n: int, cause: Exception):
-        super().__init__(f"census aborted at n={n}: {cause}")
+    _PHASES = {"build": "the cache build", "tally": "the tally"}
+
+    def __init__(self, n: int, cause: Exception, phase: str):
+        super().__init__(f"census aborted at n={n} in {self._PHASES[phase]}: {cause}")
         self.n = n
+        self.phase = phase
 
 
 class CheckpointError(ValueError):
@@ -257,7 +266,7 @@ def _chunk_totals(cache, lo, hi, points, odd=False):
         try:
             residues = cache.residues(a, b, odd)
         except (NatOverflowError, StepBudgetExceeded) as e:
-            raise CensusAbortError(e.n, e) from e
+            raise CensusAbortError(e.n, e, "tally") from e
         i = 0
         while y <= b:
             j = (y + 1) // 2 - a // 2 if odd else y + 1 - a  # the span's members up to y
@@ -479,45 +488,31 @@ class _Sweep:
     for every y it must report P at: its end hi and each needed point
     inside it. So the needed points are the closure of the chunk ends under
     y -> floor(y/2), followed while y lies strictly inside a halved chunk.
-    Depth k of the closure is one lazy stream over the chunk ends from
-    about 2^k times the sweep's position, up to the ceiling; the streams
-    are merged in order and :meth:`pull` hands each chunk its points, so no
-    list of chunks or points is ever built.
+    No chain needs walking: one that lands on a chunk end e' goes on with
+    the points of e' itself. So the closure is floor(e/2^k), k >= 1, for
+    every chunk end e <= min(ceiling, cuts[-1]) whose last halving
+    floor(e/2^(k - 1)) borders the region (k = 1: e >= floor - 1) or lies in
+    it (e >= floor * 2^(k - 1)). :meth:`pull` finds each chunk's points from
+    the chunk ends of each depth, so no list of chunks or points is built.
     """
 
-    def __init__(self, cache, start, cuts, size, halving):
+    def __init__(self, cache, start, cuts, size):
         self.start, self.cuts, self.size = start, cuts, size
-        self.floor = self._first_halved(cache.bound) if halving else None
+        # The floor is the first chunk start lo >= max(size, 2*start - 1),
+        # from the chunk that holds the bound on. Every chunk from there on
+        # qualifies: hi >= bound, both halves it reads lie in this run, and
+        # hi <= lo + size - 1 < 2*lo. Under a budget of no steps 2 fails
+        # while 1 passes: no chunk is halved.
+        least = max(size, 2 * start - 1)
+        first = max(least, cache.bound)
+        self.floor = None
+        if cache.max_steps >= 1 and first <= cuts[-1]:
+            self.floor = next((lo for lo, _ in self.chunks(first) if lo >= least), None)
         if self.floor is not None:
             self.ceiling = min(self.floor << _HALVED_DEPTH, self.floor + _HALVED_ENDS * size)
         self.totals = (0,) * cache.modulus  # P of the last counted n
         self.memo = {start - 1: self.totals}
         self._kept = collections.deque([start - 1])  # the memo's points, ascending
-        self._points = self._needed()
-        self._next = next(self._points, None)
-
-    def _first_halved(self, bound):
-        """The lo of the first chunk from which every chunk qualifies, or None.
-
-        A chunk qualifies when it reaches the bound and both halves it reads
-        were counted before it in this run: hi >= bound, lo >= 2*start - 1
-        and hi < 2*lo. Each condition, once met, holds for every later chunk
-        with lo >= size. A qualifying chunk followed by one that fails is
-        counted whole, so the halved chunks form one region and a chain of
-        halvings never crosses a gap.
-        """
-        floor = None
-        least = max(2 * self.start - 1, (bound + 1) // 2)  # lo > hi/2 >= bound/2
-        if least > self.cuts[-1]:
-            return None
-        for lo, hi in self.chunks(least):
-            if not (hi >= bound and 2 * self.start - 1 <= lo and hi < 2 * lo):
-                floor = None
-            elif floor is None:
-                floor = lo
-            if floor is not None and lo >= self.size:
-                break
-        return floor
 
     def halves(self, lo, hi) -> bool:
         """Whether the chunk [lo, hi] lies in the halved region."""
@@ -532,15 +527,25 @@ class _Sweep:
             yield lo, hi
 
     def pull(self, lo, hi) -> list[int]:
-        """The needed points of the next chunk [lo, hi], ascending. First
-        drops each P(y) with 2y + 2 < lo: no chunk from lo on reads it."""
+        """The needed points of the next chunk [lo, hi], ascending: the
+        floor(e/2^k) in it, of the chunk ends e in [lo*2^k, (hi + 1)*2^k)
+        that the class docstring admits. First drops each P(y) with
+        2y + 2 < lo: no chunk from lo on reads it."""
         while self._kept and self._kept[0] < (lo - 1) // 2:
             del self.memo[self._kept.popleft()]
-        points = []
-        while self._next is not None and self._next <= hi:
-            points.append(self._next)
-            self._next = next(self._points, None)
-        return points
+        if self.floor is None:
+            return []
+        last = min(self.ceiling, self.cuts[-1])
+        points = set()
+        for k in range(1, last.bit_length()):
+            least = max(lo << k, self.floor - 1 if k == 1 else self.floor << (k - 1))
+            if least > last:  # least grows with k
+                break
+            for _, e in self.chunks(least):
+                if e > last or e >> k > hi:
+                    break
+                points.add(e >> k)
+        return sorted(points)
 
     def advance(self, points, totals) -> None:
         """Record the counted chunk: ``totals[i]`` are its residue totals
@@ -557,36 +562,6 @@ class _Sweep:
         first = self.start if i == 0 else self.cuts[i - 1] + 1
         lo = n - (n - first) % self.size
         return lo, min(lo + self.size - 1, self.cuts[i])
-
-    def _inside_halved(self, y) -> bool:
-        hi = self._chunk(y)[1]
-        return self.floor <= y < hi <= self.ceiling
-
-    def _needed(self):
-        """The needed points, ascending, once each."""
-        if self.floor is None:
-            return
-        levels = []
-        for k in range(1, self.cuts[-1].bit_length()):
-            # floor(e/2^k) >= start; at depth 1 e is at least the end below
-            # the floor, deeper its halving floor(e/2^(k-1)) lies from the floor on
-            least = max(self.start << k, self.floor - 1 if k == 1 else self.floor << (k - 1))
-            if least <= min(self.cuts[-1], self.ceiling):
-                levels.append(self._level(k, least))
-        last = None
-        for y in heapq.merge(*levels):
-            if y != last:
-                yield y
-                last = y
-
-    def _level(self, k, least):
-        """floor(e/2^k), ascending, for each chunk end e >= ``least`` whose
-        halvings floor(e/2^j), 0 < j < k, lie strictly inside halved chunks."""
-        for _, e in self.chunks(least):
-            if e > self.ceiling:  # no later end borders a halved chunk
-                return
-            if all(self._inside_halved(e >> j) for j in range(k - 1, 0, -1)):
-                yield e >> k
 
 
 def _count_chunk(map_kind, lo, hi, cache, sweep) -> ClassCounts:
@@ -631,10 +606,8 @@ def _tally(map_kind, config, bound, start, cuts, absorb) -> None:
     try:
         cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
     except (NatOverflowError, StepBudgetExceeded) as e:
-        raise CensusAbortError(e.n, e) from e
-    # under a budget of no steps 2 fails while 1 passes: no chunk is halved
-    halving = config.max_steps >= 1 and cuts[-1] >= bound
-    sweep = _Sweep(cache, start, cuts, config.chunk_size, halving)
+        raise CensusAbortError(e.n, e, "build") from e
+    sweep = _Sweep(cache, start, cuts, config.chunk_size)
     for lo, hi in sweep.chunks(start):
         absorb(_count_chunk(map_kind, lo, hi, cache, sweep))
 

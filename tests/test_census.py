@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import os
@@ -287,7 +288,8 @@ class TestRunCensus:
         config = CensusConfig(cache_bound=2**10, max_steps=150, chunk_size=chunk_size)
         with pytest.raises(CensusAbortError) as exc:
             run_census(MapKind.CR3, 2 * 10**5, config)
-        assert exc.value.n == 10087
+        assert exc.value.n == 10087 and exc.value.phase == "tally"
+        assert str(exc.value).startswith("census aborted at n=10087 in the tally: ")
 
     @pytest.mark.parametrize("chunk_size", [1, 1000, 1 << 16])
     def test_build_abort_names_the_serial_start(self, chunk_size, monkeypatch):
@@ -295,7 +297,8 @@ class TestRunCensus:
         calls = record_chunks(monkeypatch)
         with pytest.raises(CensusAbortError) as exc:
             run_census(MapKind.CR3, 2 * 10**5, CensusConfig(max_steps=150, chunk_size=chunk_size))
-        assert exc.value.n == 10087
+        assert exc.value.n == 10087 and exc.value.phase == "build"
+        assert str(exc.value).startswith("census aborted at n=10087 in the cache build: ")
         assert calls == []
 
     def test_cache_is_built_before_the_first_chunk(self, monkeypatch):
@@ -994,12 +997,85 @@ class TestHalvedChunks:
         # [6, 7] could be halved, but [8, 65543] holds its own half, so the
         # halved region starts after it and [6, 7] is counted whole
         cache = build_residue_cache(MapKind.CR, 2)
-        sweep = census_module._Sweep(cache, 1, [5, 7, 10**6], 1 << 16, True)
+        sweep = census_module._Sweep(cache, 1, [5, 7, 10**6], 1 << 16)
         assert sweep.floor == 65544
         assert not sweep.halves(6, 7) and sweep.halves(65544, 131079)
         cuts = [5, 7, 300_000]
         config = CensusConfig(cache_bound=2)
         assert _tally(MapKind.CR3, cuts, config) == _reference(MapKind.CR3, cuts, 2, 10**6)
+        # [61, 110] qualifies, but the region starts at the first chunk
+        # whose lo is at least the chunk size, so [61, 110] is counted whole
+        cuts = [60, 110, 1000]
+        sweep = census_module._Sweep(cache, 1, cuts, 100)
+        assert sweep.floor == 111
+        assert not sweep.halves(61, 110) and sweep.halves(111, 210)
+        config = CensusConfig(chunk_size=100, cache_bound=2)
+        assert _tally(MapKind.CR3, cuts, config) == _reference(MapKind.CR3, cuts, 2, 10**6)
+
+    def test_needed_points_are_the_closure_of_the_chunk_ends(self):
+        # the closure by its definition: from each end that borders a halved
+        # chunk, halve while the value lies strictly inside a halved chunk
+        rng = random.Random("closure")
+        for _ in range(300):
+            size = rng.choice([1, 2, 3, 7, rng.randrange(1, 4097)])
+            s = rng.randrange(1, size * rng.randrange(1, 600) + 2)
+            cuts = sorted({*rng.sample(range(1, s + 1), min(s, rng.randrange(6))), s})
+            start = rng.choice([1, rng.randrange(1, s + 1)])
+            cuts = [c for c in cuts if c >= start]
+            bound = rng.choice([2, 3, 17, rng.randrange(2, s + 2)])
+            budget = rng.choice([0, 1, 10**6])
+            cache = ResidueCache(MapKind.CR, bound, budget, np.zeros(bound, np.uint8))
+            sweep = census_module._Sweep(cache, start, cuts, size)
+            chunks = list(sweep.chunks(start))
+            los = [lo for lo, _ in chunks]
+            halved = [(lo, hi) for lo, hi in chunks if sweep.halves(lo, hi)]
+            for lo, hi in halved:
+                assert hi >= bound and lo >= 2 * start - 1 and hi < 2 * lo and budget >= 1
+            if halved:  # one region of consecutive chunks
+                first = chunks.index(halved[0])
+                assert chunks[first : first + len(halved)] == halved
+
+            def strictly_inside_halved(y):
+                if y < start:
+                    return False
+                lo, hi = chunks[bisect.bisect_right(los, y) - 1]
+                return sweep.halves(lo, hi) and y < hi
+
+            needed = set()
+            for lo, hi in halved:
+                for y in (lo - 1, hi):
+                    y //= 2
+                    needed.add(y)
+                    while strictly_inside_halved(y):
+                        y //= 2
+                        needed.add(y)
+            for lo, hi in chunks:
+                points = sweep.pull(lo, hi)
+                assert points == sorted(y for y in needed if lo <= y <= hi), (lo, hi)
+                if sweep.halves(lo, hi):
+                    reads = [lo - 1, *points, hi]
+                    assert all(y // 2 in sweep.memo for y in reads), (lo, hi)
+                sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
+
+    def test_the_sweep_looks_up_few_chunks_per_chunk(self, monkeypatch):
+        # each depth walks only the chunk ends whose halvings land in the
+        # chunk; re-checking every halving chain took 896 lookups per chunk
+        cache = ResidueCache(MapKind.CR, 1 << 25, 10**6, np.zeros(1 << 25, np.uint8))
+        sweep = census_module._Sweep(cache, 1, [10**10], 1 << 16)
+        calls = 0
+        chunk = census_module._Sweep._chunk
+
+        def counting(self, n):
+            nonlocal calls
+            calls += 1
+            return chunk(self, n)
+
+        monkeypatch.setattr(census_module._Sweep, "_chunk", counting)
+        chunks = 3511
+        for (lo, hi), _ in zip(sweep.chunks(1), range(chunks)):
+            points = sweep.pull(lo, hi)
+            sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
+        assert sweep.halves(lo, hi) and calls <= 200 * chunks
 
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     def test_chunks_past_the_ceiling_are_counted_whole(self, map_kind, monkeypatch):
@@ -1021,7 +1097,7 @@ class TestHalvedChunks:
     def test_a_vast_census_starts_counting_at_once(self):
         # the look-ahead and the memo stop at the ceiling, however far S is
         cache = build_residue_cache(MapKind.CR, 2)
-        sweep = census_module._Sweep(cache, 1, [2**100], 1 << 16, True)
+        sweep = census_module._Sweep(cache, 1, [2**100], 1 << 16)
         for (lo, hi), _ in zip(sweep.chunks(1), range(600)):
             points = sweep.pull(lo, hi)
             sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
