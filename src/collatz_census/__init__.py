@@ -26,20 +26,12 @@ from .census import (
     run_series,
     save_checkpoint,
 )
-from .classifier import (
-    ClassLabel,
-    ClassificationOutcome,
-    ResidueCache,
-    basis_for,
-    build_residue_cache,
-    classify_direct,
-    classify_fast,
-    labels_for,
-    verify_range,
-)
+from .classifier import ResidueCache, build_residue_cache, classify_fast, verify_range
 from .kernel import (
     DEFAULT_STEP_BUDGET,
     NAT_MAX,
+    ClassLabel,
+    ClassificationOutcome,
     MapKind,
     NatOverflowError,
     NatRangeError,
@@ -47,16 +39,19 @@ from .kernel import (
     StoppingTime,
     Termination,
     Trajectory,
+    basis_for,
     basis_modulus,
     cr3_step,
     cr_step,
     iterate,
+    labels_for,
     pdcr2_step,
     pdcr_step,
     step_function,
     stopping_time,
     validate_nat,
 )
+from .oracle import classify_direct
 
 __version__ = "0.1.0"
 

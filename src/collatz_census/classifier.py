@@ -1,22 +1,20 @@
-"""Fixed-point classification for the composite maps.
+"""Fixed-point classification for the composite maps: the residue route.
 
 Every positive integer, iterated under ``cr3`` (or ``pdcr2``), eventually
 becomes constant at one of the map's fixed points; that fixed point is the
-number's class. Two routes compute it:
-
-* ``classify_direct`` iterates the composite map until the value repeats.
-  Slow, but a self-contained oracle.
-* ``classify_fast`` exploits the cycle structure of the base map: once a
-  base trajectory reaches 1, the values cycle with period 3 (1, 4, 2) under
-  ``cr`` or period 2 (1, 2) under ``pdcr``, so the eventually-constant
-  composite value is a fixed function of the stopping time modulo the cycle
-  length. The residues for all n below a bound are precomputed into a
-  :class:`ResidueCache`, one uint8 per n; numbers above the bound only
-  iterate until they descend into it. A single n is the one-member range
-  [n, n] of :meth:`ResidueCache.residues`, the route a census chunk counts.
+number's class. ``classify_fast`` exploits the cycle structure of the base
+map: once a base trajectory reaches 1, the values cycle with period 3
+(1, 4, 2) under ``cr`` or period 2 (1, 2) under ``pdcr``, so the
+eventually-constant composite value is a fixed function of the stopping
+time modulo the cycle length. The residues for all n below a bound are
+precomputed into a :class:`ResidueCache`, one uint8 per n; numbers above
+the bound only iterate until they descend into it. A single n is the
+one-member range [n, n] of :meth:`ResidueCache.residues`, the route a
+census chunk counts. The literal route, ``classify_direct``, is the
+module :mod:`.oracle`, which imports nothing from here.
 
 A step budget ``max_steps`` means one thing on every route, set by the
-scalar walk :func:`_walk`: until the trajectory reaches 1, every run of
+scalar walk :func:`.kernel._walk`: until the trajectory reaches 1, every run of
 ``max_steps`` base-map steps must reach a new low. Whether n passes depends
 on n and ``max_steps`` alone, never on a cache bound, block layout, jump
 length or sieve. The vector paths accept only lanes that finish within
@@ -56,19 +54,9 @@ strided slice of the entries it lands on, with no per-lane arithmetic:
 the evens of a block are the one leaf 2q + 0.
 
 The residue rule is derived engineering, so ``verify_range`` cross-checks
-the two routes in blocks of at most 2^14 numbers. Its direct side,
-:func:`_direct_block`, applies the composite map literally to the block's
-members below 2^64 as a uint64 array, 3 ``cr`` or 2 ``pdcr`` steps per
-pass, until each value repeats. The base step is branch-free arithmetic on
-y >> 1 and the parity bit, and a pass checks for overflow once: a lane
-above the largest value B from which one composite step stays within
-uint64, (2(2^64 - 1) - 5)//9 for ``cr3`` and (4(2^64 - 1) - 5)//9 for
-``pdcr2``, goes to :func:`classify_direct` with the rest. A lane that
-lands on a member the loop has already settled takes that member's label,
-where the loop would have retired it anyway: the composite map is
-deterministic. The direct side never touches the cache, the jump tables
-or the residue rule. Its fast side is one call per block to the code
-behind :meth:`ResidueCache.residues`, the route a census chunk counts,
+the two routes in blocks of at most 2^14 numbers. Its direct side is
+:func:`.oracle._direct_block`. Its fast side is one call per block to the
+code behind :meth:`ResidueCache.residues`, the route a census chunk counts,
 with only the walk swapped so that a failing member reads as label 0
 instead of stopping the block. Past the cache bound a census counts the
 odd-class call of that code, the same kernel on half the classes, and
@@ -80,22 +68,25 @@ identity against it.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import (
     DEFAULT_STEP_BUDGET,
+    _U64_LIMIT,
+    ClassificationOutcome,
     MapKind,
     NatOverflowError,
     StepBudgetExceeded,
     _validate_budget,
+    _walk,
+    basis_for,
     basis_modulus,
-    step_function,
+    labels_for,
     validate_nat,
 )
+from .oracle import _direct_block
 
 # pdcr steps per jump. Odd, so that a lane on the 1 <-> 2 cycle lands on 1:
 # with an even count a lane sitting on 2 would land on 2 forever and never
@@ -107,138 +98,7 @@ _ALL_CLASSES = np.arange(1 << _SIEVE_BITS)  # a whole range, as descent-kernel c
 _ODD_CLASSES = _ALL_CLASSES[1::2]  # its odd members
 # verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
-_U64_LIMIT = 2**64         # members at or above this bypass the vector kernels
 _FAILED = 255              # verify's mark for a failing member: no residue, never added to
-_MEMO_PASSES = 1 << 13     # verify's memo entries hold pass counts below this
-
-
-class ClassLabel(enum.IntEnum):
-    """The fixed point a composite-map iteration settles on."""
-
-    ONE = 1
-    TWO = 2
-    FOUR = 4
-
-    def __str__(self) -> str:  # renders as its numeric value
-        return str(self.value)
-
-
-# residue of the stopping time -> class, in residue order 0, 1, ...
-_LABELS_BY_RESIDUE = {
-    MapKind.CR3: (ClassLabel.ONE, ClassLabel.TWO, ClassLabel.FOUR),
-    MapKind.PDCR2: (ClassLabel.ONE, ClassLabel.TWO),
-}
-
-_BASIS_FOR = {MapKind.CR3: MapKind.CR, MapKind.PDCR2: MapKind.PDCR}
-# composite map -> (base steps per composite step, a, c): with h = y >> 1, a
-# base step sends y to h + (y & 1)*(a*h + c), which is 3y+1 (cr) or (3y+1)/2
-# (pdcr) for odd y = 2h+1
-_LOCKSTEP = {MapKind.CR3: (3, 5, 4), MapKind.PDCR2: (2, 2, 2)}
-# composite map -> the largest x from which one composite step stays within
-# uint64. The highest value it can reach is (9x+5)/2 under cr (steps odd, even,
-# odd) and (9x+5)/4 under pdcr (odd, odd).
-_DIRECT_PASS_MAX = {
-    MapKind.CR3: (2 * (_U64_LIMIT - 1) - 5) // 9,
-    MapKind.PDCR2: (4 * (_U64_LIMIT - 1) - 5) // 9,
-}
-
-
-def labels_for(map_kind: MapKind) -> tuple[ClassLabel, ...]:
-    """The possible class labels of a composite map, in residue order.
-
-    cr3: 0 -> 1, 1 -> 2, 2 -> 4. pdcr2: 0 -> 1, 1 -> 2.
-    """
-    try:
-        return _LABELS_BY_RESIDUE[map_kind]
-    except KeyError:
-        raise ValueError(
-            f"classes are defined for cr3 or pdcr2, not {map_kind.value}"
-        ) from None
-
-
-def basis_for(map_kind: MapKind) -> MapKind:
-    """The base map underlying a composite map (cr3 -> cr, pdcr2 -> pdcr)."""
-    try:
-        return _BASIS_FOR[map_kind]
-    except KeyError:
-        raise ValueError(
-            f"classes are defined for cr3 or pdcr2, not {map_kind.value}"
-        ) from None
-
-
-@dataclass(frozen=True)
-class ClassificationOutcome:
-    """Result of classifying one number.
-
-    ``composite_steps`` counts applications of the composite map up to and
-    including the one that first reproduced its input; it is ``None`` on the
-    fast path, which derives the label from a residue and never walks the
-    composite map.
-    """
-
-    label: ClassLabel
-    composite_steps: int | None
-    path: str  # "direct" or "fast"
-
-
-def _walk(basis, start, max_steps):
-    """Yield the base-map values after ``start``, one per step, in exact arithmetic.
-
-    This is the one meaning of a step budget on every classification route:
-    until the trajectory reaches 1, every run of ``max_steps`` steps must
-    reach a new low, a value below every earlier one. Otherwise the walk
-    raises :class:`StepBudgetExceeded` naming ``start``. For ``start`` this
-    bounds its stopping time σ(start), the steps until the value first drops
-    below ``start`` (Lagarias 1985; σ(1) = 0). For each later low v it
-    bounds σ(v), because from v on the walk is that of v as a start. So
-    whether a start passes depends on the start and ``max_steps`` alone, and
-    the smallest start that fails is a glide record: the first n whose σ
-    exceeds ``max_steps``. Once at 1 the walk runs on around the terminal
-    cycle without a budget. A value beyond 128 bits raises
-    :class:`NatOverflowError` naming ``start``.
-    """
-    step = step_function(basis)
-    x = low = start
-    run = 0
-    while True:
-        if run >= max_steps and low != 1:
-            raise StepBudgetExceeded(
-                start, max_steps, f"n={start} reached no new low within {max_steps} steps"
-            )
-        try:
-            x = step(x)
-        except NatOverflowError as e:
-            raise NatOverflowError(
-                start, f"trajectory of {start} exceeded the 128-bit limit at value {e.n}"
-            ) from None
-        run += 1
-        if x < low:
-            low, run = x, 0
-        yield x
-
-
-def classify_direct(
-    map_kind: MapKind, n: int, max_steps: int = DEFAULT_STEP_BUDGET
-) -> ClassificationOutcome:
-    """Iterate the composite map until its value repeats; that value is the class.
-
-    Detection is literal repetition (next value equals current value), not
-    membership in a known fixed-point set. The composite iterates are every
-    3rd (``cr3``) or 2nd (``pdcr2``) value of the base walk :func:`_walk`,
-    so the budget is the walk's: until the trajectory reaches 1, every run of
-    ``max_steps`` base steps must reach a new low, or
-    :class:`StepBudgetExceeded` names n.
-    """
-    basis = basis_for(map_kind)
-    reps = _LOCKSTEP[map_kind][0]
-    validate_nat(n)
-    _validate_budget(max_steps)
-    cur = n
-    for i, x in enumerate(_walk(basis, n, max_steps), 1):
-        if i % reps == 0:
-            if x == cur:
-                return ClassificationOutcome(ClassLabel(x), i // reps, "direct")
-            cur = x
 
 
 class ResidueCache:
@@ -334,15 +194,6 @@ class ResidueCache:
 
     def __repr__(self) -> str:
         return f"ResidueCache(basis={self.basis.value}, bound={self.bound})"
-
-
-def _u64_span(lo, hi):
-    """The members of [lo, hi] below 2^64, as a uint64 array."""
-    hi = min(hi, _U64_LIMIT - 1)
-    if lo > hi:
-        return np.empty(0, dtype=np.uint64)
-    # built as offset + iota: an arange stop of exactly 2**64 would not fit
-    return np.uint64(lo) + np.arange(hi - lo + 1, dtype=np.uint64)
 
 
 def _descend_scalar(cache, start):
@@ -677,129 +528,6 @@ def classify_fast(map_kind: MapKind, n: int, cache: ResidueCache) -> Classificat
     _check_cache_basis(map_kind, cache)
     label = labels_for(map_kind)[cache.residues(n, n)[0]]
     return ClassificationOutcome(label, None, "fast")
-
-
-def _direct_block(map_kind, lo, hi, max_steps, settled, base):
-    """Labels of every n in [lo, hi], in order, by literal composite iteration.
-
-    Applies the composite map to every member below 2^64 at once, one
-    composite step (``reps`` base steps) per pass, and retires a lane when
-    the map reproduces its value; that value is its label. It runs at most
-    ``max_steps // reps`` passes, so a retired lane reached 1 within
-    ``max_steps`` base steps in all and meets :func:`_walk`'s rule: every
-    run of ``max_steps`` base steps before 1 reaches a new low.
-
-    The oracle memoizes its own results. ``settled`` is a uint16 array whose
-    entry ``settled[v - base]`` belongs to the member v, ``P << 3 | label``:
-    P is the pass on which this loop saw v's value repeat, and 0 means not
-    known (not retired yet, restarted in :func:`classify_direct`, or
-    P >= 2^13). An entry is written the moment its lane retires. A lane
-    whose iterate y after pass p has a nonzero entry retires with y's label
-    on pass p + P, if that is at most ``max_steps // reps`` (and below
-    2^13, so that its own entry fits): y is a composite iterate of the
-    lane's start, the lane passed the overflow check of every pass up to p,
-    and y's own P passes passed it too, so the literal loop would have seen
-    the same value repeat on that very pass. Every other lane keeps
-    iterating. So each label, each accept or reject and the set of members
-    restarted below are those of the loop without the memo; the memo uses
-    only the determinism of the composite map.
-
-    A base step has no branch. With h = y >> 1 it sends y to
-    h + (y & 1)*(a*h + c): a*h + c is 5h + 4 under ``cr``, so an odd
-    y = 2h + 1 goes to 6h + 4 = 3y + 1, and 2h + 2 under ``pdcr``, giving
-    3h + 2 = (3y + 1)/2. On an even lane a*h + c may wrap, but it is
-    multiplied by 0. Nor does a step check for overflow: one check per pass
-    retires every lane above B, the largest x from which ``reps`` steps
-    stay within uint64. The highest value a pass can reach from x is
-    (9x + 5)/2 under ``cr3`` (steps odd, even, odd) and (9x + 5)/4 under
-    ``pdcr2`` (odd, odd), so B = (2(2^64 - 1) - 5)//9 and
-    (4(2^64 - 1) - 5)//9; from B + 1, which is 3 mod 4, the odd steps do
-    leave uint64.
-
-    Members at or above 2^64, lanes above B at the start of a pass and lanes
-    still running after the last pass go to :func:`classify_direct` from
-    their start, with the walk's exact budget and 128-bit overflow checks,
-    and get 0 if that raises. Uses no cache, jump table or residue.
-    """
-    reps, a, c = _LOCKSTEP[map_kind]
-    pass_max = _DIRECT_PASS_MAX[map_kind]
-    a, c = np.uint64(a), np.uint64(c)
-    out = np.zeros(hi - lo + 1, dtype=np.uint8)
-    x = _u64_span(lo, hi)
-    mine = settled[lo - base :]  # from the entry of member lo on
-    partial = len(mine) < len(x)  # the memo ends inside this block
-    if len(settled):  # an empty memo, as from 2^64 on, builds no uint64 bounds
-        first, last = np.uint64(base), np.uint64(base + len(settled) - 1)
-    limit = max_steps // reps
-    cap = min(limit, _MEMO_PASSES - 1)  # the most passes a memo retirement totals
-    pos = np.arange(len(x), dtype=np.intp)
-    fallback = [np.arange(len(x), len(out), dtype=np.intp)]
-
-    def retire(members, entries):
-        out[members] = entries & 7
-        if partial:
-            keep = members < len(mine)
-            members, entries = members[keep], entries[keep]
-        mine[members] = entries
-
-    for p in range(1, limit + 1):
-        if not x.size:
-            break
-        if x.max() > pass_max:
-            over = x > pass_max
-            fallback.append(pos[over])
-            keep = ~over
-            x, pos = x[keep], pos[keep]
-        x, fixed = _composite_step(x, reps, a, c)
-        if fixed.any():
-            labels = x[fixed].astype(np.uint16)
-            if p <= cap:
-                retire(pos[fixed], labels | np.uint16(p << 3))
-            else:
-                out[pos[fixed]] = labels
-            keep = ~fixed
-            x, pos = x[keep], pos[keep]
-        if p < cap and len(settled):
-            near = x <= last
-            if base > 1:  # every value is at least 1
-                near &= x >= first
-            e = settled.take((x[near] - first).view(np.int64))
-            # nonzero with P <= cap - p; an entry of 0 wraps to 2^16 - 1
-            hit = e - np.uint16(1) < ((cap - p) << 3 | 7)
-            if hit.any():
-                near[near] = hit  # now marks the lanes that hit
-                retire(pos[near], e[hit] + np.uint16(p << 3))
-                keep = ~near
-                x, pos = x[keep], pos[keep]
-    fallback.append(pos)
-    for lanes in fallback:
-        for i in lanes:
-            out[i] = _direct_label(map_kind, lo + int(i), max_steps)
-    return out
-
-
-def _composite_step(x, reps, a, c):
-    """One composite step on every lane of the uint64 array ``x``: the new
-    values, and whether each reproduced its input. A base step sends y to
-    h + (y & 1)*(a*h + c), h = y >> 1, in place on one temporary."""
-    one = np.uint64(1)
-    y = x
-    for _ in range(reps):
-        h = y >> one
-        step = a * h
-        step += c
-        step *= y & one
-        step += h
-        y = step
-    return y, y == x
-
-
-def _direct_label(map_kind, n, max_steps):
-    """:func:`classify_direct`'s label of n as an int, 0 if it raises."""
-    try:
-        return int(classify_direct(map_kind, n, max_steps).label)
-    except (NatOverflowError, StepBudgetExceeded):
-        return 0
 
 
 def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> list[int]:

@@ -15,13 +15,11 @@ completed prefix there for ``--resume``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import re
 import sys
-import threading
 
 from .census import (
     CensusAbortError,
@@ -30,10 +28,12 @@ from .census import (
     CensusResult,
     CheckpointError,
     ClassCounts,
+    _resolve_config,
+    _signal_handlers,
     run_census,
     run_series,
 )
-from .classifier import basis_for, build_residue_cache, classify_direct, classify_fast, verify_range
+from .classifier import build_residue_cache, classify_fast, verify_range
 from .kernel import (
     DEFAULT_STEP_BUDGET,
     NAT_MAX,
@@ -41,8 +41,10 @@ from .kernel import (
     NatOverflowError,
     NatRangeError,
     StepBudgetExceeded,
+    basis_for,
     iterate,
 )
+from .oracle import classify_direct
 
 _DECIMAL = re.compile(r"^[0-9]+$")
 
@@ -148,28 +150,12 @@ def _terminate(signum, frame):
     raise _Terminated
 
 
-@contextlib.contextmanager
-def _sigterm_interrupts():
-    """Turn SIGTERM into :class:`_Terminated` inside the block. Only the
-    main thread can set a handler; elsewhere SIGTERM keeps its default."""
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-    import signal  # here, not at the top: its enums cost other commands ~0.1 MiB of peak RSS
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
 def _cmd_census(args) -> int:
     if args.resume and args.checkpoint is None:
         print("error: --resume requires --checkpoint FILE", file=sys.stderr)
         return 2
     config = CensusConfig(chunk_size=args.chunk_size, cache_bound=args.cache_bound)
-    with _sigterm_interrupts():
+    with _signal_handlers(_terminate, "SIGTERM"):
         result = run_census(
             MapKind(args.map),
             args.S,
@@ -197,7 +183,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify(args) -> int:
     map_kind = MapKind(args.map)
-    bound = max(2, min(CensusConfig.cache_bound, args.V + 1))
+    bound = _resolve_config(CensusConfig(), args.V)
     cache = build_residue_cache(basis_for(map_kind), bound)
     mismatches = verify_range(map_kind, 1, args.V, cache)
     print(f"checked 1..{args.V} map={map_kind.value}: {len(mismatches)} mismatches")

@@ -12,8 +12,10 @@ whose result would exceed it raises :class:`NatOverflowError` rather than
 wrapping. Because termination of these maps is an open question, every
 iteration is budget-guarded and reports budget exhaustion explicitly.
 
-Everything here is pure and stateless; safe to call from any number of
-threads.
+Both classification routes take what they share from here: the class
+labels of a composite map, its basis, :class:`ClassificationOutcome` and
+:func:`_walk`, the one meaning of a step budget. Everything here is pure
+and stateless; safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 NAT_MAX = 2**128 - 1
 DEFAULT_STEP_BUDGET = 10**6
+_U64_LIMIT = 2**64  # members at or above this bypass the vector kernels
 
 # largest n for which 3n+1 still fits in 128 bits
 _ODD_STEP_MAX = (NAT_MAX - 1) // 3
@@ -169,7 +172,7 @@ def iterate(
 
     A trajectory utility, not a classification route: ``max_steps`` counts
     the applications of ``map_kind`` this iteration makes. The classifiers'
-    budget has its own meaning (``classifier._walk``).
+    budget has its own meaning (:func:`_walk`).
     """
     validate_nat(start)
     _validate_budget(max_steps)
@@ -232,7 +235,7 @@ def stopping_time(
     :class:`NatOverflowError` (naming ``n``) if 1 is not reached within
     ``max_steps`` steps. A trajectory utility, not a classification route:
     the budget counts this iteration's own steps, unlike the classifiers'
-    (``classifier._walk``), which bounds the steps between new lows.
+    (:func:`_walk`), which bounds the steps between new lows.
     """
     modulus = basis_modulus(basis)
     t = iterate(basis, n, max_steps, record=False)
@@ -243,3 +246,97 @@ def stopping_time(
             n, f"trajectory of {n} exceeded the 128-bit limit at value {t.final}"
         )
     return StoppingTime(basis, t.steps, t.steps % modulus)
+
+
+class ClassLabel(enum.IntEnum):
+    """The fixed point a composite-map iteration settles on."""
+
+    ONE = 1
+    TWO = 2
+    FOUR = 4
+
+    def __str__(self) -> str:  # renders as its numeric value
+        return str(self.value)
+
+
+# residue of the stopping time -> class, in residue order 0, 1, ...
+_LABELS_BY_RESIDUE = {
+    MapKind.CR3: (ClassLabel.ONE, ClassLabel.TWO, ClassLabel.FOUR),
+    MapKind.PDCR2: (ClassLabel.ONE, ClassLabel.TWO),
+}
+
+_BASIS_FOR = {MapKind.CR3: MapKind.CR, MapKind.PDCR2: MapKind.PDCR}
+
+
+def labels_for(map_kind: MapKind) -> tuple[ClassLabel, ...]:
+    """The possible class labels of a composite map, in residue order.
+
+    cr3: 0 -> 1, 1 -> 2, 2 -> 4. pdcr2: 0 -> 1, 1 -> 2.
+    """
+    try:
+        return _LABELS_BY_RESIDUE[map_kind]
+    except KeyError:
+        raise ValueError(
+            f"classes are defined for cr3 or pdcr2, not {map_kind.value}"
+        ) from None
+
+
+def basis_for(map_kind: MapKind) -> MapKind:
+    """The base map underlying a composite map (cr3 -> cr, pdcr2 -> pdcr)."""
+    try:
+        return _BASIS_FOR[map_kind]
+    except KeyError:
+        raise ValueError(
+            f"classes are defined for cr3 or pdcr2, not {map_kind.value}"
+        ) from None
+
+
+@dataclass(frozen=True)
+class ClassificationOutcome:
+    """Result of classifying one number.
+
+    ``composite_steps`` counts applications of the composite map up to and
+    including the one that first reproduced its input; it is ``None`` on the
+    fast path, which derives the label from a residue and never walks the
+    composite map.
+    """
+
+    label: ClassLabel
+    composite_steps: int | None
+    path: str  # "direct" or "fast"
+
+
+def _walk(basis, start, max_steps):
+    """Yield the base-map values after ``start``, one per step, in exact arithmetic.
+
+    This is the one meaning of a step budget on every classification route:
+    until the trajectory reaches 1, every run of ``max_steps`` steps must
+    reach a new low, a value below every earlier one. Otherwise the walk
+    raises :class:`StepBudgetExceeded` naming ``start``. For ``start`` this
+    bounds its stopping time σ(start), the steps until the value first drops
+    below ``start`` (Lagarias 1985; σ(1) = 0). For each later low v it
+    bounds σ(v), because from v on the walk is that of v as a start. So
+    whether a start passes depends on the start and ``max_steps`` alone, and
+    the smallest start that fails is a glide record: the first n whose σ
+    exceeds ``max_steps``. Once at 1 the walk runs on around the terminal
+    cycle without a budget. A value beyond 128 bits raises
+    :class:`NatOverflowError` naming ``start``.
+    """
+    step = step_function(basis)
+    x = low = start
+    run = 0
+    while True:
+        if run >= max_steps and low != 1:
+            raise StepBudgetExceeded(
+                start, max_steps, f"n={start} reached no new low within {max_steps} steps"
+            )
+        try:
+            x = step(x)
+        except NatOverflowError as e:
+            raise NatOverflowError(
+                start, f"trajectory of {start} exceeded the 128-bit limit at value {e.n}"
+            ) from None
+        run += 1
+        if x < low:
+            low, run = x, 0
+        yield x

@@ -1,4 +1,5 @@
 import collatz_census
+from collatz_census import classifier, kernel, oracle
 
 # The whole public surface, sorted: adding, removing or renaming a public
 # name is a change to this list.
@@ -56,3 +57,30 @@ def test_public_surface_is_pinned():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert hasattr(collatz_census, name), name
+
+
+# the literal route, defined in the oracle alone
+LITERAL_ROUTE = [
+    "classify_direct",
+    "_direct_block",
+    "_composite_step",
+    "_direct_label",
+    "_u64_span",
+    "_LOCKSTEP",
+    "_DIRECT_PASS_MAX",
+    "_MEMO_PASSES",
+]
+
+
+def test_each_shared_name_has_one_home():
+    for name in ("ClassLabel", "ClassificationOutcome", "labels_for", "basis_for"):
+        assert getattr(collatz_census, name) is getattr(kernel, name), name
+    assert collatz_census.classify_direct is oracle.classify_direct
+
+
+def test_the_classifier_defines_no_literal_route_name():
+    # verify_range imports the oracle's block; no other literal-route name is there
+    assert [n for n in LITERAL_ROUTE if hasattr(classifier, n)] == ["_direct_block"]
+    assert classifier._direct_block is oracle._direct_block
+    for name in ("_walk", "_U64_LIMIT", "ClassificationOutcome", "labels_for", "basis_for"):
+        assert getattr(classifier, name) is getattr(kernel, name), name

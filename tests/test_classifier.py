@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import inspect
@@ -29,8 +30,9 @@ from collatz_census import (
     stopping_time,
     verify_range,
 )
-from collatz_census import classifier
-from collatz_census.classifier import _descend_range, _direct_block
+from collatz_census import classifier, oracle
+from collatz_census.classifier import _descend_range
+from collatz_census.oracle import _direct_block
 from oracles import oracle_composite, oracle_label, oracle_sigma, oracle_step, oracle_stopping
 
 
@@ -508,14 +510,14 @@ class TestVerifyRangeMatchesScalarLoop:
         assert n in expected
         assert verify_range(MapKind.CR3, lo, hi, cache) == expected
 
-        exact = classifier.classify_direct
+        exact = oracle.classify_direct
         restarted = []
 
         def recording(map_kind, m, max_steps):
             restarted.append(m)
             return exact(map_kind, m, max_steps)
 
-        monkeypatch.setattr(classifier, "classify_direct", recording)
+        monkeypatch.setattr(oracle, "classify_direct", recording)
         settled = np.zeros(hi - lo + 1, dtype=np.uint16)
         labels = _direct_block(MapKind.CR3, lo, hi, 150, settled, lo)
         assert settled[y - lo] == 33 << 3 | oracle_label(y, "cr3")
@@ -576,7 +578,7 @@ class TestDirectBlock:
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     def test_pass_bound_is_the_largest_safe_start(self, map_kind):
         bound = _PASS_MAX[map_kind]
-        assert classifier._DIRECT_PASS_MAX[map_kind] == bound
+        assert oracle._DIRECT_PASS_MAX[map_kind] == bound
         # the last 1000 starts up to B stay within uint64, and B + 1 leaves it
         assert max(_pass_peak(map_kind, x) for x in range(bound - 1000, bound + 1)) < 2**64
         assert _pass_peak(map_kind, bound + 1) >= 2**64
@@ -586,7 +588,7 @@ class TestDirectBlock:
     def test_window_straddling_the_pass_bound(self, map_kind, budget, monkeypatch):
         bound = _PASS_MAX[map_kind]
         lo, hi = bound - 30, bound + 30
-        exact = classifier.classify_direct
+        exact = oracle.classify_direct
         expected = []
         for n in range(lo, hi + 1):
             try:
@@ -599,7 +601,7 @@ class TestDirectBlock:
             restarted.append(n)
             return exact(map_kind, n, max_steps)
 
-        monkeypatch.setattr(classifier, "classify_direct", recording)
+        monkeypatch.setattr(oracle, "classify_direct", recording)
         settled = np.zeros(hi - lo + 1, dtype=np.uint16)
         assert _direct_block(map_kind, lo, hi, budget, settled, lo).tolist() == expected
         leaving = [n for n in range(lo, hi + 1) if _leaves_numpy(map_kind, n, budget)]
@@ -620,6 +622,58 @@ class TestDirectBlock:
         assert verify_range(map_kind, lo, hi, cache) == expected
         if budget == 0:
             assert expected == list(range(lo, hi + 1))
+
+
+# what the literal route may import, and the residue route's names it may not use
+_ORACLE_IMPORTS = {"__future__", "numpy", ".kernel"}
+_RESIDUE_ROUTE = {
+    "classifier",
+    "ResidueCache",
+    "build_residue_cache",
+    "classify_fast",
+    "_jump_tables",
+    "_sieve_tables",
+    "_sieve_leaves",
+    "_terras",
+}
+
+
+def _oracle_ties(source):
+    """The imports and names in ``source`` that tie it to anything but numpy
+    and the kernel: modules imported other than those, and the residue
+    route's names (any ``_descend*`` among them) used anywhere in its code."""
+    ties = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            ties += [a.name for a in node.names if a.name not in _ORACLE_IMPORTS]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            ties += [module] if module not in _ORACLE_IMPORTS else []
+        names = [getattr(node, field, None) for field in ("id", "attr", "name", "asname", "arg")]
+        ties += [
+            n for n in names
+            if isinstance(n, str) and (n in _RESIDUE_ROUTE or n.startswith("_descend"))
+        ]
+    return ties
+
+
+class TestOracleImports:
+    def test_oracle_imports_only_numpy_and_the_kernel(self):
+        assert _oracle_ties(inspect.getsource(oracle)) == []
+
+    @pytest.mark.parametrize(
+        "line, ties",
+        [
+            ("from .classifier import _jump_tables", [".classifier", "_jump_tables"]),
+            ("from . import classifier", [".", "classifier"]),
+            ("import bisect", ["bisect"]),
+            ("x = _descend_range", ["_descend_range"]),
+            ("def f(cache): return cache.residues(1, 2), ResidueCache", ["ResidueCache"]),
+            ("y = np.zeros(3)", []),
+        ],
+    )
+    def test_a_tie_to_the_residue_route_is_caught(self, line, ties):
+        assert _oracle_ties(f"{inspect.getsource(oracle)}\n{line}\n") == ties
 
 
 # the largest x from which one composite step stays within uint64:

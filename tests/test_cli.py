@@ -25,19 +25,25 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
-def _signal_from_a_chunk(capsys, tmp_path, signame, word, code, *knobs):
+def _signal_from_a_chunk(capsys, tmp_path, signame, word, code, *knobs, second=None):
     """Send a real signal from inside the chunk at 40001 of a checkpointed
-    census in a child process: no traceback, one stderr line, the prefix
-    saved, and a resume that prints the uninterrupted bytes."""
+    census in a child process, and with ``second`` another one from inside
+    the save it starts: no traceback, one stderr line for the first signal,
+    the prefix saved, and a resume that prints the uninterrupted bytes."""
     script = textwrap.dedent(
         f"""
         import os, signal, sys
         from collatz_census import census, cli
-        exact = census._count_chunk
+        exact, fsync = census._count_chunk, os.fsync
         def chunk(map_kind, lo, hi, *args):
             if lo == 40001:
+                if {second!r}:
+                    os.fsync = save
                 os.kill(os.getpid(), signal.{signame})
             return exact(map_kind, lo, hi, *args)
+        def save(fd):
+            os.kill(os.getpid(), getattr(signal, {second!r}))
+            fsync(fd)
         census._count_chunk = chunk
         sys.exit(cli.main(sys.argv[1:]))
         """
@@ -308,6 +314,30 @@ class TestCensusCommand:
         _signal_from_a_chunk(
             capsys, tmp_path, "SIGTERM", "terminated", 143, "--cache-bound", "4096"
         )
+
+    @pytest.mark.parametrize(
+        "first, second, word, code",
+        [
+            ("SIGINT", "SIGINT", "interrupted", 130),
+            ("SIGINT", "SIGTERM", "interrupted", 130),
+            ("SIGTERM", "SIGINT", "terminated", 143),
+        ],
+    )
+    def test_a_second_signal_during_the_save_keeps_the_prefix(
+        self, capsys, tmp_path, first, second, word, code
+    ):
+        # the second lands between the temp file's write and its rename
+        _signal_from_a_chunk(capsys, tmp_path, first, word, code, second=second)
+
+    def test_the_save_after_an_interrupt_restores_both_handlers(
+        self, capsys, tmp_path, interrupt_at
+    ):
+        before = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+        interrupt_at(2001)
+        argv = ["census", "5000", "--chunk-size", "1000", "--checkpoint", str(tmp_path / "c")]
+        assert run_cli(capsys, *argv)[0] == 130
+        after = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+        assert after[0] is before[0] and after[1] is before[1]
 
     def test_census_restores_the_sigterm_handler(self, capsys):
         before = signal.getsignal(signal.SIGTERM)
