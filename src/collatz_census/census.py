@@ -5,10 +5,16 @@ belong to it. The residue cache is built first; then the range is cut into
 fixed-size chunks, counted one after another in ascending order from what
 the cache's ``ResidueCache.residues`` (the call ``verify_range`` checks)
 gives for each, and each chunk's counts are merged into the running total
-as it completes. A chunk counts its uint8 residues in place, one
-``count_nonzero`` pass per residue, never through ``np.bincount``, which
-would widen them to 8 bytes each first. Counting is exact integer
-arithmetic, so the result is identical for every chunk size.
+as it completes. The residues are read by span, not by chunk: one call
+covers the run of whole chunks from the next one that holds at most 2^16
+members, so past the bound the descent kernel takes about 2^16 lanes per
+call whatever the chunk size, and a chunk larger than that is read in
+pieces of 2^16 members. A span ends at a chunk end, so no member descends
+twice, and it never mixes the halved chunks below with whole ones. A chunk
+counts its uint8 residues in place, one ``count_nonzero`` pass per
+residue, never through ``np.bincount``, which would widen them to 8 bytes
+each first. Counting is exact integer arithmetic, so the result is
+identical for every chunk size.
 
 Past the cache bound a chunk descends only its odd members. One base step
 sends an even 2m to m, under either basis, and from there the walk of 2m
@@ -33,7 +39,9 @@ near half the region's chunk ends at its peak (about 33 MB at most); the
 cap also bounds how many chunk ends a chunk walks to find its points. Past
 the ceiling chunks are counted whole. An even member is never the smallest
 failing n, since its half failed first, so aborts name the same n as
-before.
+before. A span that fails at an n past the chunk being counted is cut to
+end at n - 1, so the chunks before n are counted and absorbed first and
+the chunk that holds n aborts, as if each chunk were read alone.
 
 ``run_census`` and ``run_series`` share that engine: a series is a census
 whose sample points are forced chunk cuts. Every result carries its counts
@@ -81,7 +89,9 @@ from .kernel import (
 
 CHECKPOINT_VERSION = 2
 
-_VECTOR_SPAN = 1 << 20  # cap on the span of one residues call inside a chunk
+# Members per residues call: a span of chunks, or a piece of a larger chunk.
+# A descent-kernel call on 2^16 lanes measured faster than on 2^15 or 2^17.
+_SPAN = 1 << 16
 # Caps on the halved region [floor, ceiling]. The memo peaks near half its
 # chunk ends, at about 254 bytes a point (33 MB for 2^18 ends). A chunk at x
 # finds its points in the about 2^k chunk ends past x*2^k, for each depth k
@@ -225,11 +235,11 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     """Classify every n in [lo, hi] and tally the classes.
 
     Counts :meth:`ResidueCache.residues`, the call ``verify_range`` checks,
-    in spans of at most 2^20 numbers: a slice of the cache below its bound,
+    in pieces of at most 2^16 numbers: a slice of the cache below its bound,
     a descent into the cache above it, under the cache's ``max_steps``. Any
     member that fails aborts the chunk with the smallest offending n.
 
-    Each span is counted at uint8 width, one ``count_nonzero(residues == r)``
+    Each piece is counted at uint8 width, one ``count_nonzero(residues == r)``
     per residue r below the cache's modulus (3 passes for ``cr``, 2 for
     ``pdcr``). ``np.bincount`` would first copy the residues to intp, 8 bytes
     per number. Every residue is counted, none is "the rest", so a residue
@@ -246,28 +256,29 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     return ClassCounts(map_kind, lo, hi, {label: totals[r] for r, label in enumerate(labels)})
 
 
-def _chunk_totals(cache, lo, hi, points, odd=False):
+def _chunk_totals(source, lo, hi, points, odd=False):
     """Residue totals over [lo, y] for each y in ``points``, ascending, the last hi.
 
-    Reads ``cache.residues`` (with ``odd``, only the odd members) in spans
-    of at most 2^20 numbers, one call per span: a point only cuts where the
-    counting of that span's residues stops. Total r counts the residues
-    equal to r, at uint8 width. A failing member aborts with the smallest
-    offending n.
+    Reads ``source.residues`` (with ``odd``, only the odd members) in pieces
+    of at most 2^16 members, one call per piece: a point only cuts where the
+    counting of that piece's residues stops. ``source`` is the cache, or the
+    tally's :class:`_Sweep`, which serves each piece from the span of chunks
+    it holds. Total r counts the residues equal to r, at uint8 width. A
+    failing member aborts with the smallest offending n.
     """
-    totals = [0] * cache.modulus
+    totals = [0] * source.modulus
     out = []
     ys = iter(points)
     y = next(ys)
-    for a in range(lo, hi + 1, _VECTOR_SPAN):
-        b = min(hi, a + _VECTOR_SPAN - 1)
+    for a in range(lo, hi + 1, _SPAN << odd):
+        b = min(hi, a + (_SPAN << odd) - 1)
         try:
-            residues = cache.residues(a, b, odd)
+            residues = source.residues(a, b, odd)
         except (NatOverflowError, StepBudgetExceeded) as e:
             raise CensusAbortError(e.n, e, "tally") from e
         i = 0
         while y <= b:
-            j = (y + 1) // 2 - a // 2 if odd else y + 1 - a  # the span's members up to y
+            j = (y + 1) // 2 - a // 2 if odd else y + 1 - a  # the piece's members up to y
             _add_counts(totals, residues[i:j])
             out.append(totals.copy())
             i, y = j, next(ys, hi + 1)
@@ -479,8 +490,9 @@ def _utc_now() -> str:
 
 
 class _Sweep:
-    """The chunks of one ascending tally, its running totals P and the
-    points of P that halved chunks read (see the module docstring).
+    """The chunks of one ascending tally, its running totals P, the points
+    of P that halved chunks read (see the module docstring), and the span
+    of residues the chunks are read from.
 
     A halved chunk [lo, hi] reads P(floor((lo - 1)/2)) and P(floor(y/2))
     for every y it must report P at: its end hi and each needed point
@@ -495,6 +507,7 @@ class _Sweep:
     """
 
     def __init__(self, cache, start, cuts, size):
+        self.cache, self.modulus = cache, cache.modulus
         self.start, self.cuts, self.size = start, cuts, size
         # The floor is the first chunk start lo >= max(size, 2*start - 1),
         # from the chunk that holds the bound on. Every chunk from there on
@@ -511,6 +524,7 @@ class _Sweep:
         self.totals = (0,) * cache.modulus  # P of the last counted n
         self.memo = {start - 1: self.totals}
         self._kept = collections.deque([start - 1])  # the memo's points, ascending
+        self._span = (0, -1, False, None)  # the residues held: lo, hi, odd, array
 
     def halves(self, lo, hi) -> bool:
         """Whether the chunk [lo, hi] lies in the halved region."""
@@ -539,10 +553,8 @@ class _Sweep:
             least = max(lo << k, self.floor - 1 if k == 1 else self.floor << (k - 1))
             if least > last:  # least grows with k
                 break
-            for _, e in self.chunks(least):
-                if e > last or e >> k > hi:
-                    break
-                points.add(e >> k)
+            for ends in self._ends(least, min(last, ((hi + 1) << k) - 1)):
+                points.update(e >> k for e in ends)
         return sorted(points)
 
     def advance(self, points, totals) -> None:
@@ -554,6 +566,62 @@ class _Sweep:
             self._kept.append(y)
         self.totals = tuple(p + c for p, c in zip(prior, totals[-1]))
 
+    def residues(self, a, b, odd):
+        """``cache.residues(a, b, odd)`` for a piece [a, b] of the next
+        chunk, read off the span held.
+
+        A piece past the span starts a new one, read by one call: from a to
+        the last chunk end e >= b with at most 2^16 members in [a, e] (b if
+        there is none) that stays in a's region, the halved one up to the
+        ceiling or the whole chunks before the floor or past the ceiling. So
+        a kernel call takes up to 2^16 lanes whatever the chunk size, and no
+        member descends twice. If the call fails at an n past b, the span is
+        [a, n - 1], whose members all pass, and the chunk that holds n fails
+        in its turn.
+        """
+        lo, hi, held_odd, held = self._span
+        if not (held_odd == odd and lo <= a and b <= hi):
+            lo, hi = a, self._span_end(a, b, odd)
+            try:
+                held = self.cache.residues(lo, hi, odd)
+            except (NatOverflowError, StepBudgetExceeded) as e:
+                if e.n <= b:
+                    raise
+                hi = e.n - 1
+                held = self.cache.residues(lo, hi, odd)
+            self._span = lo, hi, odd, held
+        if odd:
+            return held[a // 2 - lo // 2 : (b + 1) // 2 - lo // 2]
+        return held[a - lo : b + 1 - lo]
+
+    def _span_end(self, a, b, odd):
+        """The end of the span from a: see :meth:`residues`."""
+        if odd:
+            last = self.ceiling
+        elif self.floor is not None and a < self.floor:
+            last = self.floor - 1
+        else:
+            last = self.cuts[-1]
+        y = min(last, self.cuts[-1], a + (_SPAN << odd) - 1)
+        if y <= b:
+            return b
+        lo, hi = self._chunk(y)  # past b, which is then a chunk end
+        return y if hi == y else lo - 1
+
+    def _ends(self, u, v):
+        """The chunk ends in [u, v], ascending: per stretch [first, cut]
+        between cuts, the range of its ends first - 1 + j*size, then the cut."""
+        i = bisect.bisect_left(self.cuts, u)
+        while i < len(self.cuts):
+            first = self.start if i == 0 else self.cuts[i - 1] + 1
+            if first > v:
+                return
+            a, cut = max(u, first), self.cuts[i]
+            yield range(a + (first - 1 - a) % self.size, min(v, cut) + 1, self.size)
+            if cut <= v and (cut + 1 - first) % self.size:
+                yield (cut,)
+            i += 1
+
     def _chunk(self, n):
         """The chunk [lo, hi] that holds n, for start <= n <= cuts[-1]."""
         i = bisect.bisect_left(self.cuts, n)
@@ -562,28 +630,23 @@ class _Sweep:
         return lo, min(lo + self.size - 1, self.cuts[i])
 
 
-def _count_chunk(map_kind, lo, hi, cache, sweep) -> ClassCounts:
-    """Counts of the tally's next chunk [lo, hi].
+def _count_chunk(map_kind, lo, hi, sweep) -> ClassCounts:
+    """Counts of the tally's next chunk [lo, hi], read off the sweep's spans.
 
     A halved chunk counts its odd members' residues and adds its evens off
-    the running totals; a chunk with needed points inside counts its
-    residues in pieces; any other chunk is :func:`census_chunk`.
+    the running totals; any other chunk counts all its residues. Both are
+    counted by :func:`_chunk_totals`, in pieces at the needed points inside.
     """
     points = sweep.pull(lo, hi)
     ends = points if points[-1:] == [hi] else [*points, hi]
-    if sweep.halves(lo, hi):
-        totals = _chunk_totals(cache, lo, hi, ends, odd=True)
+    odd = sweep.halves(lo, hi)
+    totals = _chunk_totals(sweep, lo, hi, ends, odd)
+    if odd:
         base, memo = sweep.memo[(lo - 1) // 2], sweep.memo
         for y, t in zip(ends, totals):
             half = memo[y // 2]
             for r in range(len(t)):  # index r - 1 = -1 is the last class: the shift
                 t[r] += half[r - 1] - base[r - 1]
-    elif len(ends) > 1:
-        totals = _chunk_totals(cache, lo, hi, ends)
-    else:
-        part = census_chunk(map_kind, lo, hi, cache)
-        sweep.advance(points, [list(part.counts.values())])
-        return part
     sweep.advance(points, totals)
     labels = labels_for(map_kind)
     return ClassCounts(map_kind, lo, hi, {label: totals[-1][r] for r, label in enumerate(labels)})
@@ -607,7 +670,7 @@ def _tally(map_kind, config, bound, start, cuts, absorb) -> None:
         raise CensusAbortError(e.n, e, "build") from e
     sweep = _Sweep(cache, start, cuts, config.chunk_size)
     for lo, hi in sweep.chunks(start):
-        absorb(_count_chunk(map_kind, lo, hi, cache, sweep))
+        absorb(_count_chunk(map_kind, lo, hi, sweep))
 
 
 @contextlib.contextmanager

@@ -289,6 +289,12 @@ def _sieve_tables(basis):
     return _frozen(stride, xs.astype(np.int64), cost, advance)
 
 
+def _reduced(v, modulus):
+    """``v`` mod ``modulus`` in place, for a uint8 array below 2*modulus:
+    where v < modulus, v - modulus wraps high, so the minimum is the residue."""
+    return np.minimum(v, v - modulus, out=v)
+
+
 def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
     """Stopping-time residues of the members of [lo, hi], descended into ``cache``.
 
@@ -306,6 +312,9 @@ def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
     ``cache.bound``, then adds v's entry in the cache to the residue advance
     it carried through its jumps. Residues stay additive even when a jump
     passes through 1, because the terminal cycle is as long as the modulus.
+    The carried advance stays below the modulus: each jump adds one below
+    it and :func:`_reduced` folds the sum back, as it does the entry plus
+    the advance when a lane retires, with no uint8 ``%``.
     The first jump is read off the tables: since m divides 2^k, the members
     of a piece [2^k*q, 2^k*(q + 1)) sit at the same offsets rho = m*t + r,
     r in ``classes``, in every piece, so their first jumps are
@@ -363,15 +372,15 @@ def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
             x[lanes] += add0[span]
             acc[lanes] = advance0[span]
             if q > q_safe:
-                fallback.append(i0 - first + np.flatnonzero(limit0[span] < q))
+                fallback.append(i0 - first + (limit0[span] < q).nonzero()[0])
         below = x < floor
         keep = ~below
         if fallback:
             guarded = np.concatenate(fallback)
             below[guarded] = keep[guarded] = False
-        i = np.flatnonzero(below)
-        out[i] = (residues.take(x.take(i).view(np.int64)) + acc.take(i)) % modulus
-        pos = np.flatnonzero(keep)
+        i = below.nonzero()[0]
+        out[i] = _reduced(residues.take(x.take(i).view(np.int64)) + acc.take(i), modulus)
+        pos = keep.nonzero()[0]
         x, acc, jumps = x.take(pos), acc.take(pos), 1
         del below, keep, i  # the loop's first pass allocates: free the range-sized arrays now
     while x.size:
@@ -382,23 +391,23 @@ def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
         x >>= shift
         if x.max() > q_safe:
             over = x > limit.take(r)
-            i = np.flatnonzero(over)
+            i = over.nonzero()[0]
             if i.size:
                 fallback.append(pos.take(i))
-                i = np.flatnonzero(~over)
+                i = (~over).nonzero()[0]
                 x, pos, acc, r = x.take(i), pos.take(i), acc.take(i), r.take(i)
         x *= mult.take(r)
         x += add.take(r)
-        acc += advance.take(r)
+        _reduced(np.add(acc, advance.take(r), out=acc), modulus)
         jumps += 1
-        if jumps % 64 == 0:  # keeps acc far below the uint8 wrap
-            acc %= np.uint8(modulus)
-        # flatnonzero + take: boolean-mask indexing measured about 3x slower per lane
+        # nonzero + take: boolean-mask indexing measured about 3x slower per
+        # lane, and np.flatnonzero about 1 us slower per call than .nonzero()
         below = x < floor
-        i = np.flatnonzero(below)
+        i = below.nonzero()[0]
         if i.size:
-            out[pos.take(i)] = (residues.take(x.take(i).view(np.int64)) + acc.take(i)) % modulus
-            i = np.flatnonzero(~below)
+            landed = residues.take(x.take(i).view(np.int64)) + acc.take(i)
+            out[pos.take(i)] = _reduced(landed, modulus)
+            i = (~below).nonzero()[0]
             x, pos, acc = x.take(i), pos.take(i), acc.take(i)
 
     if fallback:
@@ -495,9 +504,8 @@ def build_residue_cache(
             first = a + (r - a) % (1 << j)  # the leaf's first member, 2^j*q0 + r
             q0, q1 = (first - r) >> j, (b - 1 - r) >> j
             s, d = int(stride[j, r]) >> (k - j), int(landing[j, r])  # s = 3^c
-            # (v + adv) mod modulus; uint8 v - modulus wraps high when v < modulus
             v = below._residues[s * q0 + d : s * q1 + d + 1 : s] + advance[j, r]
-            res[first : b : 1 << j] = np.minimum(v, v - modulus, out=v)
+            res[first : b : 1 << j] = _reduced(v, modulus)
         if rest.size:
             out = _descend_range(below, a, b - 1, _descend_scalar, rest)
             # out ascends, so the classes take turns: the p-th to start holds out[p::len(rest)]

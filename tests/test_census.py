@@ -128,8 +128,8 @@ class TestCensusChunk:
     def test_spans_sum_to_the_oracle(
         self, span, map_kind, lo, hi, cr_cache, pdcr_cache, monkeypatch
     ):
-        # a chunk wider than one span adds the counts of several residues calls
-        monkeypatch.setattr(census_module, "_VECTOR_SPAN", span)
+        # a chunk wider than one piece adds the counts of several residues calls
+        monkeypatch.setattr(census_module, "_SPAN", span)
         cache = cr_cache if map_kind is MapKind.CR3 else pdcr_cache
         chunk = census_chunk(map_kind, lo, hi, cache)
         expected = {int(label): 0 for label in chunk.counts}
@@ -428,6 +428,31 @@ def record_chunks(monkeypatch):
 
     monkeypatch.setattr(census_module, "_count_chunk", recording)
     return calls
+
+
+def record_residues_calls(monkeypatch):
+    """Wrap the cache's range route so every [lo, hi] and odd flag is recorded."""
+    calls = []
+    residues_by = classifier.ResidueCache._residues_by
+
+    def recording(self, lo, hi, walk, odd=False):
+        calls.append((lo, hi, odd))
+        return residues_by(self, lo, hi, walk, odd)
+
+    monkeypatch.setattr(classifier.ResidueCache, "_residues_by", recording)
+    return calls
+
+
+def assert_tiles(calls, first, last, most, size, odd):
+    """The residues calls [lo, hi] tile [first, last] in order, with no
+    overlap and no gap, each from a chunk start to a chunk end (chunks of
+    ``size`` from 1) and holding at most ``most`` members, with ``odd`` the
+    odd ones."""
+    assert calls[0][0] == first and calls[-1][1] == last
+    assert [lo for lo, _ in calls[1:]] == [hi + 1 for _, hi in calls[:-1]]
+    for lo, hi in calls:
+        assert (lo - 1) % size == 0 and hi % size == 0, (lo, hi)
+        assert ((hi + 1) // 2 - lo // 2 if odd else hi - lo + 1) <= most, (lo, hi)
 
 
 class TestEngine:
@@ -1058,8 +1083,9 @@ class TestHalvedChunks:
                 sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
 
     def test_the_sweep_looks_up_few_chunks_per_chunk(self, monkeypatch):
-        # each depth walks only the chunk ends whose halvings land in the
-        # chunk; re-checking every halving chain took 896 lookups per chunk
+        # each depth takes the chunk ends whose halvings land in the chunk as
+        # ranges between cuts; re-checking every halving chain took 896
+        # lookups per chunk, and looking up each end about 170
         cache = ResidueCache(MapKind.CR, 1 << 25, 10**6, np.zeros(1 << 25, np.uint8))
         sweep = census_module._Sweep(cache, 1, [10**10], 1 << 16)
         calls = 0
@@ -1075,24 +1101,23 @@ class TestHalvedChunks:
         for (lo, hi), _ in zip(sweep.chunks(1), range(chunks)):
             points = sweep.pull(lo, hi)
             sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
-        assert sweep.halves(lo, hi) and calls <= 200 * chunks
+        # one lookup per chunk walked, and the one the zip discards; none in pull
+        assert sweep.halves(lo, hi) and calls <= chunks + 1
 
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     def test_chunks_past_the_ceiling_are_counted_whole(self, map_kind, monkeypatch):
         monkeypatch.setattr(census_module, "_HALVED_ENDS", 20)
-        calls = []
-        residues_by = classifier.ResidueCache._residues_by
-
-        def recording(self, lo, hi, walk, odd=False):
-            calls.append((lo, odd))
-            return residues_by(self, lo, hi, walk, odd)
-
-        monkeypatch.setattr(classifier.ResidueCache, "_residues_by", recording)
+        calls = record_residues_calls(monkeypatch)
         config = CensusConfig(chunk_size=100, cache_bound=1000)
         cuts = [20_000]
-        assert _tally(map_kind, cuts, config) == _reference(map_kind, cuts, 1000, 10**6)
-        # the region is [901, 901 + 20 * 100]
-        assert [lo for lo, odd in calls if odd] == list(range(901, 2901, 100))
+        # one span of the whole region, then spans of 3 chunks
+        for span in (1 << 16, 150):
+            monkeypatch.setattr(census_module, "_SPAN", span)
+            calls.clear()
+            assert _tally(map_kind, cuts, config) == _reference(map_kind, cuts, 1000, 10**6)
+            # the region is [901, 901 + 20 * 100]
+            odd_calls = [(lo, hi) for lo, hi, odd in calls if odd]
+            assert_tiles(odd_calls, 901, 2900, span, 100, odd=True)
 
     def test_a_vast_census_starts_counting_at_once(self):
         # the look-ahead and the memo stop at the ceiling, however far S is
@@ -1105,33 +1130,80 @@ class TestHalvedChunks:
         assert sweep.ceiling == 65537 << census_module._HALVED_DEPTH
 
     def test_halved_chunks_descend_only_odd_members(self, monkeypatch):
-        calls = []
-        residues_by = classifier.ResidueCache._residues_by
+        calls = record_residues_calls(monkeypatch)
+        config = CensusConfig(chunk_size=1 << 10, cache_bound=1 << 12)
+        # one span below the bound and one past it, then spans of 9 chunks
+        for span in (1 << 16, 5000):
+            monkeypatch.setattr(census_module, "_SPAN", span)
+            calls.clear()
+            run_census(MapKind.CR3, 1 << 16, config)
+            # chunks below the bound read the table; every chunk that reaches it is halved
+            whole = [(lo, hi) for lo, hi, odd in calls if not odd]
+            halved = [(lo, hi) for lo, hi, odd in calls if odd]
+            assert_tiles(whole, 1, 3 << 10, span, 1 << 10, odd=False)
+            assert_tiles(halved, 3 << 10 | 1, 1 << 16, span, 1 << 10, odd=True)
 
-        def recording(self, lo, hi, walk, odd=False):
-            calls.append((lo, hi, odd))
-            return residues_by(self, lo, hi, walk, odd)
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_every_chunk_size_descends_the_same_members_once(self, map_kind, monkeypatch):
+        # 2^16 + 1 starts a chunk of each size, so each halves all of
+        # [2^16 + 1, s]: the kernel descends its odd members, none twice
+        bound, s = (1 << 16) + 1, 67_000
+        lanes = []
+        descend_range = classifier._descend_range
 
-        monkeypatch.setattr(classifier.ResidueCache, "_residues_by", recording)
-        run_census(MapKind.CR3, 1 << 16, CensusConfig(chunk_size=1 << 10, cache_bound=1 << 12))
-        # chunks below the bound read the table; every chunk that reaches it is halved
-        assert [lo for lo, _, odd in calls if not odd] == list(range(1, 3 << 10, 1 << 10))
-        assert [lo for lo, _, odd in calls if odd] == list(range(3 << 10 | 1, 1 << 16, 1 << 10))
+        def recording(cache, lo, hi, walk, classes=classifier._ALL_CLASSES):
+            if cache.bound == bound:  # the tally's calls, not the build's
+                lanes.extend(n for n in range(lo, hi + 1) if n % 64 in classes)
+            return descend_range(cache, lo, hi, walk, classes)
+
+        monkeypatch.setattr(classifier, "_descend_range", recording)
+        whole = _reference(map_kind, [s], bound, 10**6)[-1]
+        for chunk_size in (1, 97, 1 << 10, 1 << 16):
+            lanes.clear()
+            config = CensusConfig(chunk_size=chunk_size, cache_bound=bound)
+            assert run_census(map_kind, s, config).counts == whole
+            assert sorted(lanes) == list(range(bound, s + 1, 2)), chunk_size
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("chunk_size, record", [(7, 703), (97, 10087)])
+    def test_abort_in_a_later_chunk_of_a_span(self, map_kind, chunk_size, record, monkeypatch):
+        # the glide records of test_abort_inside_halved_chunks: one span
+        # reaches from the floor past the record, so its call fails first
+        # while counting an earlier chunk
+        max_steps = {MapKind.CR3: {703: 96, 10087: 132}, MapKind.PDCR2: {703: 59, 10087: 81}}
+        s = record + 1000
+        chunks = record_chunks(monkeypatch)
+        calls = record_residues_calls(monkeypatch)
+        progress = []
+        config = CensusConfig(
+            chunk_size=chunk_size, cache_bound=17, max_steps=max_steps[map_kind][record],
+            progress=lambda done, target: progress.append(done),
+        )
+
+        def run():
+            for log in (chunks, calls, progress):
+                log.clear()
+            with pytest.raises(CensusAbortError) as exc:
+                run_census(map_kind, s, config)
+            assert (exc.value.n, exc.value.phase) == (record, "tally")
+            return list(chunks), list(progress)
+
+        spanned = run()
+        failing = next(lo for lo, hi, odd in calls if odd and lo <= record <= hi)
+        held = record - (record - 1) % chunk_size  # the record's chunk
+        assert failing < held  # the span's call failed in an earlier chunk
+        # chunk by chunk: a span of two halved chunks holds too many members
+        monkeypatch.setattr(census_module, "_SPAN", (chunk_size + 1) // 2)
+        expected = [(lo, lo + chunk_size - 1) for lo in range(1, held + 1, chunk_size)]
+        assert spanned == run() == (expected, [hi for _, hi in expected[:-1]])
 
     def test_no_chunk_is_halved_under_a_budget_of_no_steps(self, monkeypatch):
         calls = record_chunks(monkeypatch)
-        odd_calls = []
-        residues_by = classifier.ResidueCache._residues_by
-
-        def recording(self, lo, hi, walk, odd=False):
-            odd_calls.append(odd)
-            return residues_by(self, lo, hi, walk, odd)
-
-        monkeypatch.setattr(classifier.ResidueCache, "_residues_by", recording)
+        residues_calls = record_residues_calls(monkeypatch)
         with pytest.raises(CensusAbortError) as exc:
             run_census(MapKind.CR3, 100, CensusConfig(chunk_size=1, cache_bound=2, max_steps=0))
         assert exc.value.n == 2 and calls == [(1, 1), (2, 2)]
-        assert not any(odd_calls)
+        assert residues_calls and not any(odd for *_, odd in residues_calls)
 
     def test_the_memo_stays_bounded(self, monkeypatch):
         # a point is kept from the chunk that passes it until the chunk past
@@ -1140,9 +1212,9 @@ class TestHalvedChunks:
         seen = set()
         peak = 0
 
-        def watching(map_kind, lo, hi, cache, sweep):
+        def watching(map_kind, lo, hi, sweep):
             nonlocal peak
-            part = exact(map_kind, lo, hi, cache, sweep)
+            part = exact(map_kind, lo, hi, sweep)
             assert all((lo - 1) // 2 <= y <= hi for y in sweep.memo)
             seen.update(sweep.memo)
             peak = max(peak, len(sweep.memo))
