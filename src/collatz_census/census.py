@@ -4,7 +4,7 @@ A census counts, for every class of a composite map, how many n in [1, S]
 belong to it. The residue cache is built first; then the range is cut into
 fixed-size chunks, counted one after another in ascending order from what
 the cache's ``ResidueCache.residues`` (the call ``verify_range`` checks)
-gives for each, and each chunk's counts are merged into the running total
+gives for each, and each chunk hands on the running totals through its end
 as it completes. The residues are read by span, not by chunk: one call
 covers the run of whole chunks from the next one that holds at most 2^16
 members, so past the bound the descent kernel takes about 2^16 lanes per
@@ -35,7 +35,7 @@ from it on qualifies, since hi < lo + size <= 2*lo. The ceiling is at most
 halved chunk reads, floor(e/2^k) for the chunk ends e up to the ceiling
 whose halvings stay in the region, from the chunk that passes y until the
 sweep passes 2y + 2, so the memo holds points of [x/2, x] at position x,
-near half the region's chunk ends at its peak (about 33 MB at most); the
+near half the region's chunk ends at its peak (about 34 MB at most); the
 cap also bounds how many chunk ends a chunk walks to find its points. Past
 the ceiling chunks are counted whole. An even member is never the smallest
 failing n, since its half failed first, so aborts name the same n as
@@ -44,10 +44,10 @@ end at n - 1, so the chunks before n are counted and absorbed first and
 the chunk that holds n aborts, as if each chunk were read alone.
 
 ``run_census`` and ``run_series`` share that engine: a series is a census
-whose sample points are forced chunk cuts. Every result carries its counts
-as one :class:`ClassCounts`, from which the fractions are derived: a census
-result holds the counts over [1, S], a series is the running total at each
-sample point, and a checkpoint holds the completed prefix [1, next_n - 1].
+whose sample points are forced chunk cuts. Its one running total is P, the
+census prefix over [1, y] (a resumed prefix seeds it; the seed cancels in
+every halving). Only counts that are kept become a :class:`ClassCounts`: a
+result over [1, S], a series point and a checkpoint's completed prefix.
 
 Long runs can periodically write a checkpoint file (a small versioned JSON
 document covering the completed contiguous prefix, fsync'd and renamed into
@@ -93,7 +93,7 @@ CHECKPOINT_VERSION = 2
 # A descent-kernel call on 2^16 lanes measured faster than on 2^15 or 2^17.
 _SPAN = 1 << 16
 # Caps on the halved region [floor, ceiling]. The memo peaks near half its
-# chunk ends, at about 254 bytes a point (33 MB for 2^18 ends). A chunk at x
+# chunk ends, at about 259 bytes a point (34 MB for 2^18 ends). A chunk at x
 # finds its points in the about 2^k chunk ends past x*2^k, for each depth k
 # up to ceiling/x: about 2*ceiling/x ends in all, at most 2^(depth + 1).
 _HALVED_ENDS = 1 << 18
@@ -246,18 +246,21 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     at or above the modulus leaves the counts short of the chunk's width and
     :class:`ClassCounts` raises ``ValueError``.
     """
-    labels = labels_for(map_kind)
     _check_cache_basis(map_kind, cache)
     validate_nat(lo)
     validate_nat(hi)
     if lo > hi:
         raise ValueError(f"empty chunk [{lo}, {hi}]")
-    totals = _chunk_totals(cache, lo, hi, [hi])[-1]
-    return ClassCounts(map_kind, lo, hi, {label: totals[r] for r, label in enumerate(labels)})
+    return _counts(map_kind, lo, hi, _chunk_totals(cache, lo, hi, [hi], [0] * cache.modulus)[-1])
 
 
-def _chunk_totals(source, lo, hi, points, odd=False):
-    """Residue totals over [lo, y] for each y in ``points``, ascending, the last hi.
+def _counts(map_kind, lo, hi, totals) -> ClassCounts:
+    """The counts over [lo, hi] whose class ``labels_for(map_kind)[r]`` is ``totals[r]``."""
+    return ClassCounts(map_kind, lo, hi, dict(zip(labels_for(map_kind), totals)))
+
+
+def _chunk_totals(source, lo, hi, points, base, odd=False):
+    """``base`` + residue totals over [lo, y] for each y in ``points`` (ascending, the last hi).
 
     Reads ``source.residues`` (with ``odd``, only the odd members) in pieces
     of at most 2^16 members, one call per piece: a point only cuts where the
@@ -266,7 +269,7 @@ def _chunk_totals(source, lo, hi, points, odd=False):
     it holds. Total r counts the residues equal to r, at uint8 width. A
     failing member aborts with the smallest offending n.
     """
-    totals = [0] * source.modulus
+    totals = list(base)
     out = []
     ys = iter(points)
     y = next(ys)
@@ -490,9 +493,9 @@ def _utc_now() -> str:
 
 
 class _Sweep:
-    """The chunks of one ascending tally, its running totals P, the points
-    of P that halved chunks read (see the module docstring), and the span
-    of residues the chunks are read from.
+    """The chunks of one ascending tally, its running totals P (int rows, by
+    residue, from ``totals`` at start - 1), the points of P that halved chunks
+    read (see the module docstring), and the span of residues held.
 
     A halved chunk [lo, hi] reads P(floor((lo - 1)/2)) and P(floor(y/2))
     for every y it must report P at: its end hi and each needed point
@@ -506,8 +509,8 @@ class _Sweep:
     the chunk ends of each depth, so no list of chunks or points is built.
     """
 
-    def __init__(self, cache, start, cuts, size):
-        self.cache, self.modulus = cache, cache.modulus
+    def __init__(self, cache, start, cuts, size, totals):
+        self.cache = cache
         self.start, self.cuts, self.size = start, cuts, size
         # The floor is the first chunk start lo >= max(size, 2*start - 1),
         # from the chunk that holds the bound on. Every chunk from there on
@@ -521,7 +524,7 @@ class _Sweep:
             self.floor = next((lo for lo, _ in self.chunks(first) if lo >= least), None)
         if self.floor is not None:
             self.ceiling = min(self.floor << _HALVED_DEPTH, self.floor + _HALVED_ENDS * size)
-        self.totals = (0,) * cache.modulus  # P of the last counted n
+        self.totals = totals  # P of the last counted n
         self.memo = {start - 1: self.totals}
         self._kept = collections.deque([start - 1])  # the memo's points, ascending
         self._span = (0, -1, False, None)  # the residues held: lo, hi, odd, array
@@ -557,14 +560,13 @@ class _Sweep:
                 points.update(e >> k for e in ends)
         return sorted(points)
 
-    def advance(self, points, totals) -> None:
-        """Record the counted chunk: ``totals[i]`` are its residue totals
-        through ``points[i]``, and ``totals[-1]`` through its end."""
-        prior = self.totals
-        for y, t in zip(points, totals):
-            self.memo[y] = tuple(p + c for p, c in zip(prior, t))
+    def advance(self, points, rows) -> None:
+        """Record the counted chunk: ``rows[i]`` is P at ``points[i]``, and
+        ``rows[-1]`` P at its end."""
+        for y, row in zip(points, rows):
+            self.memo[y] = row
             self._kept.append(y)
-        self.totals = tuple(p + c for p, c in zip(prior, totals[-1]))
+        self.totals = rows[-1]
 
     def residues(self, a, b, odd):
         """``cache.residues(a, b, odd)`` for a piece [a, b] of the next
@@ -630,47 +632,47 @@ class _Sweep:
         return lo, min(lo + self.size - 1, self.cuts[i])
 
 
-def _count_chunk(map_kind, lo, hi, sweep) -> ClassCounts:
-    """Counts of the tally's next chunk [lo, hi], read off the sweep's spans.
+def _count_chunk(lo, hi, sweep) -> list[int]:
+    """Count the tally's next chunk [lo, hi] on from the sweep's P; return P(hi).
 
     A halved chunk counts its odd members' residues and adds its evens off
-    the running totals; any other chunk counts all its residues. Both are
-    counted by :func:`_chunk_totals`, in pieces at the needed points inside.
+    P; any other chunk counts all its residues. Both are counted from
+    P(lo - 1) by :func:`_chunk_totals`, in pieces at the needed points inside.
     """
     points = sweep.pull(lo, hi)
     ends = points if points[-1:] == [hi] else [*points, hi]
     odd = sweep.halves(lo, hi)
-    totals = _chunk_totals(sweep, lo, hi, ends, odd)
+    rows = _chunk_totals(sweep, lo, hi, ends, sweep.totals, odd)
     if odd:
         base, memo = sweep.memo[(lo - 1) // 2], sweep.memo
-        for y, t in zip(ends, totals):
+        for y, row in zip(ends, rows):
             half = memo[y // 2]
-            for r in range(len(t)):  # index r - 1 = -1 is the last class: the shift
-                t[r] += half[r - 1] - base[r - 1]
-    sweep.advance(points, totals)
-    labels = labels_for(map_kind)
-    return ClassCounts(map_kind, lo, hi, {label: totals[-1][r] for r, label in enumerate(labels)})
+            for r in range(len(row)):  # index r - 1 = -1 is the last class: the shift
+                row[r] += half[r - 1] - base[r - 1]
+    sweep.advance(points, rows)
+    return sweep.totals
 
 
-def _tally(map_kind, config, bound, start, cuts, absorb) -> None:
+def _tally(map_kind, config, bound, reached, cuts, absorb) -> None:
     """The ordered-absorb engine under :func:`run_census` and :func:`run_series`.
 
-    Builds the cache below ``bound``, then classifies [start, cuts[-1]] in
-    ascending chunks that end at or before each cut, handing each chunk's
-    counts (:func:`_count_chunk`) to ``absorb`` before the next is
-    classified. An abort therefore names the smallest failing n, and an
-    error or interrupt leaves exactly the chunks before it absorbed. With
-    nothing left to classify it builds nothing.
+    Builds the cache below ``bound``, then classifies on from ``reached`` =
+    (hi, P(hi)) to cuts[-1] in ascending chunks that end at or before each
+    cut, calling ``absorb(hi, P(hi))`` (P(hi)[r] counts the class
+    ``labels_for(map_kind)[r]``) before the next is classified. An abort
+    therefore names the smallest failing n, and an error or interrupt leaves
+    exactly the chunks before it absorbed. With nothing left to classify it
+    builds nothing.
     """
-    if start > cuts[-1]:
+    if reached[0] >= cuts[-1]:
         return
     try:
         cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
     except (NatOverflowError, StepBudgetExceeded) as e:
         raise CensusAbortError(e.n, e, "build") from e
-    sweep = _Sweep(cache, start, cuts, config.chunk_size)
-    for lo, hi in sweep.chunks(start):
-        absorb(_count_chunk(map_kind, lo, hi, sweep))
+    sweep = _Sweep(cache, reached[0] + 1, cuts, config.chunk_size, reached[1])
+    for lo, hi in sweep.chunks(sweep.start):
+        absorb(hi, _count_chunk(lo, hi, sweep))
 
 
 @contextlib.contextmanager
@@ -702,8 +704,8 @@ def run_census(
 ) -> CensusResult:
     """Count class memberships over [1, s].
 
-    Chunks are classified and merged one at a time in ascending range
-    order, so the counts are independent of chunk size. With a
+    Chunks are classified one at a time in ascending range order into one
+    running total, so the counts are independent of chunk size. With a
     ``checkpoint_path`` the completed prefix is saved at most once per
     ``checkpoint_interval``, plus once at completion;
     ``resume=True`` continues from such a file after checking that its
@@ -731,43 +733,43 @@ def run_census(
                 f"checkpoint was written under max_steps={cp.max_steps}, "
                 f"requested max_steps={config.max_steps}"
             )
-        total = cp.prefix
+        reached = cp.prefix.hi, list(cp.prefix.counts.values())  # as absorb receives it
     else:
-        total = ClassCounts.empty(map_kind, at=1)
+        reached = 0, [0] * len(labels_for(map_kind))
     if checkpoint_path is not None:
         _check_checkpoint_writable(checkpoint_path)
 
     last_write = time.monotonic()
 
-    def write_checkpoint() -> None:
-        save_checkpoint(
-            Checkpoint(total, s, bound, _utc_now(), config.max_steps), checkpoint_path
-        )
+    def write_checkpoint(total: ClassCounts) -> None:
+        save_checkpoint(Checkpoint(total, s, bound, _utc_now(), config.max_steps), checkpoint_path)
 
-    def absorb(part: ClassCounts) -> None:
-        nonlocal total, last_write
-        total = merge(total, part)
+    def absorb(hi: int, totals: list[int]) -> None:
+        nonlocal reached, last_write
+        reached = hi, totals
         if (
             checkpoint_path is not None
             and time.monotonic() - last_write >= config.checkpoint_interval
         ):
-            write_checkpoint()
+            write_checkpoint(_counts(map_kind, 1, hi, totals))
             last_write = time.monotonic()
         if config.progress is not None:
-            config.progress(total.hi, s)
+            config.progress(hi, s)
 
     try:
-        _tally(map_kind, config, bound, total.hi + 1, [s], absorb)
+        _tally(map_kind, config, bound, reached, [s], absorb)
     except KeyboardInterrupt as e:
+        total = _counts(map_kind, 1, *reached)
         if checkpoint_path is not None:
             with _signal_handlers(None, "SIGINT", "SIGTERM"):  # a second signal is dropped
-                write_checkpoint()
+                write_checkpoint(total)
         raise CensusInterrupted(total, checkpoint_path) from e
 
+    total = _counts(map_kind, 1, *reached)
     if total.lo != 1 or total.hi != s:
         raise RuntimeError(f"census covered [{total.lo}, {total.hi}], expected [1, {s}]")
     if checkpoint_path is not None:
-        write_checkpoint()
+        write_checkpoint(total)
 
     engine = EngineInfo(
         chunk_size=config.chunk_size,
@@ -818,16 +820,13 @@ def run_series(
     bound = _resolve_config(config, s_max)
     samples = _series_samples(s_max, points, spacing)
 
-    total = ClassCounts.empty(map_kind, at=1)
     out = []
 
-    def absorb(part: ClassCounts) -> None:
-        nonlocal total
-        total = merge(total, part)
-        if total.hi == samples[len(out)]:
-            out.append(total)
+    def absorb(hi: int, totals: list[int]) -> None:
+        if hi == samples[len(out)]:
+            out.append(_counts(map_kind, 1, hi, totals))
         if config.progress is not None:
-            config.progress(total.hi, s_max)
+            config.progress(hi, s_max)
 
-    _tally(map_kind, config, bound, 1, samples, absorb)
+    _tally(map_kind, config, bound, (0, [0] * len(labels_for(map_kind))), samples, absorb)
     return out

@@ -30,6 +30,7 @@ from collatz_census import (
     census_chunk,
     classify_direct,
     decimal_fraction,
+    labels_for,
     load_checkpoint,
     merge,
     run_census,
@@ -422,9 +423,9 @@ def record_chunks(monkeypatch):
     calls = []
     exact = census_module._count_chunk
 
-    def recording(map_kind, lo, hi, *args):
+    def recording(lo, hi, *args):
         calls.append((lo, hi))
-        return exact(map_kind, lo, hi, *args)
+        return exact(lo, hi, *args)
 
     monkeypatch.setattr(census_module, "_count_chunk", recording)
     return calls
@@ -768,6 +769,40 @@ class TestResume:
         assert saved.prefix == first.counts
         assert saved.created_at != "then"  # the final checkpoint was written
 
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_every_write_of_a_halved_resume_holds_its_prefix(
+        self, map_kind, tmp_path, monkeypatch
+    ):
+        # the resumed prefix seeds the running totals that the halved chunks
+        # read, from the floor at 2 * 40001 - 1 on; every write and progress
+        # call must come at a chunk end, with the counts over [1, that end]
+        bound, size, s, next_n = 1 << 10, 1000, 1 << 17, 40_001
+        path = tmp_path / "run.ckpt"
+        prefix = _reference(map_kind, [next_n - 1], bound, 10**6)[-1]
+        save_checkpoint(Checkpoint(prefix, s, bound, "then"), path)
+        saved, progress = [], []
+        exact = census_module.save_checkpoint
+
+        def recording(checkpoint, at):
+            saved.append(checkpoint)
+            exact(checkpoint, at)
+
+        monkeypatch.setattr(census_module, "save_checkpoint", recording)
+        calls = record_residues_calls(monkeypatch)
+        config = CensusConfig(
+            chunk_size=size, cache_bound=bound, checkpoint_interval=0.0,
+            progress=lambda done, target: progress.append((done, target)),
+        )
+        result = run_census(map_kind, s, config, checkpoint_path=path, resume=True)
+        assert (80_001, s) in [(lo, hi) for lo, hi, odd in calls if odd]  # halved from the floor
+        ends = [*range(next_n + size - 1, s, size), s]
+        assert progress == [(end, s) for end in ends]
+        assert [c.prefix.hi for c in saved] == [*ends, s]  # and the final write
+        expected = _reference(map_kind, ends, bound, 10**6)
+        assert [c.prefix for c in saved] == [*expected, expected[-1]]
+        assert result.counts == expected[-1]
+        assert {(c.target, c.cache_bound, c.max_steps) for c in saved} == {(s, bound, 10**6)}
+
 
 class TestInterrupt:
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
@@ -804,6 +839,32 @@ class TestInterrupt:
         assert exc.value.next_n == 1001
         assert exc.value.checkpoint_path is None
         assert exc.value.prefix == run_census(MapKind.CR3, 1000).counts
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_interrupt_inside_the_halved_region_of_a_resume(
+        self, map_kind, counted, interrupt_at, tmp_path, monkeypatch
+    ):
+        # a resume from 20001 halves from 2 * 20001 - 1 on; interrupted at the
+        # chunk from 50001, before or after that chunk is counted into the
+        # running totals, it saves the prefix the last absorbed chunk ended
+        bound, s = 1 << 10, 100_000
+        config = CensusConfig(chunk_size=100, cache_bound=bound)
+        cache = ResidueCache(MapKind.CR, bound, 10**6, np.zeros(bound, np.uint8))
+        assert census_module._Sweep(cache, 20_001, [s], 100, [0, 0, 0]).floor == 40_001
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(Checkpoint(run_census(map_kind, 20_000).counts, s, bound, "then"), path)
+        interrupt_at(50_001, counted)
+        calls = record_chunks(monkeypatch)
+        with pytest.raises(CensusInterrupted) as exc:
+            run_census(map_kind, s, config, checkpoint_path=path, resume=True)
+        assert calls == [(lo, lo + 99) for lo in range(20_001, 50_002, 100)]
+        assert exc.value.next_n == 50_001
+        expected = _reference(map_kind, [50_000], bound, 10**6)[-1]
+        assert load_checkpoint(path).prefix == exc.value.prefix == expected
+        monkeypatch.undo()
+        resumed = run_census(map_kind, s, config, checkpoint_path=path, resume=True)
+        assert resumed.counts == run_census(map_kind, s).counts
 
     def test_interrupt_during_the_build_keeps_the_resumed_prefix(self, tmp_path, monkeypatch):
         path = tmp_path / "census.ckpt"
@@ -929,17 +990,16 @@ def _reference(map_kind, cuts, bound, max_steps, start=1):
 
 def _tally(map_kind, cuts, config, start=1):
     """The census engine's running totals at each cut, or ("abort", n)."""
-    total = ClassCounts.empty(map_kind, at=start)
+    labels = labels_for(map_kind)
     out = []
 
-    def absorb(part):
-        nonlocal total
-        total = merge(total, part)
-        if total.hi in cuts:
-            out.append(total)
+    def absorb(hi, totals):
+        if hi in cuts:
+            out.append(ClassCounts(map_kind, start, hi, dict(zip(labels, totals))))
 
     try:
-        census_module._tally(map_kind, config, config.cache_bound, start, cuts, absorb)
+        reached = start - 1, [0] * len(labels)
+        census_module._tally(map_kind, config, config.cache_bound, reached, cuts, absorb)
     except CensusAbortError as e:
         return ("abort", e.n)
     return out
@@ -1022,7 +1082,7 @@ class TestHalvedChunks:
         # [6, 7] could be halved, but [8, 65543] holds its own half, so the
         # halved region starts after it and [6, 7] is counted whole
         cache = build_residue_cache(MapKind.CR, 2)
-        sweep = census_module._Sweep(cache, 1, [5, 7, 10**6], 1 << 16)
+        sweep = census_module._Sweep(cache, 1, [5, 7, 10**6], 1 << 16, [0, 0, 0])
         assert sweep.floor == 65544
         assert not sweep.halves(6, 7) and sweep.halves(65544, 131079)
         cuts = [5, 7, 300_000]
@@ -1031,7 +1091,7 @@ class TestHalvedChunks:
         # [61, 110] qualifies, but the region starts at the first chunk
         # whose lo is at least the chunk size, so [61, 110] is counted whole
         cuts = [60, 110, 1000]
-        sweep = census_module._Sweep(cache, 1, cuts, 100)
+        sweep = census_module._Sweep(cache, 1, cuts, 100, [0, 0, 0])
         assert sweep.floor == 111
         assert not sweep.halves(61, 110) and sweep.halves(111, 210)
         config = CensusConfig(chunk_size=100, cache_bound=2)
@@ -1050,7 +1110,7 @@ class TestHalvedChunks:
             bound = rng.choice([2, 3, 17, rng.randrange(2, s + 2)])
             budget = rng.choice([0, 1, 10**6])
             cache = ResidueCache(MapKind.CR, bound, budget, np.zeros(bound, np.uint8))
-            sweep = census_module._Sweep(cache, start, cuts, size)
+            sweep = census_module._Sweep(cache, start, cuts, size, [0, 0, 0])
             chunks = list(sweep.chunks(start))
             los = [lo for lo, _ in chunks]
             halved = [(lo, hi) for lo, hi in chunks if sweep.halves(lo, hi)]
@@ -1080,14 +1140,14 @@ class TestHalvedChunks:
                 if sweep.halves(lo, hi):
                     reads = [lo - 1, *points, hi]
                     assert all(y // 2 in sweep.memo for y in reads), (lo, hi)
-                sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
+                sweep.advance(points, [[0, 0, 0]] * (len(points) + 1))
 
     def test_the_sweep_looks_up_few_chunks_per_chunk(self, monkeypatch):
         # each depth takes the chunk ends whose halvings land in the chunk as
         # ranges between cuts; re-checking every halving chain took 896
         # lookups per chunk, and looking up each end about 170
         cache = ResidueCache(MapKind.CR, 1 << 25, 10**6, np.zeros(1 << 25, np.uint8))
-        sweep = census_module._Sweep(cache, 1, [10**10], 1 << 16)
+        sweep = census_module._Sweep(cache, 1, [10**10], 1 << 16, [0, 0, 0])
         calls = 0
         chunk = census_module._Sweep._chunk
 
@@ -1100,7 +1160,7 @@ class TestHalvedChunks:
         chunks = 3511
         for (lo, hi), _ in zip(sweep.chunks(1), range(chunks)):
             points = sweep.pull(lo, hi)
-            sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
+            sweep.advance(points, [[0, 0, 0]] * (len(points) + 1))
         # one lookup per chunk walked, and the one the zip discards; none in pull
         assert sweep.halves(lo, hi) and calls <= chunks + 1
 
@@ -1122,10 +1182,10 @@ class TestHalvedChunks:
     def test_a_vast_census_starts_counting_at_once(self):
         # the look-ahead and the memo stop at the ceiling, however far S is
         cache = build_residue_cache(MapKind.CR, 2)
-        sweep = census_module._Sweep(cache, 1, [2**100], 1 << 16)
+        sweep = census_module._Sweep(cache, 1, [2**100], 1 << 16, [0, 0, 0])
         for (lo, hi), _ in zip(sweep.chunks(1), range(600)):
             points = sweep.pull(lo, hi)
-            sweep.advance(points, [(0, 0, 0)] * (len(points) + 1))
+            sweep.advance(points, [[0, 0, 0]] * (len(points) + 1))
             assert len(sweep.memo) <= census_module._HALVED_ENDS
         assert sweep.ceiling == 65537 << census_module._HALVED_DEPTH
 
@@ -1212,13 +1272,13 @@ class TestHalvedChunks:
         seen = set()
         peak = 0
 
-        def watching(map_kind, lo, hi, sweep):
+        def watching(lo, hi, sweep):
             nonlocal peak
-            part = exact(map_kind, lo, hi, sweep)
+            totals = exact(lo, hi, sweep)
             assert all((lo - 1) // 2 <= y <= hi for y in sweep.memo)
             seen.update(sweep.memo)
             peak = max(peak, len(sweep.memo))
-            return part
+            return totals
 
         monkeypatch.setattr(census_module, "_count_chunk", watching)
         s = 1 << 19

@@ -35,12 +35,12 @@ def _signal_from_a_chunk(capsys, tmp_path, signame, word, code, *knobs, second=N
         import os, signal, sys
         from collatz_census import census, cli
         exact, fsync = census._count_chunk, os.fsync
-        def chunk(map_kind, lo, hi, *args):
+        def chunk(lo, hi, *args):
             if lo == 40001:
                 if {second!r}:
                     os.fsync = save
                 os.kill(os.getpid(), signal.{signame})
-            return exact(map_kind, lo, hi, *args)
+            return exact(lo, hi, *args)
         def save(fd):
             os.kill(os.getpid(), getattr(signal, {second!r}))
             fsync(fd)
