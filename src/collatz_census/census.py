@@ -1,49 +1,46 @@
 """Exhaustive class censuses over [1, S].
 
 A census counts, for every class of a composite map, how many n in [1, S]
-belong to it. The residue cache is built first; then the range is cut into
-fixed-size chunks, counted one after another in ascending order from what
+belong to it. The residue cache is built first; then [1, S] is cut into
+fixed-size chunks, and one loop counts them in ascending order from what
 the cache's ``ResidueCache.residues`` (the call ``verify_range`` checks)
-gives for each, and each chunk hands on the running totals through its end
-as it completes. The residues are read by span, not by chunk: one call
-covers the run of whole chunks from the next one that holds at most 2^16
-members, so past the bound the descent kernel takes about 2^16 lanes per
-call whatever the chunk size, and a chunk larger than that is read in
-pieces of 2^16 members. A span ends at a chunk end, so no member descends
-twice, and it never mixes the halved chunks below with whole ones. A chunk
-counts its uint8 residues in place, one ``count_nonzero`` pass per
-residue, never through ``np.bincount``, which would widen them to 8 bytes
-each first. Counting is exact integer arithmetic, so the result is
-identical for every chunk size.
+gives. It reads the residues in ranges of up to 2^16 members whatever the
+chunk size, each ending at a chunk end or 2^16 members into a larger chunk,
+so no member descends twice. The running residue totals P then step from
+point to point through the read: to each chunk end, where P is handed on,
+and to each point a halved chunk reads. Residues are counted at uint8
+width, one ``count_nonzero`` pass per residue, never through
+``np.bincount``, which would widen them to 8 bytes each first. Counting is
+exact integer arithmetic, so the result is identical for every chunk size.
 
 Past the cache bound a chunk descends only its odd members. One base step
 sends an even 2m to m, under either basis, and from there the walk of 2m
 is that of m, so residue(2m) = residue(m) + 1 and 2m passes the step
 budget exactly when m does, for any budget of at least one step. The
-evens of a chunk [lo, hi] are thus the members of [ceil(lo/2), floor(hi/2)]
-one class on, and the ascending census has counted those already: with
-P(y) the running residue totals through y, the evens add
-P(floor(hi/2)) - P(floor((lo - 1)/2)), class r's count moved to r + 1 mod
-the modulus. A chunk can be halved when it reaches the bound, the budget
-is at least one step and both of those P were recorded in this run, which
-holds from about twice the first n on: a resumed run counts whole chunks
-until then. The halved chunks are those of one region [floor, ceiling].
-The floor is the first chunk start at least the chunk size and
-2*start - 1 that is not below the chunk holding the bound; every chunk
-from it on qualifies, since hi < lo + size <= 2*lo. The ceiling is at most
-2^18 chunk ends and 2^9 times the floor. P is kept only at the points some
-halved chunk reads, floor(e/2^k) for the chunk ends e up to the ceiling
-whose halvings stay in the region, from the chunk that passes y until the
-sweep passes 2y + 2, so the memo holds points of [x/2, x] at position x,
-near half the region's chunk ends at its peak (about 34 MB at most); the
-cap also bounds how many chunk ends a chunk walks to find its points. Past
-the ceiling chunks are counted whole. An even member is never the smallest
-failing n, since its half failed first, so aborts name the same n as
-before. A span that fails at an n past the chunk being counted is cut to
-end at n - 1, so the chunks before n are counted and absorbed first and
-the chunk that holds n aborts, as if each chunk were read alone.
+evens of (x, y] are thus the members of (x/2, y/2] one class on, and the
+ascending census has counted those already: a step of P from x to y adds
+P(floor(y/2)) - P(floor(x/2)), class r's count moved to r + 1 mod the
+modulus. A chunk [lo, hi] can be halved when it reaches the bound, the
+budget is at least one step and P(floor((lo - 1)/2)) was recorded in this
+run, which holds from about twice the first n on: a resumed run counts
+whole chunks until then. The halved chunks are those of one region
+[floor, ceiling], and a read never mixes them with whole ones. The floor
+is the first chunk start at least the chunk size and 2*start - 1 that is
+not below the chunk holding the bound; every chunk from it on qualifies,
+since hi < lo + size <= 2*lo. The ceiling is at most 2^18 chunk ends and
+2^9 times the floor. P is kept only at the points a step reads,
+floor(e/2^k) for the chunk ends e up to the ceiling whose halvings stay in
+the region, from the step to y until a point past 2y + 1 is kept, so the
+memo holds points of [x/2, x] at its last point x, near half the region's
+chunk ends at its peak (about 34 MB at most); the cap also bounds how many
+chunk ends a read walks to find its points. Past the ceiling chunks are
+counted whole. An even member is never the smallest failing n, since its
+half failed first, so aborts name the same n as before. A read that fails
+at an n past its start is cut to end at n - 1, so the chunks before n are
+absorbed first and the next read, from n, aborts, as if each chunk were
+read alone.
 
-``run_census`` and ``run_series`` share that engine: a series is a census
+``run_census`` and ``run_series`` share that loop: a series is a census
 whose sample points are forced chunk cuts. Its one running total is P, the
 census prefix over [1, y] (a resumed prefix seeds it; the seed cancels in
 every halving). Only counts that are kept become a :class:`ClassCounts`: a
@@ -89,13 +86,13 @@ from .kernel import (
 
 CHECKPOINT_VERSION = 2
 
-# Members per residues call: a span of chunks, or a piece of a larger chunk.
-# A descent-kernel call on 2^16 lanes measured faster than on 2^15 or 2^17.
+# Members per read, one residues call over whole chunks or part of a larger
+# one. A descent-kernel call on 2^16 lanes measured faster than on 2^15 or 2^17.
 _SPAN = 1 << 16
 # Caps on the halved region [floor, ceiling]. The memo peaks near half its
-# chunk ends, at about 259 bytes a point (34 MB for 2^18 ends). A chunk at x
-# finds its points in the about 2^k chunk ends past x*2^k, for each depth k
-# up to ceiling/x: about 2*ceiling/x ends in all, at most 2^(depth + 1).
+# chunk ends, at about 259 bytes a point (34 MB for 2^18 ends). The points
+# at x are found in the about 2^k chunk ends past x*2^k, for each depth k up
+# to ceiling/x: about 2*ceiling/x ends in all, at most 2^(depth + 1).
 _HALVED_ENDS = 1 << 18
 _HALVED_DEPTH = 9
 
@@ -235,11 +232,12 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     """Classify every n in [lo, hi] and tally the classes.
 
     Counts :meth:`ResidueCache.residues`, the call ``verify_range`` checks,
-    in pieces of at most 2^16 numbers: a slice of the cache below its bound,
-    a descent into the cache above it, under the cache's ``max_steps``. Any
+    through the tally's counting loop, one chunk that is never halved, in
+    reads of at most 2^16 numbers: a slice of the cache below its bound, a
+    descent into the cache above it, under the cache's ``max_steps``. Any
     member that fails aborts the chunk with the smallest offending n.
 
-    Each piece is counted at uint8 width, one ``count_nonzero(residues == r)``
+    Each read is counted at uint8 width, one ``count_nonzero(residues == r)``
     per residue r below the cache's modulus (3 passes for ``cr``, 2 for
     ``pdcr``). ``np.bincount`` would first copy the residues to intp, 8 bytes
     per number. Every residue is counted, none is "the rest", so a residue
@@ -251,43 +249,15 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     validate_nat(hi)
     if lo > hi:
         raise ValueError(f"empty chunk [{lo}, {hi}]")
-    return _counts(map_kind, lo, hi, _chunk_totals(cache, lo, hi, [hi], [0] * cache.modulus)[-1])
+    rows = []
+    sweep = _Sweep(cache, lo, [hi], hi - lo + 1, [0] * cache.modulus)
+    _count(sweep, lambda _, row: rows.append(row))
+    return _counts(map_kind, lo, hi, rows[0])
 
 
 def _counts(map_kind, lo, hi, totals) -> ClassCounts:
     """The counts over [lo, hi] whose class ``labels_for(map_kind)[r]`` is ``totals[r]``."""
     return ClassCounts(map_kind, lo, hi, dict(zip(labels_for(map_kind), totals)))
-
-
-def _chunk_totals(source, lo, hi, points, base, odd=False):
-    """``base`` + residue totals over [lo, y] for each y in ``points`` (ascending, the last hi).
-
-    Reads ``source.residues`` (with ``odd``, only the odd members) in pieces
-    of at most 2^16 members, one call per piece: a point only cuts where the
-    counting of that piece's residues stops. ``source`` is the cache, or the
-    tally's :class:`_Sweep`, which serves each piece from the span of chunks
-    it holds. Total r counts the residues equal to r, at uint8 width. A
-    failing member aborts with the smallest offending n.
-    """
-    totals = list(base)
-    out = []
-    ys = iter(points)
-    y = next(ys)
-    for a in range(lo, hi + 1, _SPAN << odd):
-        b = min(hi, a + (_SPAN << odd) - 1)
-        try:
-            residues = source.residues(a, b, odd)
-        except (NatOverflowError, StepBudgetExceeded) as e:
-            raise CensusAbortError(e.n, e, "tally") from e
-        i = 0
-        while y <= b:
-            j = (y + 1) // 2 - a // 2 if odd else y + 1 - a  # the piece's members up to y
-            _add_counts(totals, residues[i:j])
-            out.append(totals.copy())
-            i, y = j, next(ys, hi + 1)
-        if i < len(residues):
-            _add_counts(totals, residues[i:])
-    return out
 
 
 def _add_counts(totals, residues):
@@ -493,20 +463,20 @@ def _utc_now() -> str:
 
 
 class _Sweep:
-    """The chunks of one ascending tally, its running totals P (int rows, by
-    residue, from ``totals`` at start - 1), the points of P that halved chunks
-    read (see the module docstring), and the span of residues held.
+    """The chunks of one ascending tally, where its reads end, and the memo:
+    P (int rows, by residue, from ``totals`` at start - 1) at the points
+    that halved chunks read (see the module docstring), ascending in ``kept``.
 
     A halved chunk [lo, hi] reads P(floor((lo - 1)/2)) and P(floor(y/2))
-    for every y it must report P at: its end hi and each needed point
+    for every y that P steps to in it: its end hi and each needed point
     inside it. So the needed points are the closure of the chunk ends under
     y -> floor(y/2), followed while y lies strictly inside a halved chunk.
     No chain needs walking: one that lands on a chunk end e' goes on with
     the points of e' itself. So the closure is floor(e/2^k), k >= 1, for
     every chunk end e <= min(ceiling, cuts[-1]) whose last halving
     floor(e/2^(k - 1)) borders the region (k = 1: e >= floor - 1) or lies in
-    it (e >= floor * 2^(k - 1)). :meth:`pull` finds each chunk's points from
-    the chunk ends of each depth, so no list of chunks or points is built.
+    it (e >= floor * 2^(k - 1)). :meth:`pull` finds a read's points from the
+    chunk ends of each depth, so no list of chunks or points is built.
     """
 
     def __init__(self, cache, start, cuts, size, totals):
@@ -524,10 +494,8 @@ class _Sweep:
             self.floor = next((lo for lo, _ in self.chunks(first) if lo >= least), None)
         if self.floor is not None:
             self.ceiling = min(self.floor << _HALVED_DEPTH, self.floor + _HALVED_ENDS * size)
-        self.totals = totals  # P of the last counted n
-        self.memo = {start - 1: self.totals}
-        self._kept = collections.deque([start - 1])  # the memo's points, ascending
-        self._span = (0, -1, False, None)  # the residues held: lo, hi, odd, array
+        self.memo = {start - 1: totals}
+        self.kept = collections.deque([start - 1])
 
     def halves(self, lo, hi) -> bool:
         """Whether the chunk [lo, hi] lies in the halved region."""
@@ -541,76 +509,44 @@ class _Sweep:
             lo, hi = self._chunk(hi + 1)
             yield lo, hi
 
-    def pull(self, lo, hi) -> list[int]:
-        """The needed points of the next chunk [lo, hi], ascending: the
-        floor(e/2^k) in it, of the chunk ends e in [lo*2^k, (hi + 1)*2^k)
-        that the class docstring admits. First drops each P(y) with
-        2y + 2 < lo: no chunk from lo on reads it."""
-        while self._kept and self._kept[0] < (lo - 1) // 2:
-            del self.memo[self._kept.popleft()]
-        if self.floor is None:
-            return []
-        last = min(self.ceiling, self.cuts[-1])
-        points = set()
-        for k in range(1, last.bit_length()):
-            least = max(lo << k, self.floor - 1 if k == 1 else self.floor << (k - 1))
-            if least > last:  # least grows with k
-                break
-            for ends in self._ends(least, min(last, ((hi + 1) << k) - 1)):
-                points.update(e >> k for e in ends)
-        return sorted(points)
-
-    def advance(self, points, rows) -> None:
-        """Record the counted chunk: ``rows[i]`` is P at ``points[i]``, and
-        ``rows[-1]`` P at its end."""
-        for y, row in zip(points, rows):
-            self.memo[y] = row
-            self._kept.append(y)
-        self.totals = rows[-1]
-
-    def residues(self, a, b, odd):
-        """``cache.residues(a, b, odd)`` for a piece [a, b] of the next
-        chunk, read off the span held.
-
-        A piece past the span starts a new one, read by one call: from a to
-        the last chunk end e >= b with at most 2^16 members in [a, e] (b if
-        there is none) that stays in a's region, the halved one up to the
-        ceiling or the whole chunks before the floor or past the ceiling. So
-        a kernel call takes up to 2^16 lanes whatever the chunk size, and no
-        member descends twice. If the call fails at an n past b, the span is
-        [a, n - 1], whose members all pass, and the chunk that holds n fails
-        in its turn.
-        """
-        lo, hi, held_odd, held = self._span
-        if not (held_odd == odd and lo <= a and b <= hi):
-            lo, hi = a, self._span_end(a, b, odd)
-            try:
-                held = self.cache.residues(lo, hi, odd)
-            except (NatOverflowError, StepBudgetExceeded) as e:
-                if e.n <= b:
-                    raise
-                hi = e.n - 1
-                held = self.cache.residues(lo, hi, odd)
-            self._span = lo, hi, odd, held
-        if odd:
-            return held[a // 2 - lo // 2 : (b + 1) // 2 - lo // 2]
-        return held[a - lo : b + 1 - lo]
-
-    def _span_end(self, a, b, odd):
-        """The end of the span from a: see :meth:`residues`."""
+    def read(self, a) -> tuple[bool, int]:
+        """The read from a: whether it takes only the odd members (a's chunk
+        is halved), and its end b, the last chunk end e with at most 2^16
+        members in [a, e], or 2^16 members on if a's chunk holds more. A
+        read stays in a's region: halved up to the ceiling, or whole before
+        the floor or past the ceiling."""
+        lo, hi = self._chunk(a)
+        odd = self.halves(lo, hi)
         if odd:
             last = self.ceiling
         elif self.floor is not None and a < self.floor:
             last = self.floor - 1
         else:
             last = self.cuts[-1]
-        y = min(last, self.cuts[-1], a + (_SPAN << odd) - 1)
-        if y <= b:
-            return b
-        lo, hi = self._chunk(y)  # past b, which is then a chunk end
-        return y if hi == y else lo - 1
+        b = min(last, self.cuts[-1], a + (_SPAN << odd) - 1)
+        if b > hi:  # past a's chunk: end at the last chunk end up to b
+            lo, hi = self._chunk(b)
+            if b < hi:
+                b = lo - 1
+        return odd, b
 
-    def _ends(self, u, v):
+    def pull(self, a, b) -> set[int]:
+        """The needed points in the read [a, b]: the floor(e/2^k) in it, of
+        the chunk ends e in [a*2^k, (b + 1)*2^k) that the class docstring
+        admits."""
+        points = set()
+        if self.floor is None:
+            return points
+        last = min(self.ceiling, self.cuts[-1])
+        for k in range(1, last.bit_length()):
+            least = max(a << k, self.floor - 1 if k == 1 else self.floor << (k - 1))
+            if least > last:  # least grows with k
+                break
+            for ends in self.ends(least, min(last, ((b + 1) << k) - 1)):
+                points.update(e >> k for e in ends)
+        return points
+
+    def ends(self, u, v):
         """The chunk ends in [u, v], ascending: per stretch [first, cut]
         between cuts, the range of its ends first - 1 + j*size, then the cut."""
         i = bisect.bisect_left(self.cuts, u)
@@ -632,25 +568,49 @@ class _Sweep:
         return lo, min(lo + self.size - 1, self.cuts[i])
 
 
-def _count_chunk(lo, hi, sweep) -> list[int]:
-    """Count the tally's next chunk [lo, hi] on from the sweep's P; return P(hi).
+def _count(sweep, absorb) -> None:
+    """Count the sweep's chunks, calling ``absorb(hi, P(hi))`` at each chunk
+    end hi: the one counting loop of the module docstring.
 
-    A halved chunk counts its odd members' residues and adds its evens off
-    P; any other chunk counts all its residues. Both are counted from
-    P(lo - 1) by :func:`_chunk_totals`, in pieces at the needed points inside.
+    Each read [a, b] is one ``residues`` call. P steps in order through the
+    chunk ends and needed points y in it, each step adding the residues
+    read since the last point prev, and in a halved read the evens of
+    (prev, y]. P is kept at the needed points; a point below floor(y/2) is
+    read by no step from y on, and is dropped.
     """
-    points = sweep.pull(lo, hi)
-    ends = points if points[-1:] == [hi] else [*points, hi]
-    odd = sweep.halves(lo, hi)
-    rows = _chunk_totals(sweep, lo, hi, ends, sweep.totals, odd)
-    if odd:
-        base, memo = sweep.memo[(lo - 1) // 2], sweep.memo
-        for y, row in zip(ends, rows):
-            half = memo[y // 2]
-            for r in range(len(row)):  # index r - 1 = -1 is the last class: the shift
-                row[r] += half[r - 1] - base[r - 1]
-    sweep.advance(points, rows)
-    return sweep.totals
+    memo, kept = sweep.memo, sweep.kept
+    prev = sweep.start - 1
+    totals = list(memo[prev])  # P(prev), plus the residues read past prev
+    a = sweep.start
+    while a <= sweep.cuts[-1]:
+        odd, b = sweep.read(a)
+        try:
+            residues = sweep.cache.residues(a, b, odd)
+        except (NatOverflowError, StepBudgetExceeded) as e:
+            if e.n == a:
+                raise CensusAbortError(e.n, e, "tally") from e
+            b = e.n - 1  # its members all pass: absorb the chunks before n
+            residues = sweep.cache.residues(a, b, odd)
+        points = sweep.pull(a, b)
+        ends = set().union(*sweep.ends(a, b))
+        i = 0
+        for y in sorted(points | ends):
+            j = (y + 1) // 2 - a // 2 if odd else y + 1 - a  # the read's members up to y
+            _add_counts(totals, residues[i:j])
+            if odd:
+                half, base = memo[y // 2], memo[prev // 2]
+                for r in range(len(totals)):  # index r - 1 = -1 is the last class: the shift
+                    totals[r] += half[r - 1] - base[r - 1]
+            row, prev, i = totals.copy(), y, j
+            if y in points:
+                memo[y] = row
+                kept.append(y)
+                while kept[0] < y // 2:
+                    del memo[kept.popleft()]
+            if y in ends:
+                absorb(y, row)
+        _add_counts(totals, residues[i:])
+        a = b + 1
 
 
 def _tally(map_kind, config, bound, reached, cuts, absorb) -> None:
@@ -659,10 +619,10 @@ def _tally(map_kind, config, bound, reached, cuts, absorb) -> None:
     Builds the cache below ``bound``, then classifies on from ``reached`` =
     (hi, P(hi)) to cuts[-1] in ascending chunks that end at or before each
     cut, calling ``absorb(hi, P(hi))`` (P(hi)[r] counts the class
-    ``labels_for(map_kind)[r]``) before the next is classified. An abort
-    therefore names the smallest failing n, and an error or interrupt leaves
-    exactly the chunks before it absorbed. With nothing left to classify it
-    builds nothing.
+    ``labels_for(map_kind)[r]``) before P steps past hi. An abort therefore
+    names the smallest failing n, and an error or interrupt leaves exactly
+    the chunks before it absorbed. With nothing left to classify it builds
+    nothing.
     """
     if reached[0] >= cuts[-1]:
         return
@@ -670,9 +630,7 @@ def _tally(map_kind, config, bound, reached, cuts, absorb) -> None:
         cache = build_residue_cache(basis_for(map_kind), bound, config.max_steps)
     except (NatOverflowError, StepBudgetExceeded) as e:
         raise CensusAbortError(e.n, e, "build") from e
-    sweep = _Sweep(cache, reached[0] + 1, cuts, config.chunk_size, reached[1])
-    for lo, hi in sweep.chunks(sweep.start):
-        absorb(hi, _count_chunk(lo, hi, sweep))
+    _count(_Sweep(cache, reached[0] + 1, cuts, config.chunk_size, reached[1]), absorb)
 
 
 @contextlib.contextmanager
@@ -707,7 +665,8 @@ def run_census(
     Chunks are classified one at a time in ascending range order into one
     running total, so the counts are independent of chunk size. With a
     ``checkpoint_path`` the completed prefix is saved at most once per
-    ``checkpoint_interval``, plus once at completion;
+    ``checkpoint_interval``, plus once at completion unless the last save
+    already holds [1, s];
     ``resume=True`` continues from such a file after checking that its
     version, map, target and step budget match. A ``KeyboardInterrupt``
     saves the completed prefix there too, ignoring SIGINT and SIGTERM until
@@ -740,9 +699,12 @@ def run_census(
         _check_checkpoint_writable(checkpoint_path)
 
     last_write = time.monotonic()
+    saved = None  # the hi of this run's last checkpoint write
 
     def write_checkpoint(total: ClassCounts) -> None:
+        nonlocal saved
         save_checkpoint(Checkpoint(total, s, bound, _utc_now(), config.max_steps), checkpoint_path)
+        saved = total.hi
 
     def absorb(hi: int, totals: list[int]) -> None:
         nonlocal reached, last_write
@@ -768,7 +730,7 @@ def run_census(
     total = _counts(map_kind, 1, *reached)
     if total.lo != 1 or total.hi != s:
         raise RuntimeError(f"census covered [{total.lo}, {total.hi}], expected [1, {s}]")
-    if checkpoint_path is not None:
+    if checkpoint_path is not None and saved != s:  # this run's last save did not hold [1, s]
         write_checkpoint(total)
 
     engine = EngineInfo(

@@ -293,41 +293,39 @@ class TestRunCensus:
         assert str(exc.value).startswith("census aborted at n=10087 in the tally: ")
 
     @pytest.mark.parametrize("chunk_size", [1, 1000, 1 << 16])
-    def test_build_abort_names_the_serial_start(self, chunk_size, monkeypatch):
+    def test_build_abort_names_the_serial_start(self, chunk_size, watch_absorb):
         # the build fails before the first chunk, whatever the chunk size
-        calls = record_chunks(monkeypatch)
+        calls = record_chunks(watch_absorb)
         with pytest.raises(CensusAbortError) as exc:
             run_census(MapKind.CR3, 2 * 10**5, CensusConfig(max_steps=150, chunk_size=chunk_size))
         assert exc.value.n == 10087 and exc.value.phase == "build"
         assert str(exc.value).startswith("census aborted at n=10087 in the cache build: ")
         assert calls == []
 
-    def test_cache_is_built_before_the_first_chunk(self, monkeypatch):
+    def test_cache_is_built_before_the_first_chunk(self, watch_absorb, monkeypatch):
         events = []
         exact_build = census_module.build_residue_cache
-        exact_chunk = census_module._count_chunk
 
         def recording_build(*args, **kwargs):
             events.append("build")
             return exact_build(*args, **kwargs)
 
-        def recording_chunk(*args):
+        def recording_chunk(sweep, lo, hi, totals, absorb):
             events.append("chunk")
-            return exact_chunk(*args)
+            absorb(hi, totals)
 
         monkeypatch.setattr(census_module, "build_residue_cache", recording_build)
-        monkeypatch.setattr(census_module, "_count_chunk", recording_chunk)
+        watch_absorb(recording_chunk)
         run_census(MapKind.CR3, 1000, CensusConfig(chunk_size=250))
         assert events == ["build"] + ["chunk"] * 4
 
-    def test_census_and_series_start_no_thread(self, monkeypatch):
+    def test_census_and_series_start_no_thread(self, watch_absorb):
         before = threading.active_count()
         seen = []
-        exact = census_module._count_chunk
 
-        def counting_chunk(*args):
+        def counting_chunk(sweep, lo, hi, totals, absorb):
             seen.append(threading.active_count())
-            return exact(*args)
+            absorb(hi, totals)
 
         def progress(done_through, target):
             seen.append(threading.active_count())
@@ -335,7 +333,7 @@ class TestRunCensus:
         config = CensusConfig(chunk_size=100, progress=progress)
         run_census(MapKind.CR3, 1000, config)
         assert len(seen) == 10 and set(seen) == {before}
-        monkeypatch.setattr(census_module, "_count_chunk", counting_chunk)
+        watch_absorb(counting_chunk)
         run_series(MapKind.CR3, 1000, points=3, config=config)
         assert len(seen) > 10 and set(seen) == {before}
 
@@ -418,16 +416,15 @@ class TestOneStepBudget:
         assert _first_direct_failure(map_kind, max_steps) == first_failing
 
 
-def record_chunks(monkeypatch):
-    """Wrap the tally's chunk count so every classified [lo, hi] is recorded."""
+def record_chunks(watch_absorb):
+    """Record every chunk [lo, hi] the counting loop ends, as it is absorbed."""
     calls = []
-    exact = census_module._count_chunk
 
-    def recording(lo, hi, *args):
+    def recording(sweep, lo, hi, totals, absorb):
         calls.append((lo, hi))
-        return exact(lo, hi, *args)
+        absorb(hi, totals)
 
-    monkeypatch.setattr(census_module, "_count_chunk", recording)
+    watch_absorb(recording)
     return calls
 
 
@@ -458,11 +455,11 @@ def assert_tiles(calls, first, last, most, size, odd):
 
 class TestEngine:
     @pytest.mark.parametrize("chunk_size", [64, 97])
-    def test_census_chunks_tile_from_resume_point(self, chunk_size, tmp_path, monkeypatch):
+    def test_census_chunks_tile_from_resume_point(self, chunk_size, tmp_path, watch_absorb):
         path = tmp_path / "census.ckpt"
         prefix = run_census(MapKind.CR3, 100).counts
         save_checkpoint(Checkpoint(prefix, 1000, 1001, "2026-01-01T00:00:00+00:00"), path)
-        calls = record_chunks(monkeypatch)
+        calls = record_chunks(watch_absorb)
         config = CensusConfig(chunk_size=chunk_size)
         result = run_census(MapKind.CR3, 1000, config, checkpoint_path=path, resume=True)
         expected = [(lo, min(lo + chunk_size - 1, 1000)) for lo in range(101, 1001, chunk_size)]
@@ -470,9 +467,9 @@ class TestEngine:
         assert counts_as_ints(result.counts.counts) == oracle_census(1000, "cr3")
 
     @pytest.mark.parametrize("spacing", ["log", "linear"])
-    def test_series_chunks_cut_at_every_sample(self, spacing, monkeypatch):
+    def test_series_chunks_cut_at_every_sample(self, spacing, watch_absorb):
         samples = census_module._series_samples(1000, 7, spacing)
-        calls = record_chunks(monkeypatch)
+        calls = record_chunks(watch_absorb)
         config = CensusConfig(chunk_size=64)
         points = run_series(MapKind.CR3, 1000, points=7, spacing=spacing, config=config)
         assert [lo for lo, _ in calls] == [1] + [hi + 1 for _, hi in calls[:-1]]
@@ -484,18 +481,18 @@ class TestEngine:
         for point in points:
             assert point == run_census(MapKind.CR3, point.hi).counts
 
-    def test_failing_progress_stops_the_tally(self, monkeypatch):
+    def test_failing_progress_stops_the_tally(self, watch_absorb):
         class Interrupt(RuntimeError):
             pass
 
         def interrupt(done_through, target):
             raise Interrupt
 
-        calls = record_chunks(monkeypatch)
+        calls = record_chunks(watch_absorb)
         config = CensusConfig(chunk_size=100, progress=interrupt)
         with pytest.raises(Interrupt):
             run_census(MapKind.CR3, 100_000, config)
-        assert calls == [(1, 100)]  # no chunk is classified after the failing absorb
+        assert calls == [(1, 100)]  # no chunk is absorbed after the failing one
 
 
 _BAD_CONFIGS = [
@@ -797,9 +794,9 @@ class TestResume:
         assert (80_001, s) in [(lo, hi) for lo, hi, odd in calls if odd]  # halved from the floor
         ends = [*range(next_n + size - 1, s, size), s]
         assert progress == [(end, s) for end in ends]
-        assert [c.prefix.hi for c in saved] == [*ends, s]  # and the final write
+        assert [c.prefix.hi for c in saved] == ends  # the last one holds [1, s]: no second write
         expected = _reference(map_kind, ends, bound, 10**6)
-        assert [c.prefix for c in saved] == [*expected, expected[-1]]
+        assert [c.prefix for c in saved] == expected
         assert result.counts == expected[-1]
         assert {(c.target, c.cache_bound, c.max_steps) for c in saved} == {(s, bound, 10**6)}
 
@@ -829,13 +826,13 @@ class TestInterrupt:
         )
         assert resumed.counts == uninterrupted.counts
 
-    def test_interrupted_chunk_absorbs_nothing_after_it(self, interrupt_at, monkeypatch):
+    def test_interrupted_chunk_absorbs_nothing_after_it(self, interrupt_at, watch_absorb):
         interrupt_at(1001)
-        calls = record_chunks(monkeypatch)
+        calls = record_chunks(watch_absorb)
         config = CensusConfig(chunk_size=100)
         with pytest.raises(CensusInterrupted) as exc:
             run_census(MapKind.CR3, 100_000, config)
-        assert calls == [(lo, lo + 99) for lo in range(1, 1002, 100)]  # none after 1001
+        assert calls == [(lo, lo + 99) for lo in range(1, 1001, 100)]  # none from 1001
         assert exc.value.next_n == 1001
         assert exc.value.checkpoint_path is None
         assert exc.value.prefix == run_census(MapKind.CR3, 1000).counts
@@ -843,24 +840,24 @@ class TestInterrupt:
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     @pytest.mark.parametrize("counted", [False, True])
     def test_interrupt_inside_the_halved_region_of_a_resume(
-        self, map_kind, counted, interrupt_at, tmp_path, monkeypatch
+        self, map_kind, counted, interrupt_at, watch_absorb, tmp_path, monkeypatch
     ):
         # a resume from 20001 halves from 2 * 20001 - 1 on; interrupted at the
-        # chunk from 50001, before or after that chunk is counted into the
-        # running totals, it saves the prefix the last absorbed chunk ended
+        # chunk from 50001, before P steps into it or once P has reached its
+        # end, it saves the prefix the last absorbed chunk ended
         bound, s = 1 << 10, 100_000
         config = CensusConfig(chunk_size=100, cache_bound=bound)
         cache = ResidueCache(MapKind.CR, bound, 10**6, np.zeros(bound, np.uint8))
         assert census_module._Sweep(cache, 20_001, [s], 100, [0, 0, 0]).floor == 40_001
+        expected = _reference(map_kind, [50_000], bound, 10**6)[-1]
         path = tmp_path / "run.ckpt"
         save_checkpoint(Checkpoint(run_census(map_kind, 20_000).counts, s, bound, "then"), path)
         interrupt_at(50_001, counted)
-        calls = record_chunks(monkeypatch)
+        calls = record_chunks(watch_absorb)
         with pytest.raises(CensusInterrupted) as exc:
             run_census(map_kind, s, config, checkpoint_path=path, resume=True)
-        assert calls == [(lo, lo + 99) for lo in range(20_001, 50_002, 100)]
+        assert calls == [(lo, lo + 99) for lo in range(20_001, 50_001, 100)]
         assert exc.value.next_n == 50_001
-        expected = _reference(map_kind, [50_000], bound, 10**6)[-1]
         assert load_checkpoint(path).prefix == exc.value.prefix == expected
         monkeypatch.undo()
         resumed = run_census(map_kind, s, config, checkpoint_path=path, resume=True)
@@ -1005,6 +1002,14 @@ def _tally(map_kind, cuts, config, start=1):
     return out
 
 
+class ZeroResidues(ResidueCache):
+    """A cache whose every residue reads 0, so the counting loop steps P
+    with no kernel call."""
+
+    def residues(self, lo, hi, odd=False):
+        return np.zeros((hi + 1) // 2 - lo // 2 if odd else hi - lo + 1, np.uint8)
+
+
 class TestHalvedChunks:
     """Past the cache bound a chunk descends its odd members only and reads
     its evens off the running totals; every count, cut and abort must be
@@ -1109,7 +1114,7 @@ class TestHalvedChunks:
             cuts = [c for c in cuts if c >= start]
             bound = rng.choice([2, 3, 17, rng.randrange(2, s + 2)])
             budget = rng.choice([0, 1, 10**6])
-            cache = ResidueCache(MapKind.CR, bound, budget, np.zeros(bound, np.uint8))
+            cache = ZeroResidues(MapKind.CR, bound, budget, np.zeros(bound, np.uint8))
             sweep = census_module._Sweep(cache, start, cuts, size, [0, 0, 0])
             chunks = list(sweep.chunks(start))
             los = [lo for lo, _ in chunks]
@@ -1134,13 +1139,18 @@ class TestHalvedChunks:
                     while strictly_inside_halved(y):
                         y //= 2
                         needed.add(y)
-            for lo, hi in chunks:
-                points = sweep.pull(lo, hi)
+            absorbed = []
+
+            def absorb(hi, totals):
+                # P has stepped through [lo, hi] and kept its points there;
+                # a half it read and had not kept would raise KeyError
+                lo = chunks[len(absorbed)][0]
+                absorbed.append(hi)
+                points = sorted(y for y in sweep.memo if lo <= y <= hi)
                 assert points == sorted(y for y in needed if lo <= y <= hi), (lo, hi)
-                if sweep.halves(lo, hi):
-                    reads = [lo - 1, *points, hi]
-                    assert all(y // 2 in sweep.memo for y in reads), (lo, hi)
-                sweep.advance(points, [[0, 0, 0]] * (len(points) + 1))
+
+            census_module._count(sweep, absorb)
+            assert absorbed == [hi for _, hi in chunks]
 
     def test_the_sweep_looks_up_few_chunks_per_chunk(self, monkeypatch):
         # each depth takes the chunk ends whose halvings land in the chunk as
@@ -1159,8 +1169,7 @@ class TestHalvedChunks:
         monkeypatch.setattr(census_module._Sweep, "_chunk", counting)
         chunks = 3511
         for (lo, hi), _ in zip(sweep.chunks(1), range(chunks)):
-            points = sweep.pull(lo, hi)
-            sweep.advance(points, [[0, 0, 0]] * (len(points) + 1))
+            sweep.pull(lo, hi)
         # one lookup per chunk walked, and the one the zip discards; none in pull
         assert sweep.halves(lo, hi) and calls <= chunks + 1
 
@@ -1181,12 +1190,22 @@ class TestHalvedChunks:
 
     def test_a_vast_census_starts_counting_at_once(self):
         # the look-ahead and the memo stop at the ceiling, however far S is
-        cache = build_residue_cache(MapKind.CR, 2)
+        class Enough(Exception):
+            pass
+
+        cache = ZeroResidues(MapKind.CR, 2, 10**6, np.zeros(2, np.uint8))
         sweep = census_module._Sweep(cache, 1, [2**100], 1 << 16, [0, 0, 0])
-        for (lo, hi), _ in zip(sweep.chunks(1), range(600)):
-            points = sweep.pull(lo, hi)
-            sweep.advance(points, [[0, 0, 0]] * (len(points) + 1))
+        absorbed = []
+
+        def absorb(hi, totals):
             assert len(sweep.memo) <= census_module._HALVED_ENDS
+            absorbed.append(hi)
+            if len(absorbed) == 600:
+                raise Enough
+
+        with pytest.raises(Enough):
+            census_module._count(sweep, absorb)
+        assert absorbed == [j << 16 for j in range(1, 601)]
         assert sweep.ceiling == 65537 << census_module._HALVED_DEPTH
 
     def test_halved_chunks_descend_only_odd_members(self, monkeypatch):
@@ -1226,13 +1245,15 @@ class TestHalvedChunks:
 
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     @pytest.mark.parametrize("chunk_size, record", [(7, 703), (97, 10087)])
-    def test_abort_in_a_later_chunk_of_a_span(self, map_kind, chunk_size, record, monkeypatch):
-        # the glide records of test_abort_inside_halved_chunks: one span
+    def test_abort_in_a_later_chunk_of_a_span(
+        self, map_kind, chunk_size, record, watch_absorb, monkeypatch
+    ):
+        # the glide records of test_abort_inside_halved_chunks: one read
         # reaches from the floor past the record, so its call fails first
-        # while counting an earlier chunk
+        # and is cut to end before the record
         max_steps = {MapKind.CR3: {703: 96, 10087: 132}, MapKind.PDCR2: {703: 59, 10087: 81}}
         s = record + 1000
-        chunks = record_chunks(monkeypatch)
+        chunks = record_chunks(watch_absorb)
         calls = record_residues_calls(monkeypatch)
         progress = []
         config = CensusConfig(
@@ -1251,37 +1272,63 @@ class TestHalvedChunks:
         spanned = run()
         failing = next(lo for lo, hi, odd in calls if odd and lo <= record <= hi)
         held = record - (record - 1) % chunk_size  # the record's chunk
-        assert failing < held  # the span's call failed in an earlier chunk
-        # chunk by chunk: a span of two halved chunks holds too many members
+        assert failing < held  # the read's call failed past an earlier chunk
+        # chunk by chunk: a read of two halved chunks holds too many members
         monkeypatch.setattr(census_module, "_SPAN", (chunk_size + 1) // 2)
-        expected = [(lo, lo + chunk_size - 1) for lo in range(1, held + 1, chunk_size)]
-        assert spanned == run() == (expected, [hi for _, hi in expected[:-1]])
+        expected = [(lo, lo + chunk_size - 1) for lo in range(1, held, chunk_size)]
+        assert spanned == run() == (expected, [hi for _, hi in expected])
 
-    def test_no_chunk_is_halved_under_a_budget_of_no_steps(self, monkeypatch):
-        calls = record_chunks(monkeypatch)
+    def test_no_chunk_is_halved_under_a_budget_of_no_steps(self, watch_absorb, monkeypatch):
+        calls = record_chunks(watch_absorb)
         residues_calls = record_residues_calls(monkeypatch)
         with pytest.raises(CensusAbortError) as exc:
             run_census(MapKind.CR3, 100, CensusConfig(chunk_size=1, cache_bound=2, max_steps=0))
-        assert exc.value.n == 2 and calls == [(1, 1), (2, 2)]
+        assert exc.value.n == 2 and calls == [(1, 1)]
         assert residues_calls and not any(odd for *_, odd in residues_calls)
 
-    def test_the_memo_stays_bounded(self, monkeypatch):
-        # a point is kept from the chunk that passes it until the chunk past
-        # twice it; the live set is a small share of all the points ever kept
-        exact = census_module._count_chunk
+    def test_the_memo_stays_bounded(self, watch_absorb):
+        # a point y is kept from the step that passes it until a point past
+        # 2y + 1 is kept, so the memo holds points of [x/2, x] at its last
+        # point x; the live set is a small share of all the points ever kept
+        s = 1 << 19
+        expected = _reference(MapKind.CR3, [s], 1 << 10, 10**6)[-1]
         seen = set()
         peak = 0
 
-        def watching(lo, hi, sweep):
+        def watching(sweep, lo, hi, totals, absorb):
             nonlocal peak
-            totals = exact(lo, hi, sweep)
-            assert all((lo - 1) // 2 <= y <= hi for y in sweep.memo)
+            last = max(sweep.memo)
+            assert all(last // 2 <= y <= last <= hi for y in sweep.memo)
             seen.update(sweep.memo)
             peak = max(peak, len(sweep.memo))
-            return totals
+            absorb(hi, totals)
 
-        monkeypatch.setattr(census_module, "_count_chunk", watching)
-        s = 1 << 19
+        watch_absorb(watching)
         result = run_census(MapKind.CR3, s, CensusConfig(chunk_size=1000, cache_bound=1 << 10))
-        assert result.counts == _reference(MapKind.CR3, [s], 1 << 10, 10**6)[-1]
+        assert result.counts == expected
         assert len(seen) > 1000 and peak < len(seen) // 4
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    @pytest.mark.parametrize("span", [1, 7, 50])
+    @pytest.mark.parametrize("chunk_size", [100, 1000])
+    def test_a_halved_chunk_read_in_several_reads(self, map_kind, span, chunk_size, monkeypatch):
+        # reads of at most `span` members end inside chunks, so P carries
+        # the residues read past its last point into the next read, and a
+        # step's halving spans reads; the cut at 5432 ends a halved chunk
+        # early and starts the next at an odd n
+        monkeypatch.setattr(census_module, "_SPAN", span)
+        bound, s, cuts = 1 << 10, 8000, [5432, 8000]
+        config = CensusConfig(chunk_size=chunk_size, cache_bound=bound)
+        labels = labels_for(map_kind)
+        for start in (1, 2001):  # a resume from 2001 halves from 4001 on
+            got = []
+
+            def absorb(hi, totals):
+                got.append(ClassCounts(map_kind, start, hi, dict(zip(labels, totals))))
+
+            reached = start - 1, [0] * len(labels)
+            census_module._tally(map_kind, config, bound, reached, cuts, absorb)
+            ends = [c.hi for c in got]
+            assert ends == sorted({*range(start + chunk_size - 1, 5432, chunk_size), 5432,
+                                   *range(5432 + chunk_size, s, chunk_size), s})
+            assert got == _reference(map_kind, ends, bound, 10**6, start), start

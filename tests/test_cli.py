@@ -26,25 +26,28 @@ def parse_csv(text):
 
 
 def _signal_from_a_chunk(capsys, tmp_path, signame, word, code, *knobs, second=None):
-    """Send a real signal from inside the chunk at 40001 of a checkpointed
-    census in a child process, and with ``second`` another one from inside
-    the save it starts: no traceback, one stderr line for the first signal,
-    the prefix saved, and a resume that prints the uninterrupted bytes."""
+    """Send a real signal from the tally of a checkpointed census in a child
+    process, once the chunk ending at 40000 is absorbed, and with ``second``
+    another one from inside the save it starts: no traceback, one stderr
+    line for the first signal, the prefix saved, and a resume that prints
+    the uninterrupted bytes."""
     script = textwrap.dedent(
         f"""
         import os, signal, sys
         from collatz_census import census, cli
-        exact, fsync = census._count_chunk, os.fsync
-        def chunk(lo, hi, *args):
-            if lo == 40001:
-                if {second!r}:
-                    os.fsync = save
-                os.kill(os.getpid(), signal.{signame})
-            return exact(lo, hi, *args)
+        exact, fsync = census._count, os.fsync
+        def count(sweep, absorb):
+            def signalling(hi, totals):
+                absorb(hi, totals)
+                if hi == 40000:
+                    if {second!r}:
+                        os.fsync = save
+                    os.kill(os.getpid(), signal.{signame})
+            exact(sweep, signalling)
         def save(fd):
             os.kill(os.getpid(), getattr(signal, {second!r}))
             fsync(fd)
-        census._count_chunk = chunk
+        census._count = count
         sys.exit(cli.main(sys.argv[1:]))
         """
     )
@@ -299,13 +302,13 @@ class TestCensusCommand:
         assert (code, resumed) == (0, uninterrupted)
 
     def test_interrupt_without_checkpoint_names_next_n(self, capsys, interrupt_at):
-        interrupt_at(1)
+        interrupt_at(1, counted=True)  # nothing is absorbed before it
         code, out, err = run_cli(capsys, "census", "5000", "--chunk-size", "1000")
         assert (code, out) == (130, "")
         assert err == "interrupted: census stopped at next_n=1; no checkpoint was given\n"
 
     def test_sigint_exits_130_without_a_traceback(self, capsys, tmp_path):
-        # a real SIGINT, sent from inside a chunk once the tally is running
+        # a real SIGINT, sent from the tally once it is running
         _signal_from_a_chunk(capsys, tmp_path, "SIGINT", "interrupted", 130)
 
     def test_sigterm_saves_the_prefix_and_exits_143(self, capsys, tmp_path):
@@ -386,7 +389,7 @@ class TestSeriesCommand:
         assert "points" in err
 
     def test_interrupt_exits_130_without_a_traceback(self, capsys, interrupt_at):
-        interrupt_at(1)
+        interrupt_at(1, counted=True)  # nothing is absorbed before it
         code, out, err = run_cli(capsys, "series", "5000")
         assert (code, out, err) == (130, "", "interrupted\n")
 
