@@ -30,8 +30,8 @@ not below the chunk holding the bound; every chunk from it on qualifies,
 since hi < lo + size <= 2*lo. The ceiling is at most 2^18 chunk ends and
 2^9 times the floor. P is kept only at the points a step reads,
 floor(e/2^k) for the chunk ends e up to the ceiling whose halvings stay in
-the region, from the step to y until a point past 2y + 1 is kept, so the
-memo holds points of [x/2, x] at its last point x, near half the region's
+the region, from the step to y until P steps past 2y + 1, so the memo
+holds points of [x/2, x] at position x, near half the region's
 chunk ends at its peak (about 34 MB at most); the cap also bounds how many
 chunk ends a read walks to find its points. Past the ceiling chunks are
 counted whole. An even member is never the smallest failing n, since its
@@ -465,7 +465,7 @@ def _utc_now() -> str:
 class _Sweep:
     """The chunks of one ascending tally, where its reads end, and the memo:
     P (int rows, by residue, from ``totals`` at start - 1) at the points
-    that halved chunks read (see the module docstring), ascending in ``kept``.
+    that halved chunks read (see the module docstring), ascending in ``_kept``.
 
     A halved chunk [lo, hi] reads P(floor((lo - 1)/2)) and P(floor(y/2))
     for every y that P steps to in it: its end hi and each needed point
@@ -495,7 +495,7 @@ class _Sweep:
         if self.floor is not None:
             self.ceiling = min(self.floor << _HALVED_DEPTH, self.floor + _HALVED_ENDS * size)
         self.memo = {start - 1: totals}
-        self.kept = collections.deque([start - 1])
+        self._kept = collections.deque([start - 1])
 
     def halves(self, lo, hi) -> bool:
         """Whether the chunk [lo, hi] lies in the halved region."""
@@ -542,11 +542,11 @@ class _Sweep:
             least = max(a << k, self.floor - 1 if k == 1 else self.floor << (k - 1))
             if least > last:  # least grows with k
                 break
-            for ends in self.ends(least, min(last, ((b + 1) << k) - 1)):
+            for ends in self._ends(least, min(last, ((b + 1) << k) - 1)):
                 points.update(e >> k for e in ends)
         return points
 
-    def ends(self, u, v):
+    def _ends(self, u, v):
         """The chunk ends in [u, v], ascending: per stretch [first, cut]
         between cuts, the range of its ends first - 1 + j*size, then the cut."""
         i = bisect.bisect_left(self.cuts, u)
@@ -578,7 +578,7 @@ def _count(sweep, absorb) -> None:
     (prev, y]. P is kept at the needed points; a point below floor(y/2) is
     read by no step from y on, and is dropped.
     """
-    memo, kept = sweep.memo, sweep.kept
+    memo, kept = sweep.memo, sweep._kept
     prev = sweep.start - 1
     totals = list(memo[prev])  # P(prev), plus the residues read past prev
     a = sweep.start
@@ -592,7 +592,7 @@ def _count(sweep, absorb) -> None:
             b = e.n - 1  # its members all pass: absorb the chunks before n
             residues = sweep.cache.residues(a, b, odd)
         points = sweep.pull(a, b)
-        ends = set().union(*sweep.ends(a, b))
+        ends = set().union(*sweep._ends(a, b))
         i = 0
         for y in sorted(points | ends):
             j = (y + 1) // 2 - a // 2 if odd else y + 1 - a  # the read's members up to y
@@ -605,10 +605,10 @@ def _count(sweep, absorb) -> None:
             if y in points:
                 memo[y] = row
                 kept.append(y)
-                while kept[0] < y // 2:
-                    del memo[kept.popleft()]
             if y in ends:
                 absorb(y, row)
+            while kept and kept[0] < y // 2:  # the next step reads memo[y // 2] and up
+                del memo[kept.popleft()]
         _add_counts(totals, residues[i:])
         a = b + 1
 

@@ -1287,9 +1287,9 @@ class TestHalvedChunks:
         assert residues_calls and not any(odd for *_, odd in residues_calls)
 
     def test_the_memo_stays_bounded(self, watch_absorb):
-        # a point y is kept from the step that passes it until a point past
-        # 2y + 1 is kept, so the memo holds points of [x/2, x] at its last
-        # point x; the live set is a small share of all the points ever kept
+        # a point y is kept from the step to it until P steps past 2y + 1,
+        # so at position x the memo holds points of [x/2, x]; the live set
+        # is a small share of all the points ever kept
         s = 1 << 19
         expected = _reference(MapKind.CR3, [s], 1 << 10, 10**6)[-1]
         seen = set()
@@ -1297,8 +1297,7 @@ class TestHalvedChunks:
 
         def watching(sweep, lo, hi, totals, absorb):
             nonlocal peak
-            last = max(sweep.memo)
-            assert all(last // 2 <= y <= last <= hi for y in sweep.memo)
+            assert all((lo - 1) // 2 <= y <= hi for y in sweep.memo)
             seen.update(sweep.memo)
             peak = max(peak, len(sweep.memo))
             absorb(hi, totals)
