@@ -2,16 +2,18 @@
 
 A census counts, for every class of a composite map, how many n in [1, S]
 belong to it. The residue cache is built first; then [1, S] is cut into
-fixed-size chunks, and one loop counts them in ascending order from what
-the cache's ``ResidueCache.residues`` (the call ``verify_range`` checks)
-gives. It reads the residues in ranges of up to 2^16 members whatever the
-chunk size, each ending at a chunk end or 2^16 members into a larger chunk,
-so no member descends twice. The running residue totals P then step from
-point to point through the read: to each chunk end, where P is handed on,
-and to each point a halved chunk reads. Residues are counted at uint8
-width, one ``count_nonzero`` pass per residue, never through
-``np.bincount``, which would widen them to 8 bytes each first. Counting is
-exact integer arithmetic, so the result is identical for every chunk size.
+chunks, and one loop counts them in ascending order from what the cache's
+``ResidueCache.residues`` (the call ``verify_range`` checks) gives. Chunk
+ends are every size-th number from the first n, plus the cuts: S, and in a
+series the sample points. It reads the residues in ranges of up to 2^16
+members whatever the chunk size, each ending at a chunk end or 2^16 members
+into a larger chunk, so no member descends twice. The running residue
+totals P then step from point to point through the read: to each chunk end,
+where P is handed on, and to each point a halved chunk reads. Residues are
+counted at uint8 width, one ``count_nonzero`` pass per residue, never
+through ``np.bincount``, which would widen them to 8 bytes each first.
+Counting is exact integer arithmetic, so every chunk size gives the same
+result.
 
 Past the cache bound a chunk descends only its odd members. One base step
 sends an even 2m to m, under either basis, and from there the walk of 2m
@@ -23,25 +25,25 @@ P(floor(y/2)) - P(floor(x/2)), class r's count moved to r + 1 mod the
 modulus. A chunk [lo, hi] can be halved when it reaches the bound, the
 budget is at least one step and P(floor((lo - 1)/2)) was recorded in this
 run, which holds from about twice the first n on: a resumed run counts
-whole chunks until then. The halved chunks are those of one region
-[floor, ceiling], and a read never mixes them with whole ones. The floor
-is the first chunk start at least the chunk size and 2*start - 1 that is
-not below the chunk holding the bound; every chunk from it on qualifies,
-since hi < lo + size <= 2*lo. The ceiling is at most 2^18 chunk ends and
-2^9 times the floor. P is kept only at the points a step reads,
-floor(e/2^k) for the chunk ends e up to the ceiling whose halvings stay in
-the region, from the step to y until P steps past 2y + 1, so the memo
-holds points of [x/2, x] at position x, near half the region's
-chunk ends at its peak (about 34 MB at most); the cap also bounds how many
-chunk ends a read walks to find its points. Past the ceiling chunks are
-counted whole. An even member is never the smallest failing n, since its
-half failed first, so aborts name the same n as before. A read that fails
-at an n past its start is cut to end at n - 1, so the chunks before n are
-absorbed first and the next read, from n, aborts, as if each chunk were
-read alone.
+whole chunks until then. The halved region runs from a chunk start to a
+chunk end, [floor, ceiling], and a read never mixes its chunks with whole
+ones. The floor is the first chunk start at least the chunk size and
+2*start - 1 that is not below the chunk holding the bound; every chunk from
+it on qualifies, since hi < lo + size <= 2*lo. The ceiling is the last
+chunk end at most 2^18 chunk sizes past the floor and 2^9 times it. P is
+kept only at the points a step reads, floor(e/2^k) for the chunk ends e up
+to the ceiling whose halvings stay in the region, from the step to y until
+P steps past 2y + 1, so the memo holds points of [x/2, x] at position x,
+near half the region's chunk ends at its peak (about 34 MB at most); the
+cap also bounds how many chunk ends a read walks to find its points. Past
+the ceiling chunks are counted whole. An even member is never the smallest
+failing n, since its half failed first, so aborts name the same n as
+before. A read that fails at an n past its start is cut to end at n - 1, so
+the chunks before n are absorbed first and the next read, from n, aborts,
+as if each chunk were read alone.
 
 ``run_census`` and ``run_series`` share that loop: a series is a census
-whose sample points are forced chunk cuts. Its one running total is P, the
+whose sample points are cuts as well as S. Its one running total is P, the
 census prefix over [1, y] (a resumed prefix seeds it; the seed cancels in
 every halving). Only counts that are kept become a :class:`ClassCounts`: a
 result over [1, S], a series point and a checkpoint's completed prefix.
@@ -467,15 +469,20 @@ class _Sweep:
     P (int rows, by residue, from ``totals`` at start - 1) at the points
     that halved chunks read (see the module docstring), ascending in ``_kept``.
 
+    Chunk ends are every size-th number from the first n, start - 1 +
+    j*size, plus the cuts, the last of which is S. The halved region runs
+    from a chunk start to a chunk end, [floor, ceiling]; when nothing is
+    halved it is the empty [S + 1, S].
+
     A halved chunk [lo, hi] reads P(floor((lo - 1)/2)) and P(floor(y/2))
     for every y that P steps to in it: its end hi and each needed point
     inside it. So the needed points are the closure of the chunk ends under
     y -> floor(y/2), followed while y lies strictly inside a halved chunk.
     No chain needs walking: one that lands on a chunk end e' goes on with
     the points of e' itself. So the closure is floor(e/2^k), k >= 1, for
-    every chunk end e <= min(ceiling, cuts[-1]) whose last halving
-    floor(e/2^(k - 1)) borders the region (k = 1: e >= floor - 1) or lies in
-    it (e >= floor * 2^(k - 1)). :meth:`pull` finds a read's points from the
+    every chunk end e <= ceiling whose last halving floor(e/2^(k - 1))
+    borders the region (k = 1: e >= floor - 1) or lies in it
+    (e >= floor * 2^(k - 1)). :meth:`pull` finds a read's points from the
     chunk ends of each depth, so no list of chunks or points is built.
     """
 
@@ -489,83 +496,55 @@ class _Sweep:
         # while 1 passes: no chunk is halved.
         least = max(size, 2 * start - 1)
         first = max(least, cache.bound)
-        self.floor = None
+        self.floor = cuts[-1] + 1
         if cache.max_steps >= 1 and first <= cuts[-1]:
-            self.floor = next((lo for lo, _ in self.chunks(first) if lo >= least), None)
-        if self.floor is not None:
-            self.ceiling = min(self.floor << _HALVED_DEPTH, self.floor + _HALVED_ENDS * size)
+            lo, hi = self._chunk(first)
+            self.floor = lo if lo >= least else hi + 1
+        cap = min(self.floor << _HALVED_DEPTH, self.floor + _HALVED_ENDS * size, cuts[-1])
+        lo, hi = self._chunk(cap)
+        self.ceiling = hi if hi == cap else lo - 1
         self.memo = {start - 1: totals}
         self._kept = collections.deque([start - 1])
 
-    def halves(self, lo, hi) -> bool:
-        """Whether the chunk [lo, hi] lies in the halved region."""
-        return self.floor is not None and self.floor <= lo and hi <= self.ceiling
-
-    def chunks(self, n):
-        """The chunks [lo, hi], ascending, from the one that holds n."""
-        lo, hi = self._chunk(n)
-        yield lo, hi
-        while hi < self.cuts[-1]:
-            lo, hi = self._chunk(hi + 1)
-            yield lo, hi
-
     def read(self, a) -> tuple[bool, int]:
-        """The read from a: whether it takes only the odd members (a's chunk
-        is halved), and its end b, the last chunk end e with at most 2^16
-        members in [a, e], or 2^16 members on if a's chunk holds more. A
-        read stays in a's region: halved up to the ceiling, or whole before
-        the floor or past the ceiling."""
-        lo, hi = self._chunk(a)
-        odd = self.halves(lo, hi)
-        if odd:
-            last = self.ceiling
-        elif self.floor is not None and a < self.floor:
-            last = self.floor - 1
-        else:
-            last = self.cuts[-1]
-        b = min(last, self.cuts[-1], a + (_SPAN << odd) - 1)
-        if b > hi:  # past a's chunk: end at the last chunk end up to b
-            lo, hi = self._chunk(b)
-            if b < hi:
-                b = lo - 1
+        """The read from a: whether it takes only the odd members (a lies in
+        the halved region), and its end b, the last chunk end e with at most
+        2^16 members in [a, e], or 2^16 members on if a's chunk holds more.
+        A read stays in a's region: it ends by the first of the chunk ends
+        floor - 1, ceiling and S at or past a."""
+        odd = self.floor <= a <= self.ceiling
+        last = min(e for e in (self.floor - 1, self.ceiling, self.cuts[-1]) if e >= a)
+        b = min(last, a + (_SPAN << odd) - 1)
+        lo, hi = self._chunk(b)
+        if a < lo and b < hi:  # past a's chunk: end at the chunk end before b
+            b = lo - 1
         return odd, b
 
     def pull(self, a, b) -> set[int]:
         """The needed points in the read [a, b]: the floor(e/2^k) in it, of
         the chunk ends e in [a*2^k, (b + 1)*2^k) that the class docstring
-        admits."""
+        admits, for the depths k with floor * 2^(k - 1) <= ceiling."""
         points = set()
-        if self.floor is None:
-            return points
-        last = min(self.ceiling, self.cuts[-1])
-        for k in range(1, last.bit_length()):
+        for k in range(1, (self.ceiling // self.floor).bit_length() + 1):
             least = max(a << k, self.floor - 1 if k == 1 else self.floor << (k - 1))
-            if least > last:  # least grows with k
+            if least > self.ceiling:  # least grows with k
                 break
-            for ends in self._ends(least, min(last, ((b + 1) << k) - 1)):
+            for ends in self._ends(least, min(self.ceiling, ((b + 1) << k) - 1)):
                 points.update(e >> k for e in ends)
         return points
 
     def _ends(self, u, v):
-        """The chunk ends in [u, v], ascending: per stretch [first, cut]
-        between cuts, the range of its ends first - 1 + j*size, then the cut."""
-        i = bisect.bisect_left(self.cuts, u)
-        while i < len(self.cuts):
-            first = self.start if i == 0 else self.cuts[i - 1] + 1
-            if first > v:
-                return
-            a, cut = max(u, first), self.cuts[i]
-            yield range(a + (first - 1 - a) % self.size, min(v, cut) + 1, self.size)
-            if cut <= v and (cut + 1 - first) % self.size:
-                yield (cut,)
-            i += 1
+        """The chunk ends in [u, v], for start <= u and v <= S: the range of
+        grid ends start - 1 + j*size, then the slice of cuts."""
+        i, j = bisect.bisect_left(self.cuts, u), bisect.bisect_right(self.cuts, v)
+        return range(u + (self.start - 1 - u) % self.size, v + 1, self.size), self.cuts[i:j]
 
     def _chunk(self, n):
-        """The chunk [lo, hi] that holds n, for start <= n <= cuts[-1]."""
+        """The chunk [lo, hi] that holds n, for start <= n <= S: n's grid
+        step, clipped by the cuts on either side of n."""
         i = bisect.bisect_left(self.cuts, n)
-        first = self.start if i == 0 else self.cuts[i - 1] + 1
-        lo = n - (n - first) % self.size
-        return lo, min(lo + self.size - 1, self.cuts[i])
+        lo = n - (n - self.start) % self.size  # n's grid step is [lo, lo + size - 1]
+        return max(lo, self.cuts[i - 1] + 1 if i else lo), min(lo + self.size - 1, self.cuts[i])
 
 
 def _count(sweep, absorb) -> None:
@@ -766,12 +745,13 @@ def run_series(
 ) -> list[ClassCounts]:
     """Cumulative class counts over [1, s] at sample points s up to s_max.
 
-    One ascending pass on the census engine, with every sample point a
-    forced chunk cut; each point is the running total with ``hi`` = s. The
-    final point always lands on s_max and equals the counts
-    :func:`run_census` reports there. Log spacing collapses duplicate sample
-    points, so fewer than ``points`` entries can come back for small ranges.
-    Like :func:`run_census`, it calls ``config.progress`` after each chunk.
+    One ascending pass on the census engine, whose chunk ends are every
+    ``chunk_size``-th number from 1 plus the sample points; each point is
+    the running total with ``hi`` = s. The final point always lands on s_max
+    and equals the counts :func:`run_census` reports there. Log spacing
+    collapses duplicate sample points, so fewer than ``points`` entries can
+    come back for small ranges. Like :func:`run_census`, it calls
+    ``config.progress`` after each chunk.
     """
     config = config or CensusConfig()
     validate_nat(s_max)

@@ -929,11 +929,11 @@ class TestRunSeries:
             assert point == run_census(MapKind.CR3, point.hi).counts
 
     def test_progress_reports_every_chunk(self):
-        # chunks of 300 cut at the samples 333, 666 and 1000
+        # chunks of 300 from 1, cut at the samples 333, 666 and 1000
         calls = []
         config = CensusConfig(chunk_size=300, progress=lambda *args: calls.append(args))
         run_series(MapKind.CR3, 1000, points=3, spacing="linear", config=config)
-        assert calls == [(d, 1000) for d in (300, 333, 633, 666, 966, 1000)]
+        assert calls == [(d, 1000) for d in (300, 333, 600, 666, 900, 1000)]
 
     def test_rejects_more_points_than_numbers(self):
         with pytest.raises(ValueError):
@@ -1000,6 +1000,15 @@ def _tally(map_kind, cuts, config, start=1):
     except CensusAbortError as e:
         return ("abort", e.n)
     return out
+
+
+def walk_chunks(sweep):
+    """The sweep's chunks [lo, hi], ascending, each found with ``_Sweep._chunk``."""
+    lo, hi = sweep._chunk(sweep.start)
+    yield lo, hi
+    while hi < sweep.cuts[-1]:
+        lo, hi = sweep._chunk(hi + 1)
+        yield lo, hi
 
 
 class ZeroResidues(ResidueCache):
@@ -1084,23 +1093,61 @@ class TestHalvedChunks:
         assert exc.value.n == record
 
     def test_halving_starts_where_every_later_chunk_qualifies(self):
-        # [6, 7] could be halved, but [8, 65543] holds its own half, so the
+        # [6, 7] could be halved, but [8, 65536] holds its own half, so the
         # halved region starts after it and [6, 7] is counted whole
         cache = build_residue_cache(MapKind.CR, 2)
         sweep = census_module._Sweep(cache, 1, [5, 7, 10**6], 1 << 16, [0, 0, 0])
-        assert sweep.floor == 65544
-        assert not sweep.halves(6, 7) and sweep.halves(65544, 131079)
+        assert sweep.floor == 65537
+        assert not (sweep.floor <= 6 and 7 <= sweep.ceiling)
+        assert sweep.floor <= 65537 and 131072 <= sweep.ceiling
         cuts = [5, 7, 300_000]
         config = CensusConfig(cache_bound=2)
         assert _tally(MapKind.CR3, cuts, config) == _reference(MapKind.CR3, cuts, 2, 10**6)
-        # [61, 110] qualifies, but the region starts at the first chunk
-        # whose lo is at least the chunk size, so [61, 110] is counted whole
+        # the chunks are [61, 100], [101, 110] and [111, 200]; [61, 100]
+        # qualifies, but the region starts at the first chunk whose lo is
+        # at least the chunk size, so [61, 100] is counted whole
         cuts = [60, 110, 1000]
         sweep = census_module._Sweep(cache, 1, cuts, 100, [0, 0, 0])
-        assert sweep.floor == 111
-        assert not sweep.halves(61, 110) and sweep.halves(111, 210)
+        assert list(walk_chunks(sweep))[1:4] == [(61, 100), (101, 110), (111, 200)]
+        assert sweep.floor == 101
+        assert not (sweep.floor <= 61 and 100 <= sweep.ceiling)
+        assert sweep.floor <= 101 and 110 <= sweep.ceiling
+        assert sweep.floor <= 111 and 200 <= sweep.ceiling
         config = CensusConfig(chunk_size=100, cache_bound=2)
         assert _tally(MapKind.CR3, cuts, config) == _reference(MapKind.CR3, cuts, 2, 10**6)
+
+    def test_chunk_ends_are_one_grid_plus_the_cuts(self):
+        # every size-th number from the first n, plus the cuts, whatever
+        # cut comes before; the halved region runs from a chunk start to a
+        # chunk end, and a one-chunk sweep, as census_chunk makes, is empty
+        rng = random.Random("tiling")
+        for _ in range(300):
+            size = rng.choice([1, 2, 3, 7, rng.randrange(1, 200)])
+            s = rng.randrange(1, size * rng.randrange(1, 30) + 2)
+            cuts = sorted({*rng.sample(range(1, s + 1), min(s, rng.randrange(6))), s})
+            start = rng.choice([1, rng.randrange(1, s + 1)])
+            cuts = [c for c in cuts if c >= start]
+            bound = rng.choice([2, 3, 17, rng.randrange(2, s + 2)])
+            budget = rng.choice([0, 1, 10**6])
+            cache = ZeroResidues(MapKind.CR, bound, budget, np.zeros(bound, np.uint8))
+            sweep = census_module._Sweep(cache, start, cuts, size, [0, 0, 0])
+            ends = sorted({*range(start - 1 + size, s + 1, size), *cuts})
+            case = (start, cuts, size)
+            windows = [sorted(rng.randint(start, s) for _ in "uv") for _ in range(5)]
+            for u, v in [(start, s), *windows]:
+                expected = [e for e in ends if u <= e <= v]
+                assert sorted(set().union(*sweep._ends(u, v))) == expected, (case, u, v)
+            for prev, end in zip([start - 1, *ends], ends):
+                for n in range(prev + 1, end + 1):
+                    assert sweep._chunk(n) == (prev + 1, end), (case, n)
+            assert sweep.floor - 1 in [start - 1, *ends] and sweep.ceiling in ends, case
+            assert sweep.floor <= sweep.ceiling + 1, case
+            absorbed = []
+            census_module._count(sweep, lambda hi, totals: absorbed.append(hi))
+            assert absorbed == ends, case
+            lo = rng.randrange(1, s + 1)
+            one = census_module._Sweep(cache, lo, [s], s - lo + 1, [0, 0, 0])
+            assert (one.floor, one.ceiling) == (s + 1, s), (lo, s)
 
     def test_needed_points_are_the_closure_of_the_chunk_ends(self):
         # the closure by its definition: from each end that borders a halved
@@ -1116,9 +1163,9 @@ class TestHalvedChunks:
             budget = rng.choice([0, 1, 10**6])
             cache = ZeroResidues(MapKind.CR, bound, budget, np.zeros(bound, np.uint8))
             sweep = census_module._Sweep(cache, start, cuts, size, [0, 0, 0])
-            chunks = list(sweep.chunks(start))
+            chunks = list(walk_chunks(sweep))
             los = [lo for lo, _ in chunks]
-            halved = [(lo, hi) for lo, hi in chunks if sweep.halves(lo, hi)]
+            halved = [(lo, hi) for lo, hi in chunks if sweep.floor <= lo and hi <= sweep.ceiling]
             for lo, hi in halved:
                 assert hi >= bound and lo >= 2 * start - 1 and hi < 2 * lo and budget >= 1
             if halved:  # one region of consecutive chunks
@@ -1129,7 +1176,7 @@ class TestHalvedChunks:
                 if y < start:
                     return False
                 lo, hi = chunks[bisect.bisect_right(los, y) - 1]
-                return sweep.halves(lo, hi) and y < hi
+                return sweep.floor <= lo and hi <= sweep.ceiling and y < hi
 
             needed = set()
             for lo, hi in halved:
@@ -1168,10 +1215,10 @@ class TestHalvedChunks:
 
         monkeypatch.setattr(census_module._Sweep, "_chunk", counting)
         chunks = 3511
-        for (lo, hi), _ in zip(sweep.chunks(1), range(chunks)):
+        for (lo, hi), _ in zip(walk_chunks(sweep), range(chunks)):
             sweep.pull(lo, hi)
         # one lookup per chunk walked, and the one the zip discards; none in pull
-        assert sweep.halves(lo, hi) and calls <= chunks + 1
+        assert sweep.floor <= lo and hi <= sweep.ceiling and calls <= chunks + 1
 
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     def test_chunks_past_the_ceiling_are_counted_whole(self, map_kind, monkeypatch):
@@ -1206,7 +1253,8 @@ class TestHalvedChunks:
         with pytest.raises(Enough):
             census_module._count(sweep, absorb)
         assert absorbed == [j << 16 for j in range(1, 601)]
-        assert sweep.ceiling == 65537 << census_module._HALVED_DEPTH
+        # the last chunk end within 65537 * 2^9
+        assert sweep.ceiling == 1 << 25
 
     def test_halved_chunks_descend_only_odd_members(self, monkeypatch):
         calls = record_residues_calls(monkeypatch)
@@ -1328,6 +1376,5 @@ class TestHalvedChunks:
             reached = start - 1, [0] * len(labels)
             census_module._tally(map_kind, config, bound, reached, cuts, absorb)
             ends = [c.hi for c in got]
-            assert ends == sorted({*range(start + chunk_size - 1, 5432, chunk_size), 5432,
-                                   *range(5432 + chunk_size, s, chunk_size), s})
+            assert ends == sorted({*range(start + chunk_size - 1, s, chunk_size), 5432, s})
             assert got == _reference(map_kind, ends, bound, 10**6, start), start
