@@ -55,7 +55,8 @@ the evens of a block are the one leaf 2q + 0.
 
 The residue rule is derived engineering, so ``verify_range`` cross-checks
 the two routes in blocks of at most 2^14 numbers. Its direct side is
-:func:`.oracle._direct_block`. Its fast side is one call per block to the
+:func:`.oracle._direct_block`, one call per span of at most 2^18 numbers.
+Its fast side is one call per block to the
 code behind :meth:`ResidueCache.residues`, the route a census chunk counts,
 with only the walk swapped so that a failing member reads as label 0
 instead of stopping the block. Past the cache bound a census counts the
@@ -96,8 +97,14 @@ _MAX_BLOCK = 1 << 19       # cap on cache-build block length
 _SIEVE_BITS = 6            # the cache build sieves the parity tree down to classes mod 2^6
 _ALL_CLASSES = np.arange(1 << _SIEVE_BITS)  # a whole range, as descent-kernel classes
 _ODD_CLASSES = _ALL_CLASSES[1::2]  # its odd members
-# verify_range block length: 2^16 measured about 10% more peak RSS on verify 10^5
+# verify_range's fast side runs in blocks of this length: 2^16 measured about
+# 10% more peak RSS on verify 10^5
 _VERIFY_BLOCK = 1 << 14
+# and its direct side in spans of this length, one lane pool each. Each span
+# drains its pool to a tail, so longer spans are faster, but verify holds one
+# span's labels: on verify 10^7, 2^20 measured 1.6 MiB more peak RSS than
+# blocks of 2^14, and 2^18 0.4 MiB more at about 4% more time
+_VERIFY_SPAN = 1 << 18
 _FAILED = 255              # verify's mark for a failing member: no residue, never added to
 
 
@@ -542,12 +549,13 @@ def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> li
     """Every n in [lo, hi] whose fast and direct labels disagree, ascending.
 
     Expected empty. An n where either route fails (budget, overflow) is
-    reported as a mismatch rather than skipped. The range runs in blocks of
-    at most 2^14 numbers: the direct labels come from :func:`_direct_block`,
-    whose memo, 2 bytes for each of the first min(hi - lo + 1,
-    ``cache.bound``) members below 2^64, is shared by every block, so a lane
-    stops once it lands on a member an earlier pass or block has settled;
-    the fast ones from one call per block to the code of
+    reported as a mismatch rather than skipped. The direct labels come from
+    one :func:`_direct_block` call per span of at most 2^18 numbers, one
+    lane pool each, whose memo, 2 bytes for each of the first
+    min(hi - lo + 1, ``cache.bound``) members below 2^64, is shared by every
+    span, so a lane stops once it lands on a member this or an earlier span
+    has settled. They are compared in blocks of at most 2^14 numbers with
+    the fast labels, from one call per block to the code of
     :meth:`ResidueCache.residues`, the call a census chunk counts, with
     :func:`_descend_or_fail` as its walk: a failing member reads
     ``_FAILED``, label 0, and the rest of the block still descends. Both
@@ -565,11 +573,13 @@ def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> li
     labels = np.zeros(_FAILED + 1, dtype=np.uint8)  # _FAILED reads as label 0
     labels[: cache.modulus] = labels_for(map_kind)
     mismatches = []
-    for a in range(lo, hi + 1, _VERIFY_BLOCK):
-        b = min(hi, a + _VERIFY_BLOCK - 1)
-        fast = labels[cache._residues_by(a, b, _descend_or_fail)]
-        direct = _direct_block(map_kind, a, b, cache.max_steps, settled, lo)
-        bad = (fast == 0) | (fast != direct)
-        # Python-int offsets: a + index would overflow int64 for a >= 2^63
-        mismatches.extend(a + int(i) for i in np.flatnonzero(bad))
+    for s in range(lo, hi + 1, _VERIFY_SPAN):
+        t = min(hi, s + _VERIFY_SPAN - 1)
+        direct = _direct_block(map_kind, s, t, cache.max_steps, settled, lo)
+        for a in range(s, t + 1, _VERIFY_BLOCK):
+            b = min(t, a + _VERIFY_BLOCK - 1)
+            fast = labels[cache._residues_by(a, b, _descend_or_fail)]
+            bad = (fast == 0) | (fast != direct[a - s : b - s + 1])
+            # Python-int offsets: a + index would overflow int64 for a >= 2^63
+            mismatches.extend(a + int(i) for i in np.flatnonzero(bad))
     return mismatches

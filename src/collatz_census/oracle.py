@@ -5,13 +5,15 @@ Slow, but self-contained: this module imports only numpy and
 :mod:`.kernel`, and a test reads its imports and names to keep it so.
 
 The direct side of ``verify_range``, :func:`_direct_block`, applies the
-composite map literally to a block's members below 2^64 as a uint64 array,
-3 ``cr`` or 2 ``pdcr`` steps per pass, until each value repeats. The base
+composite map literally to a span's members below 2^64 in one pool of
+uint64 lanes, 3 ``cr`` or 2 ``pdcr`` steps per pass, until each value
+repeats. Members join the pool in ascending order as lanes retire, and
+each lane counts its own passes. The base
 step is branch-free arithmetic on y >> 1 and the parity bit, and a pass
 checks for overflow once: a lane above the largest value B from which one
 composite step stays within uint64, (2(2^64 - 1) - 5)//9 for ``cr3`` and
 (4(2^64 - 1) - 5)//9 for ``pdcr2``, goes to :func:`classify_direct` with
-the rest. A lane that lands on a member the loop has already settled takes
+the rest. A lane that lands on a member the pool has already settled takes
 that member's label, where the loop would have retired it anyway: the
 composite map is deterministic. The direct side never touches the cache,
 the jump tables or the residue rule.
@@ -35,7 +37,8 @@ from .kernel import (
     validate_nat,
 )
 
-_MEMO_PASSES = 1 << 13  # verify's memo entries hold pass counts below this
+_MEMO_PASSES = 1 << 13  # a lane runs fewer passes than this, so its memo entry fits
+_POOL_LANES = 1 << 11  # members join the direct side's lane pool this many at a time
 # composite map -> (base steps per composite step, a, c): with h = y >> 1, a
 # base step sends y to h + (y & 1)*(a*h + c), which is 3y+1 (cr) or (3y+1)/2
 # (pdcr) for odd y = 2h+1
@@ -85,27 +88,31 @@ def _u64_span(lo, hi):
 def _direct_block(map_kind, lo, hi, max_steps, settled, base):
     """Labels of every n in [lo, hi], in order, by literal composite iteration.
 
-    Applies the composite map to every member below 2^64 at once, one
-    composite step (``reps`` base steps) per pass, and retires a lane when
-    the map reproduces its value; that value is its label. It runs at most
-    ``max_steps // reps`` passes, so a retired lane reached 1 within
+    Applies the composite map to the members below 2^64 in one pool of lanes,
+    one composite step (``reps`` base steps) per pass. Members join in
+    ascending order, 2^11 at a time, whenever fewer than 2^11 lanes are
+    running, so the last lanes of one group iterate next to the next group
+    instead of alone. Each lane counts its own passes, and it retires when
+    the map reproduces its value; that value is its label. A lane runs at
+    most ``max_steps // reps`` passes, so a retired lane reached 1 within
     ``max_steps`` base steps in all and meets :func:`_walk`'s rule: every
-    run of ``max_steps`` base steps before 1 reaches a new low.
+    run of ``max_steps`` base steps before 1 reaches a new low. It also runs
+    fewer than 2^13 passes, so that its memo entry fits.
 
     The oracle memoizes its own results. ``settled`` is a uint16 array whose
     entry ``settled[v - base]`` belongs to the member v, ``P << 3 | label``:
-    P is the pass on which this loop saw v's value repeat, and 0 means not
-    known (not retired yet, restarted in :func:`classify_direct`, or
-    P >= 2^13). An entry is written the moment its lane retires. A lane
-    whose iterate y after pass p has a nonzero entry retires with y's label
-    on pass p + P, if that is at most ``max_steps // reps`` (and below
-    2^13, so that its own entry fits): y is a composite iterate of the
-    lane's start, the lane passed the overflow check of every pass up to p,
-    and y's own P passes passed it too, so the literal loop would have seen
-    the same value repeat on that very pass. Every other lane keeps
-    iterating. So each label, each accept or reject and the set of members
-    restarted below are those of the loop without the memo; the memo uses
-    only the determinism of the composite map.
+    P is the pass count at which this loop saw v's value repeat, and 0 means
+    not known (not retired yet, or restarted in :func:`classify_direct`).
+    An entry is written the moment its lane retires. A lane whose iterate y
+    after its q-th pass has a nonzero entry retires with y's label after
+    q + P passes, if the lane may run that many: y is a composite iterate of
+    the lane's start, the lane passed the overflow check of each of its q
+    passes, and y's own P passes passed it too, so the literal loop would
+    have seen the same value repeat on that very pass. Every other lane
+    keeps iterating. So each label, each accept or reject and the set of
+    members restarted below are those of the loop without the memo, in
+    whatever order members retire; the memo uses only the determinism of
+    the composite map.
 
     A base step has no branch. With h = y >> 1 it sends y to
     h + (y & 1)*(a*h + c): a*h + c is 5h + 4 under ``cr``, so an odd
@@ -120,23 +127,28 @@ def _direct_block(map_kind, lo, hi, max_steps, settled, base):
     leave uint64.
 
     Members at or above 2^64, lanes above B at the start of a pass and lanes
-    still running after the last pass go to :func:`classify_direct` from
-    their start, with the walk's exact budget and 128-bit overflow checks,
-    and get 0 if that raises. Uses no cache, jump table or residue.
+    still running after their last pass go to :func:`classify_direct` from
+    their start, in ascending order, with the walk's exact budget and
+    128-bit overflow checks, and get 0 if that raises. Uses no cache, jump
+    table or residue.
     """
     reps, a, c = _LOCKSTEP[map_kind]
     pass_max = _DIRECT_PASS_MAX[map_kind]
     a, c = np.uint64(a), np.uint64(c)
     out = np.zeros(hi - lo + 1, dtype=np.uint8)
-    x = _u64_span(lo, hi)
+    below = max(0, min(hi, _U64_LIMIT - 1) - lo + 1)  # the members below 2^64
     mine = settled[lo - base :]  # from the entry of member lo on
-    partial = len(mine) < len(x)  # the memo ends inside this block
+    partial = len(mine) < below  # the memo ends inside this block
     if len(settled):  # an empty memo, as from 2^64 on, builds no uint64 bounds
         first, last = np.uint64(base), np.uint64(base + len(settled) - 1)
-    limit = max_steps // reps
-    cap = min(limit, _MEMO_PASSES - 1)  # the most passes a memo retirement totals
-    pos = np.arange(len(x), dtype=np.intp)
-    fallback = [np.arange(len(x), len(out), dtype=np.intp)]
+    cap = min(max_steps // reps, _MEMO_PASSES - 1)  # the passes a lane may run
+    # the pool: each lane's value, member index and passes run. Lanes stay in
+    # the order they joined, so the passes run never rise along the pool.
+    x = np.empty(0, dtype=np.uint64)
+    pos = np.empty(0, dtype=np.intp)
+    q = np.empty(0, dtype=np.uint16)
+    fallback = [np.arange(below, len(out), dtype=np.intp)]
+    joined = 0
 
     def retire(members, entries):
         out[members] = entries & 7
@@ -145,39 +157,44 @@ def _direct_block(map_kind, lo, hi, max_steps, settled, base):
             members, entries = members[keep], entries[keep]
         mine[members] = entries
 
-    for p in range(1, limit + 1):
-        if not x.size:
-            break
+    while joined < below or len(x):
+        if len(x) < _POOL_LANES and joined < below:
+            new = min(below - joined, _POOL_LANES)
+            x = np.concatenate((x, _u64_span(lo + joined, lo + joined + new - 1)))
+            pos = np.concatenate((pos, np.arange(joined, joined + new, dtype=np.intp)))
+            q = np.concatenate((q, np.zeros(new, dtype=np.uint16)))
+            joined += new
+        if q[0] == cap:  # the first lanes have run their last pass
+            k = np.count_nonzero(q == cap)
+            fallback.append(pos[:k])
+            x, pos, q = x[k:], pos[k:], q[k:]
+            continue
+        q += 1
         if x.max() > pass_max:
             over = x > pass_max
             fallback.append(pos[over])
             keep = ~over
-            x, pos = x[keep], pos[keep]
+            x, pos, q = x[keep], pos[keep], q[keep]
         x, fixed = _composite_step(x, reps, a, c)
         if fixed.any():
-            labels = x[fixed].astype(np.uint16)
-            if p <= cap:
-                retire(pos[fixed], labels | np.uint16(p << 3))
-            else:
-                out[pos[fixed]] = labels
+            retire(pos[fixed], x[fixed].astype(np.uint16) | q[fixed] << 3)
             keep = ~fixed
-            x, pos = x[keep], pos[keep]
-        if p < cap and len(settled):
+            x, pos, q = x[keep], pos[keep], q[keep]
+        if len(settled):
             near = x <= last
             if base > 1:  # every value is at least 1
                 near &= x >= first
             e = settled.take((x[near] - first).view(np.int64))
-            # nonzero with P <= cap - p; an entry of 0 wraps to 2^16 - 1
-            hit = e - np.uint16(1) < ((cap - p) << 3 | 7)
+            qn = q[near]
+            # nonzero with P <= cap - q; an entry of 0 wraps to 2^16 - 1
+            hit = e - np.uint16(1) < ((cap - qn) << 3 | 7)
             if hit.any():
                 near[near] = hit  # now marks the lanes that hit
-                retire(pos[near], e[hit] + np.uint16(p << 3))
+                retire(pos[near], e[hit] + (qn[hit] << 3))
                 keep = ~near
-                x, pos = x[keep], pos[keep]
-    fallback.append(pos)
-    for lanes in fallback:
-        for i in lanes:
-            out[i] = _direct_label(map_kind, lo + int(i), max_steps)
+                x, pos, q = x[keep], pos[keep], q[keep]
+    for i in np.sort(np.concatenate(fallback)):
+        out[i] = _direct_label(map_kind, lo + int(i), max_steps)
     return out
 
 

@@ -69,6 +69,7 @@ LITERAL_ROUTE = [
     "_LOCKSTEP",
     "_DIRECT_PASS_MAX",
     "_MEMO_PASSES",
+    "_POOL_LANES",
 ]
 
 

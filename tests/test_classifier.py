@@ -475,11 +475,13 @@ class TestVerifyRangeMatchesScalarLoop:
         map_kind=st.sampled_from([MapKind.CR3, MapKind.PDCR2]),
         budget=st.sampled_from([0, 3, 150, DEFAULT_STEP_BUDGET]),
         block=st.sampled_from([97, 1 << 14]),
+        width=st.sampled_from([1, 7, oracle._POOL_LANES]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_memo_keeps_every_result(self, data, map_kind, budget, block):
+    def test_memo_keeps_every_result(self, data, map_kind, budget, block, width):
         # random windows, small, around the pass bound B and across 2^64,
-        # in blocks that end inside the memo or hold it whole
+        # in blocks that end inside the memo or hold it whole, and lane
+        # pools whose members join inside the window
         lo = data.draw(
             st.one_of(
                 st.integers(1, 10**5),
@@ -494,14 +496,17 @@ class TestVerifyRangeMatchesScalarLoop:
         bound = 2 if budget < 150 else data.draw(st.sampled_from([200, 1 << 10]), label="bound")
         cache = _cache(classifier.basis_for(map_kind), bound, budget)
         expected = _verify_range_scalar(map_kind, lo, hi, cache)
-        with mock.patch.object(classifier, "_VERIFY_BLOCK", block):
+        with mock.patch.object(classifier, "_VERIFY_BLOCK", block), mock.patch.object(
+            oracle, "_POOL_LANES", width
+        ):
             assert verify_range(map_kind, lo, hi, cache) == expected
 
     def test_settled_member_past_the_budget_is_no_shortcut(self, monkeypatch):
         # Under budget 150 (50 cr3 passes) 10087 is the first start to fail, so
         # 10087 is the largest cache bound it builds. 10087's 42nd composite
-        # iterate is 15977, which settles on pass 33 of the same block:
-        # 42 + 33 > 50, so the lane may not retire there and 10087 still fails.
+        # iterate is 15977, whose own lane in the same pool settles after 33
+        # passes: 42 + 33 > 50, so the lane may not retire there and 10087
+        # still fails.
         lo, hi, n, y = 10087, 16000, 10087, 15977
         assert _composite_iterate(MapKind.CR3, n, 42) == y
         assert _literal_passes(MapKind.CR3, y) == 33
@@ -569,6 +574,43 @@ class TestDirectBlock:
         assert (settled & 7).tolist() == labels.tolist()
         for n in random.Random(19).sample(range(1, 20_001), 500):
             assert settled[n - 1] >> 3 == _literal_passes(map_kind, n)
+
+    @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
+    def test_lanes_of_a_small_pool_count_their_own_passes(self, map_kind, monkeypatch):
+        # four lanes: members join every few passes, next to lanes of every age
+        monkeypatch.setattr(oracle, "_POOL_LANES", 4)
+        members = range(1, 3001)
+        settled = np.zeros(len(members), dtype=np.uint16)
+        labels = _direct_block(map_kind, 1, 3000, DEFAULT_STEP_BUDGET, settled, 1)
+        assert labels.tolist() == [oracle_label(n, map_kind.value) for n in members]
+        passes = [_literal_passes(map_kind, n) for n in members]
+        assert settled.tolist() == [p << 3 | int(label) for p, label in zip(passes, labels)]
+
+        exact = oracle.classify_direct
+        restarted = []
+
+        def recording(map_kind, m, max_steps):
+            restarted.append(m)
+            return exact(map_kind, m, max_steps)
+
+        monkeypatch.setattr(oracle, "classify_direct", recording)
+        # the budget's exact restarts, in ascending order, as the memo test
+        # above pins them
+        lo, hi = 10087, 16000
+        _direct_block(map_kind, lo, hi, 150, np.zeros(hi - lo + 1, dtype=np.uint16), lo)
+        assert restarted == [m for m in range(lo, hi + 1) if _leaves_numpy(map_kind, m, 150)]
+        # a lane stops after 2^13 - 1 passes; at a ceiling of 7 the longer
+        # lanes restart, in ascending order, and keep their labels
+        monkeypatch.setattr(oracle, "_MEMO_PASSES", 8)
+        restarted.clear()
+        settled[:] = 0
+        assert _direct_block(map_kind, 1, 3000, DEFAULT_STEP_BUDGET, settled, 1).tolist() == (
+            labels.tolist()
+        )
+        assert restarted == [n for n, p in zip(members, passes) if p > 7]
+        assert settled.tolist() == [
+            p << 3 | int(label) if p <= 7 else 0 for p, label in zip(passes, labels)
+        ]
 
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     def test_verify_through_cache_descent(self, map_kind):
