@@ -5,11 +5,12 @@ belong to it. The residue cache is built first; then [1, S] is cut into
 chunks, and one loop counts them in ascending order from what the cache's
 ``ResidueCache.residues`` (the call ``verify_range`` checks) gives. Chunk
 ends are every size-th number from the first n, plus the cuts: S, and in a
-series the sample points. It reads the residues in ranges of up to 2^16
-members whatever the chunk size, each ending at a chunk end or 2^16 members
-into a larger chunk, so no member descends twice. The running residue
-totals P then step from point to point through the read: to each chunk end,
-where P is handed on, and to each point a halved chunk reads. Residues are
+series the sample points. It reads the residues in windows of 2^16
+members whatever the chunk size, cut only at the edges of the halved region
+below and at S, so no member descends twice. The running residue totals P
+then step from point to point through the read: to each chunk end, where P
+is handed on, and to each point a halved chunk reads; what a read holds
+past its last point carries into the next read. Residues are
 counted at uint8 width, one ``count_nonzero`` pass per residue, never
 through ``np.bincount``, which would widen them to 8 bytes each first.
 Counting is exact integer arithmetic, so every chunk size gives the same
@@ -81,6 +82,7 @@ from .kernel import (
     NatOverflowError,
     StepBudgetExceeded,
     _validate_budget,
+    _validate_range,
     basis_for,
     labels_for,
     validate_nat,
@@ -88,8 +90,8 @@ from .kernel import (
 
 CHECKPOINT_VERSION = 2
 
-# Members per read, one residues call over whole chunks or part of a larger
-# one. A descent-kernel call on 2^16 lanes measured faster than on 2^15 or 2^17.
+# Members per read, one residues call whatever the chunks. A descent-kernel
+# call on 2^16 lanes measured faster than on 2^15 or 2^17.
 _SPAN = 1 << 16
 # Caps on the halved region [floor, ceiling]. The memo peaks near half its
 # chunk ends, at about 259 bytes a point (34 MB for 2^18 ends). The points
@@ -247,10 +249,7 @@ def census_chunk(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> Cl
     :class:`ClassCounts` raises ``ValueError``.
     """
     _check_cache_basis(map_kind, cache)
-    validate_nat(lo)
-    validate_nat(hi)
-    if lo > hi:
-        raise ValueError(f"empty chunk [{lo}, {hi}]")
+    _validate_range(lo, hi)
     rows = []
     sweep = _Sweep(cache, lo, [hi], hi - lo + 1, [0] * cache.modulus)
     _count(sweep, lambda _, row: rows.append(row))
@@ -508,17 +507,12 @@ class _Sweep:
 
     def read(self, a) -> tuple[bool, int]:
         """The read from a: whether it takes only the odd members (a lies in
-        the halved region), and its end b, the last chunk end e with at most
-        2^16 members in [a, e], or 2^16 members on if a's chunk holds more.
-        A read stays in a's region: it ends by the first of the chunk ends
-        floor - 1, ceiling and S at or past a."""
+        the halved region), and its end b, 2^16 members on from a whatever
+        the chunks. A read stays in a's region: it ends by the first of the
+        chunk ends floor - 1, ceiling and S at or past a."""
         odd = self.floor <= a <= self.ceiling
         last = min(e for e in (self.floor - 1, self.ceiling, self.cuts[-1]) if e >= a)
-        b = min(last, a + (_SPAN << odd) - 1)
-        lo, hi = self._chunk(b)
-        if a < lo and b < hi:  # past a's chunk: end at the chunk end before b
-            b = lo - 1
-        return odd, b
+        return odd, min(last, a + (_SPAN << odd) - 1)
 
     def pull(self, a, b) -> set[int]:
         """The needed points in the read [a, b]: the floor(e/2^k) in it, of

@@ -32,8 +32,9 @@ into a read-only view of the cache built so far, bound a; ``classify
 --path fast`` into the two-entry cache of bound 2, so it builds no table.
 The kernel moves whole arrays of values k base steps per numpy pass through
 Terras' jump tables, T^k(2^k*q + r) = 3^c(r)*q + d(r) under ``pdcr``, and
-hands the rare lane that would outgrow uint64 or the step budget to a
-per-lane walk, the exact big-int descent. That walk alone decides what a
+hands the rare lane that would outgrow uint64 or the step budget, and
+every member from 2^64 on, to a per-lane walk, the exact big-int descent,
+in ascending order. That walk alone decides what a
 failing member does: the build, the census and ``classify_fast`` pass
 :func:`_descend_scalar`, which raises at the smallest failing start, and
 ``verify_range`` passes :func:`_descend_or_fail`, which marks it
@@ -81,11 +82,11 @@ from .kernel import (
     NatOverflowError,
     StepBudgetExceeded,
     _validate_budget,
+    _validate_range,
     _walk,
     basis_for,
     basis_modulus,
     labels_for,
-    validate_nat,
 )
 from .oracle import _direct_block
 
@@ -159,11 +160,11 @@ class ResidueCache:
         The one route from a range to its residues, and from a single n as
         [n, n]: what a census chunk counts, what :func:`classify_fast`
         labels and what :func:`verify_range` checks. Below ``bound`` it is a
-        read-only view of the table, not a copy; from ``bound`` up to
-        2^64 - 1 the range descends into the table through
-        :func:`_descend_range`, the kernel the cache build runs, whose first
-        jump is read off the jump tables; from 2^64 on each n walks alone
-        through :func:`_descend_scalar`. With ``odd``, only the odd members
+        read-only view of the table, not a copy; from ``bound`` on the range
+        descends into the table through :func:`_descend_range`, the kernel
+        the cache build runs, whose first jump is read off the jump tables
+        and which walks each n from 2^64 on alone through
+        :func:`_descend_scalar`. With ``odd``, only the odd members
         of [lo, hi]. A failing member raises :class:`StepBudgetExceeded` or
         :class:`NatOverflowError` naming the smallest one. The budget is the
         cache's ``max_steps``. The range is checked before any compute.
@@ -172,32 +173,24 @@ class ResidueCache:
 
     def _residues_by(self, lo, hi, walk, odd=False):
         """:meth:`residues` with ``walk`` in place of :func:`_descend_scalar`,
-        for the lanes :func:`_descend_range` hands back and the members from
-        2^64 on. The members from ``bound`` to 2^64 - 1 go to the kernel as
-        one range of every residue class mod 2^6, the call the cache build
-        makes with the classes its sieve leaves.
+        for the members :func:`_descend_range` walks. The members from
+        ``bound`` on go to the kernel as one range of every residue class
+        mod 2^6, the call the cache build makes with the classes its sieve
+        leaves.
 
         ``odd`` keeps the odd members, which a census past the bound counts
         (its evens are residue(2m) = residue(m) + 1): a stride-2 slice of
-        the table, the same kernel call with the 32 odd classes, and every
-        other member from 2^64 on. :func:`verify_range` checks the all-class
-        call; the tests pin the odd call to its odd members."""
-        validate_nat(lo)
-        validate_nat(hi)
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+        the table and the same kernel call with the 32 odd classes.
+        :func:`verify_range` checks the all-class call; the tests pin the
+        odd call to its odd members."""
+        _validate_range(lo, hi)
         step, classes = (2, _ODD_CLASSES) if odd else (1, _ALL_CLASSES)
         first = lo | 1 if odd else lo  # the first member
         cached = self._residues[min(first, self.bound) : min(hi + 1, self.bound) : step]
         if hi < self.bound:
             return cached
-        start, stop = max(lo, self.bound), min(hi, _U64_LIMIT - 1)
-        descended = np.empty(0, dtype=np.uint8)
-        if start <= stop:
-            descended = _descend_range(self, start, stop, walk, classes)
-        tail = max(first, _U64_LIMIT + step - 1)  # the first member from 2^64 on
-        walked = [walk(self, n) for n in range(tail, hi + 1, step)]
-        return np.concatenate([cached, descended, np.array(walked, dtype=np.uint8)])
+        descended = _descend_range(self, max(lo, self.bound), hi, walk, classes)
+        return np.concatenate([cached, descended])
 
     def __repr__(self) -> str:
         return f"ResidueCache(basis={self.basis.value}, bound={self.bound})"
@@ -305,7 +298,7 @@ def _reduced(v, modulus):
 def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
     """Stopping-time residues of the members of [lo, hi], descended into ``cache``.
 
-    Needs ``cache.bound`` <= lo <= hi < 2^64. The descent kernel, shared by
+    Needs ``cache.bound`` <= lo <= hi. The descent kernel, shared by
     :meth:`ResidueCache.residues` and the cache build, which passes the
     cache built so far. The members are the n whose residue mod m = 2^s, s =
     ``_SIEVE_BITS``, is in the sorted array ``classes``; the result holds
@@ -329,11 +322,12 @@ def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
     rho, and with every class the tables themselves: no start array and no
     per-lane gathers.
 
-    A lane whose next jump would leave uint64, and every lane still
-    descending once one more jump could exceed ``cache.max_steps`` base
-    steps, is finished by ``walk(cache, start)`` from its start, in
-    ascending order of start; if one jump could already exceed the budget,
-    that is every lane, before any jump. Every lane the vector loop retires
+    The members from 2^64 on take no lane. They, a lane whose next jump
+    would leave uint64, and every lane still descending once one more jump
+    could exceed ``cache.max_steps`` base steps, are finished by
+    ``walk(cache, start)`` from their start, in one walk in ascending order
+    of start; if one jump could already exceed the budget, that is every
+    member, before any jump. Every lane the vector loop retires
     fell below the floor in at most ``max_steps`` base steps in all, so it
     meets :func:`_walk`'s rule on the way and stayed within 128 bits: the
     accept/reject decision is that of the walk. With :func:`_descend_scalar`
@@ -359,12 +353,13 @@ def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
     mult0, add0, limit0, advance0 = tables
     width = len(mult0)  # members per piece
     first = lo // m * c + bisect.bisect_left(cls, lo % m)  # members below lo
-    end = (hi + 1) // m * c + bisect.bisect_left(cls, (hi + 1) % m)
-    size = end - first
+    last = (hi + 1) // m * c + bisect.bisect_left(cls, (hi + 1) % m)  # members up to hi
+    end = min(last, _U64_LIMIT // m * c)  # the lanes end at 2^64
+    size = max(0, end - first)
 
-    out = np.empty(size, dtype=np.uint8)
+    out = np.empty(last - first, dtype=np.uint8)
     fallback = []
-    if max_advance > max_steps:
+    if max_advance > max_steps or not size:  # every member walks
         x = np.empty(0, dtype=np.uint64)
         fallback.append(np.arange(size, dtype=np.intp))
     else:
@@ -417,11 +412,11 @@ def _descend_range(cache, lo, hi, walk, classes=_ALL_CLASSES):
             i = (~below).nonzero()[0]
             x, pos, acc = x.take(i), pos.take(i), acc.take(i)
 
-    if fallback:
-        # members ascend with their position, so sorted positions walk in ascending start order
-        for p in np.sort(np.concatenate(fallback)).tolist():
-            i = first + p
-            out[p] = walk(cache, m * (i // c) + cls[i % c])
+    fallback.append(np.arange(size, len(out), dtype=np.intp))  # the members from 2^64 on
+    # members ascend with their position, so sorted positions walk in ascending start order
+    for p in np.sort(np.concatenate(fallback)).tolist():
+        i = first + p
+        out[p] = walk(cache, m * (i // c) + cls[i % c])
     return out
 
 
@@ -564,10 +559,7 @@ def verify_range(map_kind: MapKind, lo: int, hi: int, cache: ResidueCache) -> li
     budget for every n.
     """
     _check_cache_basis(map_kind, cache)
-    validate_nat(lo)
-    validate_nat(hi)
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
+    _validate_range(lo, hi)
     # the memo of _direct_block: the first members of the range, below 2^64
     settled = np.zeros(max(0, min(hi + 1, lo + cache.bound, _U64_LIMIT) - lo), dtype=np.uint16)
     labels = np.zeros(_FAILED + 1, dtype=np.uint8)  # _FAILED reads as label 0

@@ -86,6 +86,14 @@ def validate_nat(n: int) -> int:
     return n
 
 
+def _validate_range(lo: int, hi: int) -> None:
+    """Check lo and hi with :func:`validate_nat`, and that [lo, hi] is not empty."""
+    validate_nat(lo)
+    validate_nat(hi)
+    if lo > hi:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+
+
 def _validate_budget(max_steps: int) -> int:
     if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:
         raise ValueError(f"step budget must be a nonnegative integer, got {max_steps!r}")

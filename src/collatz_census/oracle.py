@@ -76,15 +76,6 @@ def classify_direct(
             cur = x
 
 
-def _u64_span(lo, hi):
-    """The members of [lo, hi] below 2^64, as a uint64 array."""
-    hi = min(hi, _U64_LIMIT - 1)
-    if lo > hi:
-        return np.empty(0, dtype=np.uint64)
-    # built as offset + iota: an arange stop of exactly 2**64 would not fit
-    return np.uint64(lo) + np.arange(hi - lo + 1, dtype=np.uint64)
-
-
 def _direct_block(map_kind, lo, hi, max_steps, settled, base):
     """Labels of every n in [lo, hi], in order, by literal composite iteration.
 
@@ -160,7 +151,8 @@ def _direct_block(map_kind, lo, hi, max_steps, settled, base):
     while joined < below or len(x):
         if len(x) < _POOL_LANES and joined < below:
             new = min(below - joined, _POOL_LANES)
-            x = np.concatenate((x, _u64_span(lo + joined, lo + joined + new - 1)))
+            # offset + iota: an arange stop of exactly 2**64 would not fit
+            x = np.concatenate((x, np.uint64(lo + joined) + np.arange(new, dtype=np.uint64)))
             pos = np.concatenate((pos, np.arange(joined, joined + new, dtype=np.intp)))
             q = np.concatenate((q, np.zeros(new, dtype=np.uint16)))
             joined += new

@@ -65,7 +65,6 @@ LITERAL_ROUTE = [
     "_direct_block",
     "_composite_step",
     "_direct_label",
-    "_u64_span",
     "_LOCKSTEP",
     "_DIRECT_PASS_MAX",
     "_MEMO_PASSES",

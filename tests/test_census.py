@@ -36,6 +36,7 @@ from collatz_census import (
     run_census,
     run_series,
     save_checkpoint,
+    verify_range,
 )
 from collatz_census import census as census_module
 from collatz_census import classifier
@@ -120,6 +121,19 @@ class TestCensusChunk:
         with pytest.raises(ValueError):
             census_chunk(MapKind.CR3, 1, 10, pdcr_cache)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cache: census_chunk(MapKind.CR3, 10, 9, cache),
+            lambda cache: cache.residues(10, 9),
+            lambda cache: verify_range(MapKind.CR3, 10, 9, cache),
+        ],
+        ids=["census_chunk", "residues", "verify_range"],
+    )
+    def test_empty_range_has_one_message(self, call, cr_cache):
+        with pytest.raises(ValueError, match=r"^empty range \[10, 9\]$"):
+            call(cr_cache)
+
     @pytest.mark.parametrize("span", [1, 7, 64])
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     @pytest.mark.parametrize(
@@ -174,6 +188,11 @@ class TestClassCounts:
     def test_empty(self):
         empty = ClassCounts.empty(MapKind.CR3, at=5)
         assert empty.is_empty and empty.total == 0
+
+    def test_range_below_empty_rejected(self):
+        zero = {label: 0 for label in labels_for(MapKind.CR3)}
+        with pytest.raises(ValueError, match=r"invalid range \[5, 3\]"):
+            ClassCounts(MapKind.CR3, 5, 3, zero)
 
     def test_fractions_are_shares_of_the_range(self):
         # [6, 10]: 8 and 10 are in class 1, 7 and 9 in class 2, 6 in class 4;
@@ -441,16 +460,14 @@ def record_residues_calls(monkeypatch):
     return calls
 
 
-def assert_tiles(calls, first, last, most, size, odd):
+def assert_tiles(calls, first, last, most, odd):
     """The residues calls [lo, hi] tile [first, last] in order, with no
-    overlap and no gap, each from a chunk start to a chunk end (chunks of
-    ``size`` from 1) and holding at most ``most`` members, with ``odd`` the
-    odd ones."""
+    overlap and no gap, each a full window of ``most`` members but the last,
+    which holds at most that many, with ``odd`` the odd ones."""
     assert calls[0][0] == first and calls[-1][1] == last
     assert [lo for lo, _ in calls[1:]] == [hi + 1 for _, hi in calls[:-1]]
-    for lo, hi in calls:
-        assert (lo - 1) % size == 0 and hi % size == 0, (lo, hi)
-        assert ((hi + 1) // 2 - lo // 2 if odd else hi - lo + 1) <= most, (lo, hi)
+    members = [(hi + 1) // 2 - lo // 2 if odd else hi - lo + 1 for lo, hi in calls]
+    assert members[:-1] == [most] * (len(calls) - 1) and members[-1] <= most, calls
 
 
 class TestEngine:
@@ -677,6 +694,27 @@ class TestCheckpointFile:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_json_non_object_rejected(self, tmp_path):
+        path = tmp_path / "census.ckpt"
+        path.write_text("[1, 2]")
+        with pytest.raises(CheckpointError, match="JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(map="cr7"), "invalid checkpoint map"),
+            (lambda d: d.update(partial_counts={"1": 17, "2": 17, "3": 16}), "exactly the map's"),
+            (lambda d: d.update(partial_counts={"1": 34, "2": 16}), "exactly the map's"),
+            (lambda d: d.update(created_at=20260809), "created_at"),
+        ],
+        ids=["unknown-map", "wrong-class-key", "missing-class", "created-at-not-a-string"],
+    )
+    def test_malformed_field_rejected(self, tmp_path, mutate, message):
+        path = self.rewrite(tmp_path, mutate)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
 class TestResume:
@@ -942,6 +980,11 @@ class TestRunSeries:
     def test_rejects_unknown_spacing(self):
         with pytest.raises(ValueError):
             run_series(MapKind.CR3, 10, points=1, spacing="sqrt")
+
+    @pytest.mark.parametrize("points", [0, True, 1.5])
+    def test_rejects_points_not_a_positive_integer(self, points):
+        with pytest.raises(ValueError, match="points must be a positive integer"):
+            run_series(MapKind.CR3, 10, points=points)
 
 
 class TestDecimalFraction:
@@ -1233,7 +1276,7 @@ class TestHalvedChunks:
             assert _tally(map_kind, cuts, config) == _reference(map_kind, cuts, 1000, 10**6)
             # the region is [901, 901 + 20 * 100]
             odd_calls = [(lo, hi) for lo, hi, odd in calls if odd]
-            assert_tiles(odd_calls, 901, 2900, span, 100, odd=True)
+            assert_tiles(odd_calls, 901, 2900, span, odd=True)
 
     def test_a_vast_census_starts_counting_at_once(self):
         # the look-ahead and the memo stop at the ceiling, however far S is
@@ -1259,7 +1302,7 @@ class TestHalvedChunks:
     def test_halved_chunks_descend_only_odd_members(self, monkeypatch):
         calls = record_residues_calls(monkeypatch)
         config = CensusConfig(chunk_size=1 << 10, cache_bound=1 << 12)
-        # one span below the bound and one past it, then spans of 9 chunks
+        # one span below the bound and one past it, then windows of 5000 odd members
         for span in (1 << 16, 5000):
             monkeypatch.setattr(census_module, "_SPAN", span)
             calls.clear()
@@ -1267,8 +1310,33 @@ class TestHalvedChunks:
             # chunks below the bound read the table; every chunk that reaches it is halved
             whole = [(lo, hi) for lo, hi, odd in calls if not odd]
             halved = [(lo, hi) for lo, hi, odd in calls if odd]
-            assert_tiles(whole, 1, 3 << 10, span, 1 << 10, odd=False)
-            assert_tiles(halved, 3 << 10 | 1, 1 << 16, span, 1 << 10, odd=True)
+            assert_tiles(whole, 1, 3 << 10, span, odd=False)
+            assert_tiles(halved, 3 << 10 | 1, 1 << 16, span, odd=True)
+
+    def test_reads_are_windows_whatever_the_chunk_size(self, monkeypatch):
+        # a read is cut only at the halved region's edges and at S: below the
+        # floor every chunk size makes the same calls, and in a region every
+        # read but the last holds 2^16 members, odd ones where it is halved
+        calls = record_residues_calls(monkeypatch)
+        s = 150_000
+        windows = [(lo, min(s, lo + (1 << 16) - 1), False) for lo in range(1, s + 1, 1 << 16)]
+        whole = run_census(MapKind.CR3, s).counts
+        for chunk_size in (1, 97, 1000, 1 << 16, 999983):
+            calls.clear()
+            config = CensusConfig(chunk_size=chunk_size, cache_bound=s + 1)
+            assert run_census(MapKind.CR3, s, config).counts == whole
+            assert calls == windows, chunk_size
+            calls.clear()
+            config = CensusConfig(chunk_size=chunk_size, cache_bound=1 << 12)
+            assert run_census(MapKind.CR3, s, config).counts == whole
+            regions = [list(g) for _, g in itertools.groupby(calls, key=lambda call: call[2])]
+            # one chunk of 999983 holds all of [1, s]: nothing is halved
+            halved = [False, True] if chunk_size < s else [False]
+            assert [region[0][2] for region in regions] == halved
+            for region in regions:
+                lo, hi, odd = region[0][0], region[-1][1], region[0][2]
+                assert_tiles([call[:2] for call in region], lo, hi, 1 << 16, odd)
+            assert (calls[0][0], calls[-1][1]) == (1, s)
 
     @pytest.mark.parametrize("map_kind", [MapKind.CR3, MapKind.PDCR2])
     def test_every_chunk_size_descends_the_same_members_once(self, map_kind, monkeypatch):

@@ -982,6 +982,8 @@ class TestRangeEntry:
             (((_Q_SAFE + 1) << _K) + _PIECE - 60, ((_Q_SAFE + 2) << _K) + 60),
             (2**64 - _PIECE - 40, 2**64 - _PIECE + 40),
             (2**64 - 41, 2**64 - 1),
+            (2**64 - 41, 2**64 + 40),
+            (2**100 + 7, 2**100 + 70),
         ],
         ids=[
             "lo-is-bound",
@@ -993,6 +995,8 @@ class TestRangeEntry:
             "across-the-guard",
             "near-2^64",
             "up-to-2^64-1",
+            "across-2^64",
+            "from-2^100",
         ],
     )
     def test_matches_scalar_descent(self, basis, lo, hi):
@@ -1049,6 +1053,8 @@ class TestRangeEntry:
             (3 * _PIECE + 4001, 5 * _PIECE + 17, [r for r in range(64) if r != 37]),
             (((_Q_SAFE + 1) << _K) + _PIECE - 200, ((_Q_SAFE + 2) << _K) + 60, [7, 31, 62, 63]),
             (2**64 - 3 * _PIECE - 50, 2**64 - 1, [1, 33, 63]),
+            (2**64 - 3 * _PIECE - 50, 2**64 + 300, [1, 33, 63]),
+            (2**64 + 5, 2**64 + 3 * 64, [0, 13]),
         ],
         ids=[
             "ends-are-members",
@@ -1059,6 +1065,8 @@ class TestRangeEntry:
             "all-classes-but-one",
             "across-the-guard",
             "up-to-2^64-1",
+            "across-2^64",
+            "from-2^64",
         ],
     )
     def test_class_subset_matches_scalar_descent(self, basis, lo, hi, classes):
@@ -1074,7 +1082,9 @@ class TestRangeEntry:
         members = _members(lo, hi, classes)
         out = _descend_range(cache, lo, hi, recording, np.array(classes))
         assert out.tolist() == [classifier._descend_scalar(cache, n) for n in members]
+        # one walk in ascending order, the members from 2^64 on last
         assert walked == sorted(walked)
+        assert [n for n in walked if n >= 2**64] == [n for n in members if n >= 2**64]
         limit = classifier._jump_tables(basis)[2]
         guarded = [n for n in members if n >> _K > int(limit[n % _PIECE])]
         assert set(guarded) <= set(walked)
@@ -1082,9 +1092,14 @@ class TestRangeEntry:
             assert guarded == [((_Q_SAFE + 1) << _K) + _PIECE - 1]
 
     @pytest.mark.parametrize("basis, budget", [(MapKind.CR, 25), (MapKind.PDCR, 12)])
-    def test_class_subset_budget_below_one_jump_walks_every_member(self, basis, budget):
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(60, 3 * _PIECE // 2 + 5), (2**64 - 300, 2**64 + 300)],
+        ids=["low", "across-2^64"],
+    )
+    def test_class_subset_budget_below_one_jump_walks_every_member(self, basis, budget, lo, hi):
         cache = build_residue_cache(basis, 17, budget)
-        lo, hi, classes = 60, 3 * _PIECE // 2 + 5, [3, 40, 41, 63]
+        classes = [3, 40, 41, 63]
         walked = []
 
         def recording(cache, start):
